@@ -13,7 +13,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._kernels import best_split_scan
 from .errors import (
     EmptyTestSetError,
     SingleClassError,
@@ -70,6 +69,39 @@ def _check_training(data, min_per_class: int):
 
 
 # --- regression trees on class indicators ---
+
+def best_split_scan(values, targets, min_leaf):
+    """Best variance-reduction split of one feature.
+
+    `values` must be ascending with `targets` permuted alongside.
+    Returns (threshold, gain); gain is the drop in total squared error
+    relative to predicting the node mean. gain = -1.0 when no split
+    leaves at least `min_leaf` samples on both sides. Among equal gains
+    the leftmost split wins.
+    """
+    n = values.shape[0]
+    if n < 2 * min_leaf:
+        return 0.0, -1.0
+    # cumsum adds left to right, so the totals carry the same bits as a
+    # running sum; np.sum adds pairwise and would not.
+    left_sum = np.cumsum(targets)
+    total = left_sum[-1]
+    total_sq = np.cumsum(targets * targets)[-1]
+    parent_sse = total_sq - total * total / n
+    n_left = np.arange(1, n)
+    left_sum = left_sum[:-1]
+    right_sum = total - left_sum
+    children_sse = (total_sq
+                    - left_sum * left_sum / n_left
+                    - right_sum * right_sum / (n - n_left))
+    gain = parent_sse - children_sse
+    valid = ((values[1:] > values[:-1]) & (n_left >= min_leaf)
+             & (n - n_left >= min_leaf) & (gain > -1.0))
+    if not valid.any():
+        return 0.0, -1.0
+    i = int(np.argmax(np.where(valid, gain, -np.inf)))
+    return 0.5 * (values[i] + values[i + 1]), gain[i]
+
 
 def _build_tree(X, y, depth, config: TreeConfig) -> dict:
     n = y.size

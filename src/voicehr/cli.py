@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +111,11 @@ def cmd_classify(args) -> int:
     config = PipelineConfig(split=SplitSpec(train_fraction=args.split, seed=args.seed))
     matrix, subjects = pipeline.classifier_matrix(
         vectors_by_subject, config, algorithms=(args.algo,))
-    writer = csv.writer(sys.stdout if args.out is None
-                        else open(args.out, "w", encoding="utf-8", newline=""),
-                        lineterminator="\n")
-    writer.writerow(["classifier"] + subjects)
-    writer.writerow([args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects])
+    with (nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["classifier"] + subjects)
+        writer.writerow([args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects])
     return EXIT_OK
 
 
@@ -129,16 +129,10 @@ def cmd_report(args) -> int:
         return EXIT_DATA
     vectors_by_subject = read_embeddings_csv(emb_path)
     report = pipeline.build_report(observations, vectors_by_subject, config)
-    written = pipeline.render_report(report, args.out)
+    models = None
     if args.models:
-        models = sorted(Path(args.models).glob("*.json"))
-        summary_path = Path(args.out) / "summary.json"
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        summary["models"] = [load_model(p).to_dict() for p in models]
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        models = [load_model(p) for p in sorted(Path(args.models).glob("*.json"))]
+    written = pipeline.render_report(report, args.out, models)
     for path in written:
         print(path)
     return EXIT_OK

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, signal
 
-from ._kernels import refractory_select
 from .errors import (
     InsufficientPeaksError,
     NonPositiveIntervalError,
@@ -70,6 +69,25 @@ def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
     squared = deriv * deriv
     win = max(1, int(round(config.integration_window_s * rate)))
     return ndimage.uniform_filter1d(squared, size=win, mode="nearest"), band
+
+
+def refractory_select(candidates, strength, min_gap):
+    """Enforce a refractory gap over candidate peak indices.
+
+    Candidates must be ascending. Within `min_gap` samples of the last
+    kept peak, the stronger one wins. Returns kept candidate positions
+    (indices into `candidates`).
+    """
+    n = candidates.shape[0]
+    kept = np.empty(n, dtype=np.int64)
+    m = 0
+    for i in range(n):
+        if m == 0 or candidates[i] - candidates[kept[m - 1]] >= min_gap:
+            kept[m] = i
+            m += 1
+        elif strength[i] > strength[kept[m - 1]]:
+            kept[m - 1] = i
+    return kept[:m]
 
 
 def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPeakSeries:

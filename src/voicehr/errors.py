@@ -19,6 +19,10 @@ class EmptySignalError(VoicehrError):
     """Signal contains no samples."""
 
 
+class InvalidSignalError(VoicehrError):
+    """Signal has a non-finite sample or a non-positive sample rate."""
+
+
 class NonUniformSamplingError(VoicehrError):
     """ECG timestamps deviate too far from a uniform grid."""
 

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -72,17 +72,13 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         seed = int(d.get("seed", 0))
-        holdout = d.get("holdout", {})
-        holdout.setdefault("seed", seed)
-        split = d.get("split", {})
-        split.setdefault("seed", seed)
         return cls(
             feature=FeatureConfig(**d.get("feature", {})),
             peak=PeakConfig(**d.get("peak", {})),
-            split=SplitSpec(**split),
+            split=SplitSpec(**{"seed": seed, **d.get("split", {})}),
             tree=TreeConfig(**d.get("tree", {})),
             filter_window=FilterWindow(**d.get("filter_window", {})),
-            holdout=HoldoutSpec(**holdout),
+            holdout=HoldoutSpec(**{"seed": seed, **d.get("holdout", {})}),
             seed=seed,
         )
 
@@ -276,44 +272,15 @@ class EvaluationReport:
     benchmark_model: LinearModel = field(default_factory=lambda: BENCHMARK_MODEL)
 
     def to_dict(self) -> dict:
-        return {
-            "table_separate": [
-                {"subject_id": s.subject_id, "emotion": s.emotion,
-                 "relative_error_pct": s.relative_error_pct,
-                 "n_train": s.n_train, "n_test": s.n_test}
-                for s in self.table_separate],
-            "table_combined_vs_separate": [
-                {"subject_id": r.subject_id,
-                 "combined_error_pct": r.combined_error_pct,
-                 "average_error_pct": r.average_error_pct,
-                 "joy_error_pct": r.joy_error_pct,
-                 "neutral_error_pct": r.neutral_error_pct,
-                 "anger_error_pct": r.anger_error_pct,
-                 "separate_better": r.separate_better}
-                for r in self.table_combined_vs_separate],
-            "classifier_matrix": self.classifier_matrix,
-            "classifier_averages": self.classifier_averages,
-            "general_model_pct": self.general_model_pct,
-            "benchmark_model": self.benchmark_model.to_dict(),
-        }
+        # the echoed model keeps its published beta0/beta1 keys
+        return {**asdict(self), "benchmark_model": self.benchmark_model.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
         return cls(
-            table_separate=[
-                CellScore(subject_id=s["subject_id"], emotion=s["emotion"],
-                          relative_error_pct=s["relative_error_pct"],
-                          n_train=s["n_train"], n_test=s["n_test"])
-                for s in d["table_separate"]],
+            table_separate=[CellScore(**row) for row in d["table_separate"]],
             table_combined_vs_separate=[
-                ComparisonRow(subject_id=r["subject_id"],
-                              combined_error_pct=r["combined_error_pct"],
-                              average_error_pct=r["average_error_pct"],
-                              joy_error_pct=r["joy_error_pct"],
-                              neutral_error_pct=r["neutral_error_pct"],
-                              anger_error_pct=r["anger_error_pct"],
-                              separate_better=r["separate_better"])
-                for r in d["table_combined_vs_separate"]],
+                ComparisonRow(**row) for row in d["table_combined_vs_separate"]],
             classifier_matrix=d["classifier_matrix"],
             classifier_averages=d["classifier_averages"],
             general_model_pct=d["general_model_pct"],
@@ -346,8 +313,12 @@ def round2(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def render_report(report: EvaluationReport, outdir) -> list[Path]:
-    """Write table1..table4 CSVs (2-decimal) and a full-precision summary."""
+def render_report(report: EvaluationReport, outdir, models=None) -> list[Path]:
+    """Write table1..table4 CSVs (2-decimal) and a full-precision summary.
+
+    `models`, when given, is a list of `LinearModel` echoed into the
+    summary under "models".
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -402,9 +373,12 @@ def render_report(report: EvaluationReport, outdir) -> list[Path]:
             w.writerow([algo, round2(avg)])
     written.append(path)
 
+    summary = report.to_dict()
+    if models is not None:
+        summary["models"] = [m.to_dict() for m in models]
     path = outdir / "summary.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(path)
     return written

@@ -20,6 +20,7 @@ from .errors import (
     CorruptRowError,
     DuplicateEntryError,
     EmptySignalError,
+    InvalidSignalError,
     MissingFileError,
     NonUniformSamplingError,
     UnknownEmotionError,
@@ -49,11 +50,11 @@ EMOTION_ORDER = (EmotionLabel.JOY, EmotionLabel.NEUTRAL, EmotionLabel.ANGER)
 
 def _check_signal(samples: np.ndarray, sample_rate_hz: float, kind: str) -> None:
     if sample_rate_hz <= 0:
-        raise ValueError(f"{kind}: sample_rate_hz must be positive")
+        raise InvalidSignalError(f"{kind}: sample_rate_hz must be positive")
     if samples.size == 0:
         raise EmptySignalError(f"{kind}: no samples")
     if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{kind}: non-finite sample values")
+        raise InvalidSignalError(f"{kind}: non-finite sample values")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,7 @@
+import gc
 import json
+import shutil
+import warnings
 
 import pytest
 
@@ -73,6 +76,17 @@ class TestExtract:
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
 
+    def test_nan_ecg_sample_is_data_error(self, workspace, tmp_path):
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        ecg = sorted((broken / "ecg").glob("*.csv"))[0]
+        lines = ecg.read_text().splitlines()
+        lines[2] = "nan"
+        ecg.write_text("\n".join(lines) + "\n")
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+
     def test_cepstra_dump(self, workspace, tmp_path):
         _, corpus, _ = workspace
         dump = tmp_path / "cepstra"
@@ -116,6 +130,17 @@ class TestClassify:
         lines = out.read_text().splitlines()
         assert lines[0] == "classifier,s01,s02"
         assert lines[1].split(",")[0] == "knn"
+
+    def test_out_file_closed(self, workspace, tmp_path):
+        _, _, features = workspace
+        out = tmp_path / "matrix.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["classify", "--features", str(features), "--algo", "gnb",
+                         "--out", str(out)]) == EXIT_OK
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert out.read_text().startswith("classifier,s01,s02\ngnb,")
 
     def test_stdout_default(self, workspace, capsys):
         _, _, features = workspace

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -295,6 +296,14 @@ class TestConfig:
     def test_explicit_seed_wins(self):
         config = PipelineConfig.from_dict({"seed": 9, "holdout": {"seed": 4}})
         assert config.holdout.seed == 4
+
+    def test_from_dict_leaves_input_unchanged(self):
+        d = {"seed": 9, "holdout": {"test_fraction": 0.3}, "split": {}}
+        before = copy.deepcopy(d)
+        config = PipelineConfig.from_dict(d)
+        assert d == before
+        assert config.holdout.seed == 9
+        assert config.split.seed == 9
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"

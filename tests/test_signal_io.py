@@ -6,6 +6,7 @@ from voicehr.errors import (
     CorruptRowError,
     DuplicateEntryError,
     EmptySignalError,
+    InvalidSignalError,
     MissingFileError,
     NonUniformSamplingError,
     UnknownEmotionError,
@@ -131,6 +132,18 @@ class TestLoadEcg:
         path = tmp_path / "empty.csv"
         path.write_text("# rate_hz=500\n")
         with pytest.raises(EmptySignalError):
+            load_ecg(path)
+
+    def test_non_finite_sample(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("# rate_hz=500\n0.1\nnan\n0.2\n")
+        with pytest.raises(InvalidSignalError):
+            load_ecg(path)
+
+    def test_non_positive_rate(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("# rate_hz=0\n0.1\n0.2\n")
+        with pytest.raises(InvalidSignalError):
             load_ecg(path)
 
 
