@@ -9,7 +9,6 @@ stratified splits and fixed tie-breaking in Joy < Neutral < Anger order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -139,18 +138,12 @@ def _tree_predict(tree: dict, x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CvrModel:
-    algorithm: ClassVar[str] = "cvr"
     classes: tuple
     trees: tuple  # one nested-dict tree per class, aligned with classes
 
     def predict(self, x: np.ndarray) -> EmotionLabel:
         scores = [_tree_predict(t, x) for t in self.trees]
         return self.classes[int(np.argmax(scores))]
-
-    def to_dict(self) -> dict:
-        return {"algorithm": self.algorithm,
-                "classes": [c.value for c in self.classes],
-                "trees": list(self.trees)}
 
 
 def train_cvr(data, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
@@ -168,7 +161,6 @@ def train_cvr(data, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
 
 @dataclass(frozen=True, eq=False)
 class GnbModel:
-    algorithm: ClassVar[str] = "gnb"
     classes: tuple
     means: np.ndarray      # (n_classes, d)
     variances: np.ndarray  # (n_classes, d)
@@ -179,13 +171,6 @@ class GnbModel:
             np.log(2.0 * np.pi * self.variances)
             + (x - self.means) ** 2 / self.variances, axis=1)
         return self.classes[int(np.argmax(log_lik + self.log_priors))]
-
-    def to_dict(self) -> dict:
-        return {"algorithm": self.algorithm,
-                "classes": [c.value for c in self.classes],
-                "means": self.means.tolist(),
-                "variances": self.variances.tolist(),
-                "log_priors": self.log_priors.tolist()}
 
 
 def train_gnb(data) -> GnbModel:
@@ -207,7 +192,6 @@ def train_gnb(data) -> GnbModel:
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    algorithm: ClassVar[str] = "knn"
     classes: tuple
     train_x: np.ndarray
     train_labels: tuple
@@ -226,12 +210,6 @@ class KnnModel:
             votes,
             key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
         )
-
-    def to_dict(self) -> dict:
-        return {"algorithm": self.algorithm, "k": self.k,
-                "classes": [c.value for c in self.classes],
-                "train_x": self.train_x.tolist(),
-                "train_labels": [lab.value for lab in self.train_labels]}
 
 
 def train_knn(data, k: int = 1) -> KnnModel:

@@ -10,14 +10,13 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import classify as classify_mod
 from . import pipeline, synth
-from .classify import SplitSpec
-from .errors import ConvergenceFailureError, SpecInvalidError, VoicehrError
+from .errors import ConvergenceFailureError, MissingFileError, SpecInvalidError, VoicehrError
 from .extract import (
     embeddings_csv_path,
     extract_observations,
@@ -26,8 +25,8 @@ from .extract import (
     write_embeddings_csv,
     write_features_csv,
 )
-from .pipeline import PipelineConfig
-from .regression import fit_ols, load_model, predict, save_model
+from .pipeline import HoldoutSpec, PipelineConfig
+from .regression import load_model, predict, save_model
 from .signal_io import load_manifest
 
 EXIT_OK = 0
@@ -40,6 +39,14 @@ def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     return PipelineConfig.from_json(path)
+
+
+def _read_embeddings(features_path) -> dict:
+    """The embeddings CSV that `extract` writes next to the features CSV."""
+    emb_path = embeddings_csv_path(features_path)
+    if not emb_path.is_file():
+        raise MissingFileError(f"embeddings file {emb_path} not found (run extract first)")
+    return read_embeddings_csv(emb_path)
 
 
 def cmd_synth(args) -> int:
@@ -73,44 +80,26 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    """The in-sample regression experiment; its models go into the store."""
     config = _load_config(args.config)
     observations = read_features_csv(args.features)
     kept, rejected = pipeline.filter_observations(observations, config.filter_window)
+    experiment = (pipeline.run_experiment_separate if args.mode == "separate"
+                  else pipeline.run_experiment_combined)
+    _, models, skipped = experiment(kept, replace(config, holdout=HoldoutSpec(in_sample=True)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    groups: dict[tuple, list] = {}
-    for obs in kept:
-        if args.mode == "separate":
-            key = (obs.subject_id, obs.emotion.value)
-        else:
-            key = (obs.subject_id, "combined")
-        groups.setdefault(key, []).append(obs)
-    n = 0
-    for (subject_id, tag), rows in sorted(groups.items()):
-        model = fit_ols([(o.feature_distance, o.heart_rate_bpm) for o in rows],
-                        subject_id=subject_id, emotion=tag)
-        save_model(model, outdir / f"{subject_id}_{tag}.json")
-        n += 1
-    print(f"fitted {n} models ({len(rejected)} rows filtered out)")
+    for model in models:
+        save_model(model, outdir / f"{model.subject_id}_{model.emotion}.json")
+    print(f"fitted {len(models)} models ({len(rejected)} rows filtered out, "
+          f"{len(skipped)} cells skipped)")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    emb_path = embeddings_csv_path(args.features)
-    if emb_path.is_file():
-        vectors_by_subject = read_embeddings_csv(emb_path)
-    else:
-        # scalar-only fallback: classify on the feature distance alone
-        observations = read_features_csv(args.features)
-        vectors_by_subject = {}
-        for o in observations:
-            vectors_by_subject.setdefault(o.subject_id, []).append(
-                classify_mod.LabeledVector(
-                    features=np.asarray([o.feature_distance]),
-                    label=o.emotion, subject_id=o.subject_id))
-    config = PipelineConfig(split=SplitSpec(train_fraction=args.split, seed=args.seed))
+    config = _load_config(args.config)
     matrix, subjects = pipeline.classifier_matrix(
-        vectors_by_subject, config, algorithms=(args.algo,))
+        _read_embeddings(args.features), config, algorithms=(args.algo,))
     with (nullcontext(sys.stdout) if args.out is None
           else open(args.out, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -122,13 +111,7 @@ def cmd_classify(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args.config)
     observations = read_features_csv(args.features)
-    emb_path = embeddings_csv_path(args.features)
-    if not emb_path.is_file():
-        print(f"error: embeddings file {emb_path} not found "
-              "(run extract first)", file=sys.stderr)
-        return EXIT_DATA
-    vectors_by_subject = read_embeddings_csv(emb_path)
-    report = pipeline.build_report(observations, vectors_by_subject, config)
+    report = pipeline.build_report(observations, _read_embeddings(args.features), config)
     models = None
     if args.models:
         models = [load_model(p) for p in sorted(Path(args.models).glob("*.json"))]
@@ -173,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="per-subject classifier accuracy matrix")
     p.add_argument("--features", required=True)
     p.add_argument("--algo", choices=list(pipeline.ALGORITHMS), default="cvr")
-    p.add_argument("--split", type=float, default=0.66)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_classify)
 

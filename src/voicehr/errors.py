@@ -40,7 +40,7 @@ class UnknownEmotionError(VoicehrError):
 
 
 class MissingFileError(VoicehrError):
-    """A path referenced by the manifest does not exist."""
+    """A referenced or required input file does not exist."""
 
 
 # --- ECG / heart rate ---
@@ -87,6 +87,10 @@ class DegenerateXError(VoicehrError):
 
 class NonPositiveMeasuredError(VoicehrError):
     """Measured heart rate must be positive for a relative error."""
+
+
+class CorruptModelError(VoicehrError):
+    """A model file lacks a field or holds a value of the wrong type."""
 
 
 # --- classification ---

@@ -146,11 +146,35 @@ def _score_cell(observations, holdout: HoldoutSpec, subject_id: str, tag: str):
     return model, score
 
 
-def _group_by_subject(observations):
+def _cells(observations, mode: str):
+    """Yield (subject_id, tag, rows) for every regression cell.
+
+    Subjects come sorted. "separate" yields one cell per emotion in
+    EMOTION_ORDER, tagged with the emotion value; "combined" yields one
+    pooled cell per subject, tagged "combined".
+    """
     groups: dict[str, list] = {}
     for obs in observations:
         groups.setdefault(obs.subject_id, []).append(obs)
-    return dict(sorted(groups.items()))
+    for subject_id, group in sorted(groups.items()):
+        if mode == "combined":
+            yield subject_id, "combined", group
+        else:
+            for emotion in EMOTION_ORDER:
+                yield subject_id, emotion.value, [o for o in group if o.emotion == emotion]
+
+
+def _run_experiment(observations, config: PipelineConfig, mode: str):
+    scores, models, skipped = [], [], []
+    for subject_id, tag, rows in _cells(observations, mode):
+        try:
+            model, score = _score_cell(rows, config.holdout, subject_id, tag)
+        except CellTooSmallError as exc:
+            skipped.append((subject_id, tag, str(exc)))
+            continue
+        models.append(model)
+        scores.append(score)
+    return scores, models, skipped
 
 
 def run_experiment_separate(observations, config: PipelineConfig):
@@ -159,31 +183,12 @@ def run_experiment_separate(observations, config: PipelineConfig):
     Returns (scores, models, skipped) where skipped holds
     (subject, emotion, reason) triples.
     """
-    scores, models, skipped = [], [], []
-    for subject_id, group in _group_by_subject(observations).items():
-        for emotion in EMOTION_ORDER:
-            cell = [o for o in group if o.emotion == emotion]
-            try:
-                model, score = _score_cell(cell, config.holdout, subject_id, emotion.value)
-            except CellTooSmallError as exc:
-                skipped.append((subject_id, emotion.value, str(exc)))
-                continue
-            models.append(model)
-            scores.append(score)
-    return scores, models, skipped
+    return _run_experiment(observations, config, "separate")
 
 
 def run_experiment_combined(observations, config: PipelineConfig):
     """Per-subject regression scores with all three emotions pooled."""
-    scores, models, skipped = [], [], []
-    for subject_id, group in _group_by_subject(observations).items():
-        try:
-            model, score = _score_cell(group, config.holdout, subject_id, "combined")
-        except CellTooSmallError as exc:
-            skipped.append((subject_id, "combined", str(exc)))
-            continue
-        models.append(model)
-        scores.append(score)
+    scores, models, skipped = _run_experiment(observations, config, "combined")
     if not scores and skipped:
         raise SubjectTooSmallError("no subject had enough pooled observations")
     return scores, models, skipped
@@ -200,11 +205,17 @@ class ComparisonRow:
     separate_better: bool
 
 
+def _errors_by_subject(separate_scores) -> dict[str, dict[str, float]]:
+    """subject -> emotion -> relative error of the separate-emotion cells."""
+    by_subject: dict[str, dict[str, float]] = {}
+    for s in separate_scores:
+        by_subject.setdefault(s.subject_id, {})[s.emotion] = s.relative_error_pct
+    return by_subject
+
+
 def compare_experiments(separate_scores, combined_scores) -> list[ComparisonRow]:
     """Per-subject combined vs separate errors, flagging separate-better."""
-    sep_by_subject: dict[str, dict[str, float]] = {}
-    for s in separate_scores:
-        sep_by_subject.setdefault(s.subject_id, {})[s.emotion] = s.relative_error_pct
+    sep_by_subject = _errors_by_subject(separate_scores)
     comb_by_subject = {s.subject_id: s.relative_error_pct for s in combined_scores}
     complete = {sid for sid, cells in sep_by_subject.items()
                 if len(cells) == len(EMOTION_ORDER)}
@@ -324,9 +335,7 @@ def render_report(report: EvaluationReport, outdir, models=None) -> list[Path]:
     written = []
 
     # Table 1: per-subject separate-emotion errors and accuracies.
-    by_subject: dict[str, dict[str, float]] = {}
-    for s in report.table_separate:
-        by_subject.setdefault(s.subject_id, {})[s.emotion] = s.relative_error_pct
+    by_subject = _errors_by_subject(report.table_separate)
     path = outdir / "table1_separate.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CorruptModelError,
     DegenerateXError,
     NonPositiveMeasuredError,
     TooFewPointsError,
@@ -53,6 +54,8 @@ class LinearModel:
             "beta0": self.beta0_hat,
             "beta1": self.beta1_hat,
             "n": self.n,
+            "s_xx": self.s_xx,
+            "s_xy": self.s_xy,
             "residual_std": self.residual_std,
         }
 
@@ -78,7 +81,11 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> LinearModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return LinearModel.from_dict(json.load(fh))
+        try:
+            return LinearModel.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptModelError(
+                f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
 
 
 @dataclass(frozen=True)

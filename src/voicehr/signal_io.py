@@ -182,18 +182,12 @@ def load_ecg(path: str | Path) -> EcgRecord:
     return EcgRecord(np.asarray(values), rate, source_id=str(path))
 
 
-def write_ecg(record: EcgRecord, path: str | Path, with_timestamps: bool = False) -> None:
-    """Write an ECG record as CSV in either supported layout."""
+def write_ecg(record: EcgRecord, path: str | Path) -> None:
+    """Write an ECG record as CSV in the `# rate_hz=<R>` header layout."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if with_timestamps:
-            fh.write("time_s,mv\n")
-            dt = 1.0 / record.sample_rate_hz
-            for i, v in enumerate(record.samples):
-                fh.write(f"{i * dt:.6f},{v:.6f}\n")
-        else:
-            fh.write(f"# rate_hz={record.sample_rate_hz:g}\n")
-            for v in record.samples:
-                fh.write(f"{v:.6f}\n")
+        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n")
+        for v in record.samples:
+            fh.write(f"{v:.6f}\n")
 
 
 @dataclass(frozen=True)

@@ -148,20 +148,20 @@ class FdTargeter:
         self.spec = spec
         self._grids = {}
 
-    def _measure(self, g: float) -> float:
+    def _measure(self, g: float) -> tuple[float, AudioClip]:
         clip = synth_utterance(self.voice, g, self.spec.audio_rate_hz, self.spec.utterance_s)
         emb = utterance_embedding(mfcc(clip, self.spec.feature))
-        return feature_distance(emb, self.reference).value
+        return feature_distance(emb, self.reference).value, clip
 
     def _grid(self, sign: float):
         if sign not in self._grids:
             magnitudes = np.array([0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0, 13.0])
-            fds = np.array([self._measure(sign * m) for m in magnitudes])
+            fds = np.array([self._measure(sign * m)[0] for m in magnitudes])
             self._grids[sign] = (magnitudes, fds)
         return self._grids[sign]
 
-    def solve(self, target_fd: float, sign: float) -> tuple[float, float]:
-        """Return (g, measured_fd) with measured within tolerance of target."""
+    def solve(self, target_fd: float, sign: float) -> tuple[float, AudioClip]:
+        """Return (measured_fd, clip) with measured within tolerance of target."""
         mags, fds = self._grid(sign)
         tol = self.spec.fd_tolerance * target_fd
         # Bracket from the calibration grid; the distance vanishes at g=0.
@@ -171,16 +171,16 @@ class FdTargeter:
         if above.size:
             m_hi, f_hi = mags[above[0]], fds[above[0]]
         else:
-            m_hi, f_hi = 2.0 * mags[-1], self._measure(sign * 2.0 * mags[-1])
+            m_hi, f_hi = 2.0 * mags[-1], self._measure(sign * 2.0 * mags[-1])[0]
         for _ in range(self.spec.max_fd_iterations):
             if f_hi > f_lo:
                 m = m_lo + (target_fd - f_lo) * (m_hi - m_lo) / (f_hi - f_lo)
                 m = min(max(m, m_lo + 0.05 * (m_hi - m_lo)), m_hi - 0.05 * (m_hi - m_lo))
             else:
                 m = 0.5 * (m_lo + m_hi)
-            f = self._measure(sign * m)
+            f, clip = self._measure(sign * m)
             if abs(f - target_fd) <= tol:
-                return sign * m, f
+                return f, clip
             if f < target_fd:
                 m_lo, f_lo = m, f
             else:
@@ -280,12 +280,11 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
                 else:
                     target_fd = float(rng.uniform(lo, hi))
                     sign = 1.0 if emotion == EmotionLabel.JOY else -1.0
-                g, fd = targeter.solve(target_fd, sign)
+                fd, clip = targeter.solve(target_fd, sign)
                 noise = float(rng.normal(0.0, spec.noise_std_bpm)) if spec.noise_std_bpm else 0.0
                 hr = beta0 + beta1 * fd + noise
                 hr = float(np.clip(hr, 35.0, 215.0))  # keep inside the filter window
                 phase = float(rng.uniform(0.0, 60.0 / hr))
-                clip = synth_utterance(voice, g, spec.audio_rate_hz, spec.utterance_s)
                 ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
                 stem = f"{subject_id}_{emotion.value}_{take:03d}"
                 audio_rel = f"audio/{stem}.wav"

@@ -83,13 +83,6 @@ class TestTrainCvr:
         for v in blob_vectors[::5]:
             assert model.predict(v.features) == scaled_model.predict(v.features * 4.0)
 
-    def test_serializable(self, blob_vectors):
-        import json
-
-        model = train_cvr(blob_vectors)
-        payload = json.dumps(model.to_dict())
-        assert '"threshold"' in payload
-
 
 class TestTrainGnb:
     def test_decision_boundary_symmetric_classes(self):

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from voicehr import pipeline
 from voicehr.cli import (
     EXIT_CONVERGENCE,
     EXIT_DATA,
@@ -12,6 +13,7 @@ from voicehr.cli import (
     EXIT_VALIDATION,
     main,
 )
+from voicehr.extract import read_embeddings_csv
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +111,8 @@ class TestFit:
         assert names == ["s01_anger.json", "s01_joy.json", "s01_neutral.json",
                          "s02_anger.json", "s02_joy.json", "s02_neutral.json"]
         model = json.loads((store / "s01_joy.json").read_text())
-        assert {"subject_id", "emotion", "beta0", "beta1", "n",
-                "residual_std"} <= set(model)
+        assert set(model) == {"subject_id", "emotion", "beta0", "beta1", "n",
+                              "s_xx", "s_xy", "residual_std"}
 
     def test_combined_store(self, workspace, tmp_path):
         _, _, features = workspace
@@ -119,6 +121,19 @@ class TestFit:
                      "--out", str(store)]) == EXIT_OK
         assert sorted(p.name for p in store.glob("*.json")) == [
             "s01_combined.json", "s02_combined.json"]
+
+    def test_one_row_cell_is_skipped(self, workspace, tmp_path, capsys):
+        _, _, features = workspace
+        header, *rows = features.read_text().splitlines()
+        s01_anger = [r for r in rows if r.startswith("s01,anger,")]
+        kept = [r for r in rows if r not in s01_anger[1:]]
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text("\n".join([header] + kept) + "\n")
+        store = tmp_path / "models"
+        assert main(["fit", "--features", str(sparse), "--out", str(store)]) == EXIT_OK
+        assert "s01_anger.json" not in {p.name for p in store.glob("*.json")}
+        assert len(list(store.glob("*.json"))) == 5
+        assert "1 cells skipped" in capsys.readouterr().out
 
 
 class TestClassify:
@@ -147,6 +162,22 @@ class TestClassify:
         assert main(["classify", "--features", str(features)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("classifier,s01,s02\ncvr,")
 
+    def test_config_reaches_the_matrix(self, workspace, tmp_path, capsys):
+        _, _, features = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "split": {"train_fraction": 0.5, "seed": 3}, "tree": {"max_depth": 0}}))
+        assert main(["classify", "--features", str(features)]) == EXIT_OK
+        default_row = capsys.readouterr().out.splitlines()[1]
+        assert main(["classify", "--features", str(features),
+                     "--config", str(config_path)]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1]
+        matrix, subjects = pipeline.classifier_matrix(
+            read_embeddings_csv(features.with_name("features_embeddings.csv")),
+            pipeline.PipelineConfig.from_json(config_path), algorithms=("cvr",))
+        assert row == ",".join(["cvr"] + [pipeline.round2(matrix["cvr"][s]) for s in subjects])
+        assert row != default_row
+
 
 class TestReport:
     def test_full_report(self, workspace):
@@ -162,12 +193,15 @@ class TestReport:
         assert len(summary["models"]) == 6
         assert 0.0 <= summary["general_model_pct"] <= 100.0
 
-    def test_missing_embeddings_exit_code(self, workspace, tmp_path):
+    @pytest.mark.parametrize("verb", ["report", "classify"])
+    def test_missing_embeddings_exit_code(self, workspace, tmp_path, capsys, verb):
         _, _, features = workspace
         orphan = tmp_path / "orphan.csv"
         orphan.write_text(features.read_text())
-        assert main(["report", "--features", str(orphan),
+        assert main([verb, "--features", str(orphan),
                      "--out", str(tmp_path / "r")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "orphan_embeddings.csv" in err and "run extract first" in err
 
 
 class TestPredict:
@@ -182,3 +216,19 @@ class TestPredict:
     def test_missing_model_exit_code(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),
                      "--fd", "1"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("payload", [
+        {"subject_id": "s01", "emotion": "joy", "beta1": 0.1, "n": 4, "residual_std": 1.0},
+        {"subject_id": "s01", "emotion": "joy", "beta0": "ninety", "beta1": 0.1, "n": 4,
+         "residual_std": 1.0},
+    ], ids=["missing_beta0", "non_numeric_beta0"])
+    def test_malformed_model_is_data_error(self, workspace, tmp_path, capsys, payload):
+        _, _, features = workspace
+        store = tmp_path / "models"
+        store.mkdir()
+        path = store / "s01_joy.json"
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(path), "--fd", "1"]) == EXIT_DATA
+        assert main(["report", "--features", str(features), "--models", str(store),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert capsys.readouterr().err.count(str(path)) == 2

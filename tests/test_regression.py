@@ -193,3 +193,9 @@ class TestModelStore:
         assert loaded.beta1_hat == model.beta1_hat
         assert loaded.subject_id == "s01"
         assert loaded.emotion == "joy"
+
+    def test_save_load_is_lossless(self, tmp_path):
+        model = fit_ols([(0, 1), (1, 3), (2, 5.5), (4, 8)], subject_id="s02", emotion="anger")
+        path = tmp_path / "s02_anger.json"
+        save_model(model, path)
+        assert load_model(path) == model
