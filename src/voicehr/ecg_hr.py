@@ -8,6 +8,7 @@ the band-passed signal so indices line up with the R waves themselves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,20 @@ class HeartRate:
     n_intervals: int
 
 
-def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
+@functools.lru_cache(maxsize=8)
+def _band_pass(rate: float, band_low_hz: float, band_high_hz: float):
+    """Read-only Butterworth (b, a), built once per rate and band."""
     nyq = rate / 2.0
-    high = min(config.band_high_hz, 0.99 * nyq)
-    low = min(config.band_low_hz, 0.5 * high)
+    high = min(band_high_hz, 0.99 * nyq)
+    low = min(band_low_hz, 0.5 * high)
     b, a = signal.butter(2, [low / nyq, high / nyq], btype="band")
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
+
+
+def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
+    b, a = _band_pass(rate, config.band_low_hz, config.band_high_hz)
     band = signal.filtfilt(b, a, samples)
     deriv = np.gradient(band)
     squared = deriv * deriv

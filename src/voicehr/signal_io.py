@@ -142,15 +142,24 @@ def load_ecg(path: str | Path) -> EcgRecord:
                 rate = float(first.split("=", 1)[1])
             except ValueError:
                 raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
-            values = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
+            lines = fh.read().split("\n")
+            try:
+                # Lines split at "\n" as file iteration splits them (splitlines
+                # would also split at \f and \v). float() takes surrounding
+                # whitespace but not "1.0 2.0"; a blank or bad line sends the
+                # record through the loop below, which skips blanks and names
+                # a bad line.
+                values = list(map(float, lines[:-1] if lines[-1] == "" else lines))
+            except ValueError:
+                values = []
+                for lineno, line in enumerate(lines, start=2):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        values.append(float(line))
+                    except ValueError:
+                        raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
             if not values:
                 raise EmptySignalError(f"{path}: no samples")
             return EcgRecord(np.asarray(values), rate, source_id=str(path))
@@ -184,10 +193,10 @@ def load_ecg(path: str | Path) -> EcgRecord:
 
 def write_ecg(record: EcgRecord, path: str | Path) -> None:
     """Write an ECG record as CSV in the `# rate_hz=<R>` header layout."""
+    samples = record.samples.tolist()
+    text = f"# rate_hz={record.sample_rate_hz:g}\n" + ("%.6f\n" * len(samples)) % tuple(samples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n")
-        for v in record.samples:
-            fh.write(f"{v:.6f}\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)

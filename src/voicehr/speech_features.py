@@ -9,6 +9,7 @@ reference embedding built from neutral takes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_filters: int, fft_size: int, rate_hz: float) -> np.ndarray:
     """Triangular filters over [0, rate/2], evaluated at FFT bin centers.
 
-    Returns an (n_filters, fft_size//2 + 1) weight matrix.
+    Returns an (n_filters, fft_size//2 + 1) weight matrix. It is built
+    once per argument triple and shared, so it is read-only.
     """
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(rate_hz / 2.0), n_filters + 2)
     hz_points = mel_to_hz(mel_points)
@@ -96,6 +99,7 @@ def mel_filterbank(n_filters: int, fft_size: int, rate_hz: float) -> np.ndarray:
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         fb[m] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.setflags(write=False)
     return fb
 
 

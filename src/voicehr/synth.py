@@ -101,15 +101,45 @@ class PlantedTake:
     heart_rate_bpm: float
 
 
+# Harmonic bases one voice keeps: one per (rate, length) it renders at.
+BASIS_CACHE_SIZE = 4
+
+
 @dataclass(frozen=True)
 class SubjectVoice:
-    """Fixed harmonic profile of one synthetic speaker."""
+    """Fixed harmonic profile of one synthetic speaker.
+
+    `phases` and `tilt` are stored as read-only copies, so the harmonic
+    basis cached from them stays valid for the life of the voice.
+    """
 
     f0_hz: float
     phases: np.ndarray  # one phase per harmonic
     # Spectral-tilt weights; the steering parameter g scales these
     # log-amplitude offsets, moving the utterance through cepstral space.
     tilt: np.ndarray
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("phases", "tilt"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def _harmonic_basis(self, rate_hz: float, n: int) -> np.ndarray:
+        """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
+        key = (rate_hz, n)
+        basis = self._bases.get(key)
+        if basis is None:
+            t = np.arange(n) / rate_hz
+            k = np.arange(1, N_HARMONICS + 1)
+            basis = np.sin(2.0 * np.pi * self.f0_hz * k[:, None] * t[None, :]
+                           + self.phases[:, None])
+            basis.setflags(write=False)
+            if len(self._bases) >= BASIS_CACHE_SIZE:
+                del self._bases[next(iter(self._bases))]
+            self._bases[key] = basis
+        return basis
 
 
 def make_voice(rng: np.random.Generator) -> SubjectVoice:
@@ -124,13 +154,9 @@ def synth_utterance(voice: SubjectVoice, g: float, rate_hz: float,
                     duration_s: float) -> AudioClip:
     """Harmonic utterance with spectral tilt g, normalized to fixed peak."""
     n = int(round(rate_hz * duration_s))
-    t = np.arange(n) / rate_hz
     k = np.arange(1, N_HARMONICS + 1)
     amps = np.exp(g * voice.tilt) / k
-    signal = np.sum(
-        amps[:, None] * np.sin(2.0 * np.pi * voice.f0_hz * k[:, None] * t[None, :]
-                               + voice.phases[:, None]),
-        axis=0)
+    signal = np.sum(amps[:, None] * voice._harmonic_basis(rate_hz, n), axis=0)
     signal *= PEAK_AMPLITUDE / np.max(np.abs(signal))
     return AudioClip(samples=signal, sample_rate_hz=rate_hz)
 
@@ -172,6 +198,7 @@ class FdTargeter:
             m_hi, f_hi = mags[above[0]], fds[above[0]]
         else:
             m_hi, f_hi = 2.0 * mags[-1], self._measure(sign * 2.0 * mags[-1])[0]
+        closest = min(f_lo, f_hi, key=lambda x: abs(x - target_fd))
         for _ in range(self.spec.max_fd_iterations):
             if f_hi > f_lo:
                 m = m_lo + (target_fd - f_lo) * (m_hi - m_lo) / (f_hi - f_lo)
@@ -181,13 +208,14 @@ class FdTargeter:
             f, clip = self._measure(sign * m)
             if abs(f - target_fd) <= tol:
                 return f, clip
+            closest = min(closest, f, key=lambda x: abs(x - target_fd))
             if f < target_fd:
                 m_lo, f_lo = m, f
             else:
                 m_hi, f_hi = m, f
         raise ConvergenceFailureError(
             f"feature-distance target {target_fd:.3f} not bracketed within "
-            f"{self.spec.max_fd_iterations} iterations")
+            f"{self.spec.max_fd_iterations} iterations; closest measured fd {closest:.3f}")
 
 
 def qrs_template_value(t: np.ndarray) -> np.ndarray:
@@ -280,13 +308,16 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
                 else:
                     target_fd = float(rng.uniform(lo, hi))
                     sign = 1.0 if emotion == EmotionLabel.JOY else -1.0
-                fd, clip = targeter.solve(target_fd, sign)
+                stem = f"{subject_id}_{emotion.value}_{take:03d}"
+                try:
+                    fd, clip = targeter.solve(target_fd, sign)
+                except ConvergenceFailureError as exc:
+                    raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
                 noise = float(rng.normal(0.0, spec.noise_std_bpm)) if spec.noise_std_bpm else 0.0
                 hr = beta0 + beta1 * fd + noise
                 hr = float(np.clip(hr, 35.0, 215.0))  # keep inside the filter window
                 phase = float(rng.uniform(0.0, 60.0 / hr))
                 ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
-                stem = f"{subject_id}_{emotion.value}_{take:03d}"
                 audio_rel = f"audio/{stem}.wav"
                 ecg_rel = f"ecg/{stem}.csv"
                 write_audio(clip, outdir / audio_rel)

@@ -64,3 +64,45 @@ def split_scan_loop(values, targets, min_leaf):
             best_gain = gain
             best_thr = 0.5 * (values[i] + values[i + 1])
     return best_thr, best_gain
+
+
+def write_ecg_loop(record, path):
+    """`# rate_hz=` ECG text, written one formatted sample at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n")
+        for v in record.samples:
+            fh.write(f"{v:.6f}\n")
+
+
+def load_ecg_rate_loop(path):
+    """(rate, samples) of a `# rate_hz=` ECG file, parsed line by line.
+
+    Blank lines are skipped; a line that is not one float raises
+    ValueError naming `path:lineno`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rate = float(fh.readline().strip().split("=", 1)[1])
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {line!r}") from None
+    return rate, np.asarray(values)
+
+
+def synth_utterance_formula(voice, g, rate_hz, duration_s, n_harmonics=10, peak=0.5):
+    """Harmonic utterance samples, every sine evaluated afresh."""
+    n = int(round(rate_hz * duration_s))
+    t = np.arange(n) / rate_hz
+    k = np.arange(1, n_harmonics + 1)
+    amps = np.exp(g * voice.tilt) / k
+    signal = np.sum(
+        amps[:, None] * np.sin(2.0 * np.pi * voice.f0_hz * k[:, None] * t[None, :]
+                               + voice.phases[:, None]),
+        axis=0)
+    signal *= peak / np.max(np.abs(signal))
+    return signal

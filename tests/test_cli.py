@@ -53,13 +53,14 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
 
-    def test_convergence_exit_code(self, tmp_path):
+    def test_convergence_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "tight.json"
         spec_path.write_text(json.dumps({
             "n_subjects": 1, "takes_per_emotion": 1, "ecg_duration_s": 4.0,
             "fd_tolerance": 1e-6, "max_fd_iterations": 1}))
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "c")]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: take s01_joy_000: ")
 
 
 class TestExtract:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from voicehr.ecg_hr import (
     PeakConfig,
+    _band_pass,
     detect_r_peaks,
     extract_heart_rate,
     heart_rate_1500,
@@ -21,6 +23,21 @@ def impulse_train(n, start, period, rate=500.0):
     x = np.zeros(n)
     x[start::period] = 1.0
     return EcgRecord(x, rate)
+
+
+class TestBandPass:
+    @pytest.mark.parametrize("rate", [250.0, 500.0, 25.0])
+    def test_memoised_coefficients_match_a_fresh_design(self, rate):
+        b, a = _band_pass(rate, 5.0, 15.0)
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        nyq = rate / 2.0
+        high = min(15.0, 0.99 * nyq)
+        fresh_b, fresh_a = signal.butter(2, [min(5.0, 0.5 * high) / nyq, high / nyq],
+                                         btype="band")
+        assert b.tobytes() == fresh_b.tobytes() and a.tobytes() == fresh_a.tobytes()
 
 
 class TestDetectRPeaks:

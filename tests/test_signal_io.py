@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import load_ecg_rate_loop, write_ecg_loop
 from voicehr.errors import (
     CorruptHeaderError,
     CorruptRowError,
@@ -146,6 +149,75 @@ class TestLoadEcg:
         path.write_text("# rate_hz=0\n0.1\n0.2\n")
         with pytest.raises(InvalidSignalError):
             load_ecg(path)
+
+    def test_rate_header_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("# rate_hz=500\n0.1\n\n  \n0.2\n\n")
+        record = load_ecg(path)
+        assert record.samples.tolist() == [0.1, 0.2]
+
+    def test_rate_header_bad_row_after_blank_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# rate_hz=500\n0.1\n\n0.2\nabc\n0.3\n")
+        with pytest.raises(CorruptRowError, match=r"bad\.csv:5: 'abc'"):
+            load_ecg(path)
+
+    def test_rate_header_two_numbers_on_a_line_is_corrupt(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text("# rate_hz=500\n0.1\n1.0 2.0\n0.3\n")
+        with pytest.raises(CorruptRowError, match=r"pair\.csv:3: '1\.0 2\.0'"):
+            load_ecg(path)
+
+
+# -0.0 and values that round to -0.000000 keep their sign; large
+# magnitudes print every integer digit
+ECG_SAMPLES = st.lists(
+    st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([0.0, -0.0, -4e-7, 4e-7, -5e-7, 1e3, -1234.5678915, 9.9999995e5])),
+    min_size=1, max_size=300)
+ECG_LINES = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.floats(-10.0, 10.0).map("{:.6f}".format),
+              st.sampled_from(["", "  ", "-0.000000", " 1.5\t", "1.0 2.0", "abc", "1e3",
+                               "1_000", "1.0\f2.0", "\f", "0.5\r0.25", "0.5\r\n"])),
+    max_size=60)
+FUNCTION_TMP_PATH = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                             deadline=None)
+
+
+class TestEcgTextMatchesLoops:
+    @FUNCTION_TMP_PATH
+    @given(samples=ECG_SAMPLES, rate=st.sampled_from([250.0, 500.0, 360.0, 128.5, 1e-3]))
+    @example(samples=[-0.0, -4e-7, 1e3, -2.5e6, 123456.7890125], rate=250.0)
+    def test_write_same_bytes(self, tmp_path, samples, rate):
+        record = EcgRecord(np.array(samples), rate)
+        write_ecg(record, tmp_path / "bulk.csv")
+        write_ecg_loop(record, tmp_path / "loop.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @FUNCTION_TMP_PATH
+    @given(lines=ECG_LINES, trailing_newline=st.booleans())
+    @example(lines=["0.1", "", "abc", "0.2"], trailing_newline=True)
+    @example(lines=["0.1", "1.0 2.0"], trailing_newline=False)
+    @example(lines=["-0.0", "", "  ", "1e300"], trailing_newline=True)
+    def test_load_same_bits(self, tmp_path, lines, trailing_newline):
+        path = tmp_path / "ecg.csv"
+        body = "\n".join(lines) + ("\n" if trailing_newline else "")
+        path.write_bytes(("# rate_hz=500\n" + body).encode("utf-8"))
+        try:
+            rate, values = load_ecg_rate_loop(path)
+        except ValueError as exc:
+            with pytest.raises(CorruptRowError) as raised:
+                load_ecg(path)
+            assert str(raised.value) == str(exc)
+            return
+        if values.size == 0:
+            with pytest.raises(EmptySignalError):
+                load_ecg(path)
+            return
+        record = load_ecg(path)
+        assert record.sample_rate_hz == rate
+        assert record.samples.tobytes() == values.tobytes()
 
 
 def _touch_pair(tmp_path, stem):

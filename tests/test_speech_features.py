@@ -84,6 +84,26 @@ class TestMfcc:
         assert abs(c0_shift[0]) > 0.1
 
 
+class TestSharedFilterbank:
+    def test_memoised_filterbank_rejects_writes(self):
+        fb = mel_filterbank(26, 512, 16000.0)
+        before = fb.copy()
+        with pytest.raises(ValueError):
+            fb[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            fb *= 2.0
+        again = mel_filterbank(26, 512, 16000.0)
+        assert again.tobytes() == before.tobytes()
+        assert again.tobytes() == mel_filterbank.__wrapped__(26, 512, 16000.0).tobytes()
+
+    def test_mfcc_output_writes_do_not_reach_a_later_take(self):
+        clip = AudioClip(np.random.default_rng(3).normal(0, 0.1, 4800), 16000.0)
+        first = mfcc(clip, CONFIG)
+        expected = first.frames.copy()
+        first.frames[:] = 0.0
+        assert mfcc(clip, CONFIG).frames.tobytes() == expected.tobytes()
+
+
 class TestFrameCount:
     def test_formula_matches_loop(self):
         rng = np.random.default_rng(11)

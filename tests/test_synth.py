@@ -1,12 +1,17 @@
 import filecmp
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import synth_utterance_formula
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest
 from voicehr.synth import (
+    BASIS_CACHE_SIZE,
     SynthSpec,
     generate_synthetic_corpus,
     load_ledger,
@@ -84,6 +89,36 @@ class TestSynthUtterance:
         b = synth_utterance(voice, 2.0, 16000.0, 0.4)
         assert a.samples.size == b.samples.size == 6400
         assert np.max(np.abs(a.samples - b.samples)) > 0.01
+
+    # more (rate, duration) shapes than one voice keeps bases for, so the
+    # cache key and its eviction are both exercised; the first two share
+    # a length at different rates
+    SHAPES = [(16000.0, 0.4), (8000.0, 0.8), (8000.0, 0.25), (16000.0, 0.1),
+              (22050.0, 0.05), (16000.0, 0.2)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           gs=st.lists(st.floats(-26.0, 26.0), min_size=1, max_size=5),
+           shapes=st.lists(st.sampled_from(SHAPES), min_size=2, max_size=8))
+    def test_matches_uncached_formula(self, seed, gs, shapes):
+        assert len(self.SHAPES) > BASIS_CACHE_SIZE
+        voice = make_voice(np.random.default_rng(seed))
+        for g in gs:
+            for rate, duration in shapes:
+                clip = synth_utterance(voice, g, rate, duration)
+                expected = synth_utterance_formula(voice, g, rate, duration)
+                assert clip.samples.tobytes() == expected.tobytes()
+
+    def test_writes_do_not_reach_a_later_take(self):
+        voice = make_voice(np.random.default_rng(5))
+        first = synth_utterance(voice, 0.7, 16000.0, 0.4)
+        expected = first.samples.copy()
+        first.samples[:] = 0.0
+        with pytest.raises(ValueError):
+            voice.phases[0] = 0.0
+        with pytest.raises(ValueError):
+            voice.tilt[0] = 0.0
+        assert synth_utterance(voice, 0.7, 16000.0, 0.4).samples.tobytes() == expected.tobytes()
 
 
 class TestGenerateCorpus:
@@ -171,5 +206,8 @@ class TestConvergence:
     def test_unreachable_tolerance_raises(self, tmp_path):
         spec = SynthSpec(n_subjects=1, takes_per_emotion=1, fd_tolerance=1e-6,
                          max_fd_iterations=1, ecg_duration_s=4.0, seed=3)
-        with pytest.raises(ConvergenceFailureError):
+        with pytest.raises(ConvergenceFailureError) as raised:
             generate_synthetic_corpus(spec, tmp_path / "c")
+        assert re.fullmatch(
+            r"take s01_joy_000: feature-distance target (\d+\.\d{3}) not bracketed within "
+            r"1 iterations; closest measured fd (\d+\.\d{3})", str(raised.value))
