@@ -13,8 +13,6 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline, synth
 from .errors import ConvergenceFailureError, MissingFileError, SpecInvalidError, VoicehrError
 from .extract import (
@@ -61,17 +59,8 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     config = _load_config(args.config)
     manifest = load_manifest(args.manifest)
-    sink = None
-    if args.cepstra_dir:
-        cepstra_dir = Path(args.cepstra_dir)
-        cepstra_dir.mkdir(parents=True, exist_ok=True)
-
-        def sink(entry, cepstra):
-            name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
-            np.savetxt(cepstra_dir / name, cepstra.frames, delimiter=",")
-
     observations, vectors_by_subject = extract_observations(
-        manifest, config.feature, config.peak, cepstra_sink=sink)
+        manifest, config.feature, config.peak, cepstra_dir=args.cepstra_dir)
     write_features_csv(observations, args.out)
     write_embeddings_csv(vectors_by_subject, embeddings_csv_path(args.out),
                          config.feature.n_cepstra)
@@ -143,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output features CSV")
-    p.add_argument("--cepstra-dir", help="also dump per-utterance cepstra CSVs here")
+    p.add_argument("--cepstra-dir", help="also write each take's cepstra CSV into this directory")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit", help="fit per-cell linear models into a model store")

@@ -9,14 +9,16 @@ the classification feature vectors.
 from __future__ import annotations
 
 import csv
+import functools
 from pathlib import Path
 
 import numpy as np
 
+from ._parallel import map_jobs
 from .classify import LabeledVector
 from .ecg_hr import PeakConfig, extract_heart_rate
 from .regression import Observation
-from .signal_io import DatasetManifest, EmotionLabel, load_audio, load_ecg
+from .signal_io import DatasetManifest, EmotionLabel, ManifestEntry, load_audio, load_ecg
 from .speech_features import (
     FeatureConfig,
     feature_distance,
@@ -29,25 +31,53 @@ FEATURES_HEADER = ["subject_id", "emotion", "take_index",
                    "feature_distance", "heart_rate_bpm"]
 
 
+# Takes per job when extraction is shared with a child process
+EXTRACT_CHUNK = 30
+
+
+def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureConfig(),
+                 peak_config: PeakConfig = PeakConfig(), cepstra_dir=None):
+    """(embedding, heart rate) of one take.
+
+    With `cepstra_dir`, the take's cepstra matrix is also written there
+    as `<subject>_<emotion>_<take>.csv`.
+    """
+    cepstra = mfcc(load_audio(entry.audio_path), feature_config)
+    if cepstra_dir is not None:
+        name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
+        np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
+    return (utterance_embedding(cepstra),
+            extract_heart_rate(load_ecg(entry.ecg_path), peak_config))
+
+
+def _extract_chunk(entries, feature_config, peak_config, cepstra_dir):
+    return [extract_take(entry, feature_config, peak_config, cepstra_dir)
+            for entry in entries]
+
+
 def extract_observations(manifest: DatasetManifest,
                          feature_config: FeatureConfig = FeatureConfig(),
                          peak_config: PeakConfig = PeakConfig(),
-                         cepstra_sink=None):
+                         cepstra_dir=None):
     """Compute (observations, vectors_by_subject) for a whole manifest.
 
-    The reference embedding per subject is the mean over its neutral
-    takes (all of them; the evaluation holdout happens downstream), or
-    over every take when a subject has no neutral recordings.
-    `cepstra_sink(entry, cepstra)` is called per utterance when given.
+    Each take goes through `extract_take`, in a second process too when
+    the manifest is large (see `_parallel.map_jobs`). The reference
+    embedding per subject is then the mean over its neutral takes (all
+    of them; the evaluation holdout happens downstream), or over every
+    take when a subject has no neutral recordings. With `cepstra_dir`,
+    every take's cepstra matrix is written there too.
     """
-    embeddings = {}
-    for entry in manifest.entries:
-        clip = load_audio(entry.audio_path)
-        cepstra = mfcc(clip, feature_config)
-        if cepstra_sink is not None:
-            cepstra_sink(entry, cepstra)
-        embeddings[(entry.subject_id, entry.emotion, entry.take_index)] = (
-            utterance_embedding(cepstra))
+    if cepstra_dir is not None:
+        Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
+    entries = manifest.entries
+    chunks = [entries[i:i + EXTRACT_CHUNK] for i in range(0, len(entries), EXTRACT_CHUNK)]
+    extract_chunk = functools.partial(_extract_chunk, feature_config=feature_config,
+                                      peak_config=peak_config, cepstra_dir=cepstra_dir)
+    per_take = [result for chunk in map_jobs(extract_chunk, chunks, n_takes=len(entries))
+                for result in chunk]
+    embeddings = {(entry.subject_id, entry.emotion, entry.take_index): emb
+                  for entry, (emb, _) in zip(entries, per_take)}
 
     references = {}
     for subject_id in manifest.subjects():
@@ -60,11 +90,9 @@ def extract_observations(manifest: DatasetManifest,
 
     observations = []
     vectors_by_subject: dict[str, list[LabeledVector]] = {}
-    for entry in manifest.entries:
-        emb = embeddings[(entry.subject_id, entry.emotion, entry.take_index)]
+    for entry, (emb, hr) in zip(entries, per_take):
         fd = feature_distance(emb, references[entry.subject_id],
                               reference_id=entry.subject_id)
-        hr = extract_heart_rate(load_ecg(entry.ecg_path), peak_config)
         observations.append(Observation(
             subject_id=entry.subject_id, emotion=entry.emotion,
             feature_distance=fd.value, heart_rate_bpm=hr.bpm,

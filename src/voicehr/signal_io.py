@@ -48,7 +48,10 @@ class EmotionLabel(str, Enum):
 EMOTION_ORDER = (EmotionLabel.JOY, EmotionLabel.NEUTRAL, EmotionLabel.ANGER)
 
 
-def _check_signal(samples: np.ndarray, sample_rate_hz: float, kind: str) -> None:
+def _check_signal(samples: np.ndarray, sample_rate_hz: float, kind: str,
+                  source_id: str = "") -> None:
+    if source_id:
+        kind = f"{kind} {source_id}"
     if sample_rate_hz <= 0:
         raise InvalidSignalError(f"{kind}: sample_rate_hz must be positive")
     if samples.size == 0:
@@ -67,7 +70,7 @@ class AudioClip:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        _check_signal(self.samples, self.sample_rate_hz, "AudioClip")
+        _check_signal(self.samples, self.sample_rate_hz, "AudioClip", self.source_id)
 
     @property
     def duration_s(self) -> float:
@@ -84,7 +87,7 @@ class EcgRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        _check_signal(self.samples, self.sample_rate_hz, "EcgRecord")
+        _check_signal(self.samples, self.sample_rate_hz, "EcgRecord", self.source_id)
 
     @property
     def duration_s(self) -> float:

@@ -10,12 +10,14 @@ written to a ledger CSV that downstream tests use as the oracle.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._parallel import map_jobs
 from .errors import ConvergenceFailureError, SpecInvalidError
 from .signal_io import (
     EMOTION_ORDER,
@@ -105,7 +107,7 @@ class PlantedTake:
 BASIS_CACHE_SIZE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubjectVoice:
     """Fixed harmonic profile of one synthetic speaker.
 
@@ -125,6 +127,11 @@ class SubjectVoice:
             values = np.array(getattr(self, name), dtype=np.float64)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled voice has read-only
+        # arrays and an empty basis cache too
+        return SubjectVoice, (self.f0_hz, self.phases, self.tilt)
 
     def _harmonic_basis(self, rate_hz: float, n: int) -> np.ndarray:
         """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
@@ -271,26 +278,33 @@ def _draw_planted_lines(rng: np.random.Generator, spec: SynthSpec):
     return lines
 
 
-def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[PlantedTake]]:
-    """Write a corpus (audio/, ecg/, manifest.csv, ledger.csv) to outdir.
+@dataclass(frozen=True)
+class _SubjectPlan:
+    """Every random draw one subject's takes need, made before any rendering.
 
-    Returns the manifest path and the planted-ground-truth ledger.
-    Fully deterministic for a fixed spec.
+    A take is `(emotion, take_index, target_fd, sign, noise_bpm, u)`, where
+    `u` is the raw uniform draw that places the first heartbeat.
     """
-    outdir = Path(outdir)
-    (outdir / "audio").mkdir(parents=True, exist_ok=True)
-    (outdir / "ecg").mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
-    entries, ledger = [], []
+
+    subject_id: str
+    voice: SubjectVoice
+    lines: dict
+    takes: list
+
+
+def _plan_corpus(rng: np.random.Generator, spec: SynthSpec) -> list[_SubjectPlan]:
+    """Draw the whole corpus in the generator's fixed order.
+
+    No draw depends on a targeting result: the noise has fixed
+    parameters and `rng.uniform(0, 60 / hr)` is `0.0 + (60 / hr) * u`
+    for one raw uniform `u`, so the render can compute the phase later.
+    """
+    plans = []
     for s in range(spec.n_subjects):
-        subject_id = f"s{s + 1:02d}"
         voice = make_voice(rng)
-        reference_clip = synth_utterance(voice, 0.0, spec.audio_rate_hz, spec.utterance_s)
-        reference = utterance_embedding(mfcc(reference_clip, spec.feature))
-        targeter = FdTargeter(voice, reference, spec)
         lines = _draw_planted_lines(rng, spec)
+        takes = []
         for emotion in EMOTION_ORDER:
-            beta0, beta1 = lines[emotion]
             lo, hi = EMOTION_PROFILES[emotion]["fd"]
             prev_target = None
             for take in range(spec.takes_per_emotion):
@@ -308,22 +322,57 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
                 else:
                     target_fd = float(rng.uniform(lo, hi))
                     sign = 1.0 if emotion == EmotionLabel.JOY else -1.0
-                stem = f"{subject_id}_{emotion.value}_{take:03d}"
-                try:
-                    fd, clip = targeter.solve(target_fd, sign)
-                except ConvergenceFailureError as exc:
-                    raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
                 noise = float(rng.normal(0.0, spec.noise_std_bpm)) if spec.noise_std_bpm else 0.0
-                hr = beta0 + beta1 * fd + noise
-                hr = float(np.clip(hr, 35.0, 215.0))  # keep inside the filter window
-                phase = float(rng.uniform(0.0, 60.0 / hr))
-                ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
-                audio_rel = f"audio/{stem}.wav"
-                ecg_rel = f"ecg/{stem}.csv"
-                write_audio(clip, outdir / audio_rel)
-                write_ecg(ecg, outdir / ecg_rel)
-                entries.append(ManifestEntry(subject_id, emotion, take, audio_rel, ecg_rel))
-                ledger.append(PlantedTake(subject_id, emotion, take, beta0, beta1, fd, hr))
+                takes.append((emotion, take, target_fd, sign, noise, float(rng.random())))
+        plans.append(_SubjectPlan(f"s{s + 1:02d}", voice, lines, takes))
+    return plans
+
+
+def _render_subject(plan: _SubjectPlan, spec: SynthSpec, outdir: Path):
+    """Solve, synthesise and write one subject's takes; (entries, ledger rows)."""
+    # a fresh copy, so the basis it caches is freed with this render and
+    # does not live as long as the plan
+    voice = replace(plan.voice)
+    reference_clip = synth_utterance(voice, 0.0, spec.audio_rate_hz, spec.utterance_s)
+    reference = utterance_embedding(mfcc(reference_clip, spec.feature))
+    targeter = FdTargeter(voice, reference, spec)
+    entries, ledger = [], []
+    for emotion, take, target_fd, sign, noise, u in plan.takes:
+        beta0, beta1 = plan.lines[emotion]
+        stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
+        try:
+            fd, clip = targeter.solve(target_fd, sign)
+        except ConvergenceFailureError as exc:
+            raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
+        hr = beta0 + beta1 * fd + noise
+        hr = float(np.clip(hr, 35.0, 215.0))  # keep inside the filter window
+        phase = 0.0 + (60.0 / hr) * u
+        ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
+        audio_rel = f"audio/{stem}.wav"
+        ecg_rel = f"ecg/{stem}.csv"
+        write_audio(clip, outdir / audio_rel)
+        write_ecg(ecg, outdir / ecg_rel)
+        entries.append(ManifestEntry(plan.subject_id, emotion, take, audio_rel, ecg_rel))
+        ledger.append(PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr))
+    return entries, ledger
+
+
+def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[PlantedTake]]:
+    """Write a corpus (audio/, ecg/, manifest.csv, ledger.csv) to outdir.
+
+    Returns the manifest path and the planted-ground-truth ledger.
+    Fully deterministic for a fixed spec. All draws are made first; the
+    subjects are then rendered independently, in a second process too
+    when the corpus is large (see `_parallel.map_jobs`).
+    """
+    outdir = Path(outdir)
+    (outdir / "audio").mkdir(parents=True, exist_ok=True)
+    (outdir / "ecg").mkdir(parents=True, exist_ok=True)
+    plans = _plan_corpus(np.random.default_rng(spec.seed), spec)
+    rendered = map_jobs(functools.partial(_render_subject, spec=spec, outdir=outdir),
+                        plans, n_takes=sum(len(plan.takes) for plan in plans))
+    entries = [entry for subject_entries, _ in rendered for entry in subject_entries]
+    ledger = [row for _, subject_ledger in rendered for row in subject_ledger]
     manifest_path = outdir / "manifest.csv"
     write_manifest(entries, manifest_path)
     write_ledger(ledger, outdir / "ledger.csv")

@@ -106,3 +106,64 @@ def synth_utterance_formula(voice, g, rate_hz, duration_s, n_harmonics=10, peak=
         axis=0)
     signal *= peak / np.max(np.abs(signal))
     return signal
+
+
+def generate_corpus_single_loop(spec, outdir):
+    """Write a corpus and return its ledger the way the generator once did:
+    one loop that solves, draws and writes each take in turn."""
+    from pathlib import Path
+
+    from voicehr.errors import ConvergenceFailureError
+    from voicehr.signal_io import EMOTION_ORDER, EmotionLabel, ManifestEntry, write_audio, \
+        write_ecg, write_manifest
+    from voicehr.speech_features import mfcc, utterance_embedding
+    from voicehr.synth import EMOTION_PROFILES, FdTargeter, PlantedTake, _draw_planted_lines, \
+        make_voice, synth_ecg, synth_utterance, write_ledger
+
+    outdir = Path(outdir)
+    (outdir / "audio").mkdir(parents=True, exist_ok=True)
+    (outdir / "ecg").mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+    entries, ledger = [], []
+    for s in range(spec.n_subjects):
+        subject_id = f"s{s + 1:02d}"
+        voice = make_voice(rng)
+        reference_clip = synth_utterance(voice, 0.0, spec.audio_rate_hz, spec.utterance_s)
+        reference = utterance_embedding(mfcc(reference_clip, spec.feature))
+        targeter = FdTargeter(voice, reference, spec)
+        lines = _draw_planted_lines(rng, spec)
+        for emotion in EMOTION_ORDER:
+            beta0, beta1 = lines[emotion]
+            lo, hi = EMOTION_PROFILES[emotion]["fd"]
+            prev_target = None
+            for take in range(spec.takes_per_emotion):
+                if emotion == EmotionLabel.NEUTRAL:
+                    if take % 2 == 0:
+                        target_fd = float(rng.uniform(lo, hi))
+                        prev_target = target_fd
+                        sign = 1.0
+                    else:
+                        target_fd = prev_target
+                        sign = -1.0
+                else:
+                    target_fd = float(rng.uniform(lo, hi))
+                    sign = 1.0 if emotion == EmotionLabel.JOY else -1.0
+                stem = f"{subject_id}_{emotion.value}_{take:03d}"
+                try:
+                    fd, clip = targeter.solve(target_fd, sign)
+                except ConvergenceFailureError as exc:
+                    raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
+                noise = float(rng.normal(0.0, spec.noise_std_bpm)) if spec.noise_std_bpm else 0.0
+                hr = beta0 + beta1 * fd + noise
+                hr = float(np.clip(hr, 35.0, 215.0))
+                phase = float(rng.uniform(0.0, 60.0 / hr))
+                ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
+                audio_rel = f"audio/{stem}.wav"
+                ecg_rel = f"ecg/{stem}.csv"
+                write_audio(clip, outdir / audio_rel)
+                write_ecg(ecg, outdir / ecg_rel)
+                entries.append(ManifestEntry(subject_id, emotion, take, audio_rel, ecg_rel))
+                ledger.append(PlantedTake(subject_id, emotion, take, beta0, beta1, fd, hr))
+    write_manifest(entries, outdir / "manifest.csv")
+    write_ledger(ledger, outdir / "ledger.csv")
+    return ledger

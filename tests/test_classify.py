@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import split_scan_loop
 from voicehr.classify import (
     LabeledVector,
     SplitSpec,
     TreeConfig,
+    best_split_scan,
     classification_accuracy,
     split,
     train_cvr,
@@ -183,3 +187,30 @@ class TestClassificationAccuracy:
         model = train_gnb(train)
         accuracy = classification_accuracy(model, test)
         assert 33.3 - 5.0 <= accuracy <= 33.3 + 5.0
+
+
+@st.composite
+def split_cases(draw):
+    """Ascending feature values (often tied), targets (often 0/1), min_leaf <= n/2."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        value = st.integers(0, 5).map(float)
+    else:
+        value = st.floats(-1e3, 1e3, allow_nan=False)
+    if draw(st.booleans()):
+        target = st.sampled_from([0.0, 1.0])
+    else:
+        target = st.floats(-10.0, 10.0, allow_nan=False)
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    targets = draw(st.lists(target, min_size=n, max_size=n))
+    min_leaf = draw(st.integers(1, max(1, n // 2)))
+    return np.sort(np.asarray(values)), np.asarray(targets), min_leaf
+
+
+class TestBestSplitScan:
+    @settings(max_examples=400, deadline=None)
+    @given(split_cases())
+    def test_matches_loop_oracle(self, case):
+        values, targets, min_leaf = case
+        assert (best_split_scan(values, targets, min_leaf)
+                == split_scan_loop(values, targets, min_leaf))

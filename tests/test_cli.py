@@ -79,7 +79,7 @@ class TestExtract:
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
 
-    def test_nan_ecg_sample_is_data_error(self, workspace, tmp_path):
+    def test_nan_ecg_sample_is_data_error(self, workspace, tmp_path, capsys):
         _, corpus, _ = workspace
         broken = tmp_path / "corpus"
         shutil.copytree(corpus, broken)
@@ -89,6 +89,20 @@ class TestExtract:
         ecg.write_text("\n".join(lines) + "\n")
         assert main(["extract", "--manifest", str(broken / "manifest.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert f"EcgRecord {ecg}: non-finite sample values" in capsys.readouterr().err
+
+    def test_earlier_bad_ecg_is_reported_before_later_bad_wav(self, workspace, tmp_path,
+                                                              capsys):
+        # each take reads its WAV and then its ECG, so take order decides
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        ecg = broken / "ecg" / "s01_joy_001.csv"
+        ecg.write_text(ecg.read_text().replace("\n", "\nnan\n", 1))
+        (broken / "audio" / "s01_joy_005.wav").write_bytes(b"RIFF")
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert f"EcgRecord {ecg}: non-finite" in capsys.readouterr().err
 
     def test_cepstra_dump(self, workspace, tmp_path):
         _, corpus, _ = workspace

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from voicehr.ecg_hr import (
@@ -8,6 +10,7 @@ from voicehr.ecg_hr import (
     detect_r_peaks,
     extract_heart_rate,
     heart_rate_1500,
+    refractory_select,
 )
 from voicehr.errors import (
     InsufficientPeaksError,
@@ -137,3 +140,24 @@ class TestExtractHeartRate:
         record = impulse_train(5000, 200, 400)
         config = PeakConfig(refractory_s=0.25, threshold_fraction=0.4)
         assert extract_heart_rate(record, config).bpm == pytest.approx(75.0, abs=0.5)
+
+
+class TestRefractorySelect:
+    def test_stronger_peak_wins_within_gap(self):
+        candidates = np.array([100, 130, 400, 420, 450, 900], dtype=np.int64)
+        strength = np.array([1.0, 2.0, 5.0, 3.0, 4.0, 1.0])
+        kept = refractory_select(candidates, strength, 100)
+        np.testing.assert_array_equal(kept, [1, 2, 5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 80), st.floats(0.0, 1.0)), max_size=100),
+           st.integers(1, 120))
+    def test_drops_only_for_a_stronger_neighbour(self, steps, gap):
+        candidates = np.cumsum([s for s, _ in steps]).astype(np.int64)
+        strength = np.asarray([w for _, w in steps])
+        kept = refractory_select(candidates, strength, gap)
+        assert np.all(np.diff(candidates[kept]) >= gap)
+        for i in sorted(set(range(candidates.size)) - set(kept.tolist())):
+            near = np.abs(candidates - candidates[i]) < gap
+            near[i] = False
+            assert np.any(strength[near] >= strength[i])

@@ -1,5 +1,7 @@
 import filecmp
+import pickle
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import synth_utterance_formula
+from oracles import generate_corpus_single_loop, synth_utterance_formula
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest
 from voicehr.synth import (
@@ -119,6 +121,50 @@ class TestSynthUtterance:
         with pytest.raises(ValueError):
             voice.tilt[0] = 0.0
         assert synth_utterance(voice, 0.7, 16000.0, 0.4).samples.tobytes() == expected.tobytes()
+
+
+class TestSubjectVoice:
+    def test_identity_semantics(self):
+        rng = np.random.default_rng(6)
+        a, b = make_voice(rng), make_voice(rng)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_pickle_round_trip_keeps_arrays_read_only(self):
+        voice = make_voice(np.random.default_rng(7))
+        before = synth_utterance(voice, 1.3, 16000.0, 0.4)  # fills the basis cache
+        copy = pickle.loads(pickle.dumps(voice))
+        assert copy.f0_hz == voice.f0_hz
+        assert copy.phases.tobytes() == voice.phases.tobytes()
+        assert copy.tilt.tobytes() == voice.tilt.tobytes()
+        for values in (copy.phases, copy.tilt):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        after = synth_utterance(copy, 1.3, 16000.0, 0.4)
+        assert after.samples.tobytes() == before.samples.tobytes()
+
+
+class TestPlanThenRender:
+    @pytest.mark.parametrize("noise_std_bpm", [0.0, 2.5])
+    def test_matches_single_loop_generator(self, tmp_path, noise_std_bpm):
+        spec = SynthSpec(n_subjects=2, takes_per_emotion=5, noise_std_bpm=noise_std_bpm,
+                         ecg_duration_s=4.0, seed=2024)
+        _, ledger = generate_synthetic_corpus(spec, tmp_path / "plan")
+        assert ledger == generate_corpus_single_loop(spec, tmp_path / "loop")
+        files = sorted(p.relative_to(tmp_path / "loop")
+                       for p in (tmp_path / "loop").rglob("*") if p.is_file())
+        assert len(files) == 2 + 2 * len(ledger)
+        for rel in files:
+            assert (tmp_path / "plan" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1), hr=st.floats(35.0, 215.0))
+    def test_phase_from_raw_uniform_matches_numpy_uniform(self, seed, hr):
+        drawn = np.random.default_rng(seed)
+        raw = np.random.default_rng(seed)
+        expected = float(drawn.uniform(0.0, 60.0 / hr))
+        assert struct.pack("<d", 0.0 + (60.0 / hr) * float(raw.random())) == struct.pack("<d", expected)
+        assert drawn.random() == raw.random()  # both consumed one double
 
 
 class TestGenerateCorpus:
