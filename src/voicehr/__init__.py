@@ -40,7 +40,6 @@ from .pipeline import (
 from .regression import (
     LinearModel,
     Observation,
-    ScoreRow,
     SummaryStats,
     fit_ols,
     normal_coverage,

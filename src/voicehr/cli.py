@@ -7,9 +7,7 @@ Verbs: synth, extract, fit, classify, report, predict. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .extract import (
 )
 from .pipeline import HoldoutSpec, PipelineConfig
 from .regression import load_model, predict, save_model
-from .signal_io import load_manifest
+from .signal_io import load_manifest, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,11 +87,8 @@ def cmd_classify(args) -> int:
     config = _load_config(args.config)
     matrix, subjects = pipeline.classifier_matrix(
         _read_embeddings(args.features), config, algorithms=(args.algo,))
-    with (nullcontext(sys.stdout) if args.out is None
-          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["classifier"] + subjects)
-        writer.writerow([args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects])
+    write_table(sys.stdout if args.out is None else args.out, ["classifier"] + subjects,
+                [[args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects]])
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ the classification feature vectors.
 
 from __future__ import annotations
 
-import csv
 import functools
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,15 @@ from ._parallel import map_jobs
 from .classify import LabeledVector
 from .ecg_hr import PeakConfig, extract_heart_rate
 from .regression import Observation
-from .signal_io import DatasetManifest, EmotionLabel, ManifestEntry, load_audio, load_ecg
+from .signal_io import (
+    DatasetManifest,
+    EmotionLabel,
+    ManifestEntry,
+    load_audio,
+    load_ecg,
+    read_table,
+    write_table,
+)
 from .speech_features import (
     FeatureConfig,
     feature_distance,
@@ -104,25 +113,11 @@ def extract_observations(manifest: DatasetManifest,
 
 
 def write_features_csv(observations, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(FEATURES_HEADER)
-        for o in observations:
-            w.writerow([o.subject_id, o.emotion.value, o.take_index,
-                        repr(o.feature_distance), repr(o.heart_rate_bpm)])
+    write_table(path, FEATURES_HEADER, map(attrgetter(*FEATURES_HEADER), observations))
 
 
 def read_features_csv(path) -> list[Observation]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(Observation(
-                subject_id=row["subject_id"],
-                emotion=EmotionLabel.parse(row["emotion"]),
-                take_index=int(row["take_index"]),
-                feature_distance=float(row["feature_distance"]),
-                heart_rate_bpm=float(row["heart_rate_bpm"])))
-    return out
+    return read_table(path, Observation, FEATURES_HEADER)
 
 
 def embeddings_csv_path(features_path) -> Path:
@@ -131,25 +126,27 @@ def embeddings_csv_path(features_path) -> Path:
     return p.with_name(p.stem + "_embeddings.csv")
 
 
+def embeddings_header(n_cepstra: int) -> list[str]:
+    return ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
+
+
+@dataclass(frozen=True)
+class _EmbeddingRow:
+    subject_id: str
+    emotion: EmotionLabel
+    features: np.ndarray  # the c0.. columns, then fd
+
+
 def write_embeddings_csv(vectors_by_subject, path, n_cepstra: int) -> None:
-    header = ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for subject_id in sorted(vectors_by_subject):
-            for vec in vectors_by_subject[subject_id]:
-                w.writerow([subject_id, vec.label.value]
-                           + [repr(float(v)) for v in vec.features])
+    write_table(path, embeddings_header(n_cepstra),
+                ([subject_id, vec.label, *vec.features]
+                 for subject_id in sorted(vectors_by_subject)
+                 for vec in vectors_by_subject[subject_id]))
 
 
 def read_embeddings_csv(path) -> dict[str, list[LabeledVector]]:
     vectors_by_subject: dict[str, list[LabeledVector]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            features = np.asarray([float(v) for v in row[2:]])
-            vectors_by_subject.setdefault(row[0], []).append(LabeledVector(
-                features=features, label=EmotionLabel.parse(row[1]),
-                subject_id=row[0]))
+    for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
+        vectors_by_subject.setdefault(row.subject_id, []).append(LabeledVector(
+            features=row.features, label=row.emotion, subject_id=row.subject_id))
     return vectors_by_subject

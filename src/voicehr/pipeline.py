@@ -8,7 +8,6 @@ four report tables as CSV plus a full-precision JSON summary.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import zlib
@@ -34,7 +33,7 @@ from .regression import (
     predict,
     relative_error,
 )
-from .signal_io import EMOTION_ORDER, EmotionLabel
+from .signal_io import EMOTION_ORDER, EmotionLabel, write_table
 from .speech_features import FeatureConfig
 
 ALGORITHMS = ("cvr", "gnb", "knn")
@@ -334,53 +333,38 @@ def render_report(report: EvaluationReport, outdir, models=None) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
+    def table(name, header, rows):
+        written.append(outdir / name)
+        write_table(outdir / name, header, rows)
+
     # Table 1: per-subject separate-emotion errors and accuracies.
     by_subject = _errors_by_subject(report.table_separate)
-    path = outdir / "table1_separate.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "joy_err", "neutral_err", "anger_err",
-                    "joy_acc", "neutral_acc", "anger_acc"])
-        for sid in sorted(by_subject):
-            errs = [by_subject[sid].get(e.value, float("nan")) for e in EMOTION_ORDER]
-            w.writerow([sid] + [round2(v) for v in errs]
-                       + [round2(100.0 - v) for v in errs])
-    written.append(path)
+    rows = []
+    for sid in sorted(by_subject):
+        errs = [by_subject[sid].get(e.value, float("nan")) for e in EMOTION_ORDER]
+        rows.append([sid] + [round2(v) for v in errs] + [round2(100.0 - v) for v in errs])
+    table("table1_separate.csv", ["subject", "joy_err", "neutral_err", "anger_err",
+                                  "joy_acc", "neutral_acc", "anger_acc"], rows)
 
     # Table 2: combined vs average-of-separate errors.
-    path = outdir / "table2_combined.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "combined", "average", "joy", "neutral", "anger"])
-        for r in report.table_combined_vs_separate:
-            w.writerow([r.subject_id, round2(r.combined_error_pct),
-                        round2(r.average_error_pct), round2(r.joy_error_pct),
-                        round2(r.neutral_error_pct), round2(r.anger_error_pct)])
-    written.append(path)
+    table("table2_combined.csv",
+          ["subject", "combined", "average", "joy", "neutral", "anger"],
+          ([r.subject_id, round2(r.combined_error_pct), round2(r.average_error_pct),
+            round2(r.joy_error_pct), round2(r.neutral_error_pct), round2(r.anger_error_pct)]
+           for r in report.table_combined_vs_separate))
 
     # Table 3: per-subject classifier accuracies with footer rows.
-    subjects = sorted({sid for per in report.classifier_matrix.values() for sid in per})
-    path = outdir / "table3_classifiers.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["classifier"] + subjects)
-        for algo in report.classifier_matrix:
-            per = report.classifier_matrix[algo]
-            w.writerow([algo] + [round2(per[sid]) for sid in subjects])
-        col_max = {sid: max(report.classifier_matrix[a][sid]
-                            for a in report.classifier_matrix) for sid in subjects}
-        w.writerow(["max_accuracy"] + [round2(col_max[sid]) for sid in subjects])
-        w.writerow(["min_error"] + [round2(100.0 - col_max[sid]) for sid in subjects])
-    written.append(path)
+    matrix = report.classifier_matrix
+    subjects = sorted({sid for per in matrix.values() for sid in per})
+    col_max = {sid: max(matrix[a][sid] for a in matrix) for sid in subjects}
+    table("table3_classifiers.csv", ["classifier"] + subjects,
+          [[algo] + [round2(matrix[algo][sid]) for sid in subjects] for algo in matrix]
+          + [["max_accuracy"] + [round2(col_max[sid]) for sid in subjects],
+             ["min_error"] + [round2(100.0 - col_max[sid]) for sid in subjects]])
 
     # Table 4: average classifier accuracy.
-    path = outdir / "table4_averages.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["classifier", "average_accuracy"])
-        for algo, avg in report.classifier_averages.items():
-            w.writerow([algo, round2(avg)])
-    written.append(path)
+    table("table4_averages.csv", ["classifier", "average_accuracy"],
+          ([algo, round2(avg)] for algo, avg in report.classifier_averages.items()))
 
     summary = report.to_dict()
     if models is not None:

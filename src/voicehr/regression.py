@@ -1,7 +1,7 @@
 """Simple linear regression and the descriptive statistics around it.
 
 Covers least-squares fitting of heart rate on feature distance, sample
-mean/variance/standard deviation, relative-error/accuracy scoring, and
+mean/variance/standard deviation, relative-error scoring, and
 the 68-95-99.7 normal-coverage check.
 """
 
@@ -96,17 +96,6 @@ class SummaryStats:
     is_population: bool = False
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    """Relative error and accuracy in percent; the pair sums to 100."""
-
-    relative_error_pct: float
-
-    @property
-    def accuracy_pct(self) -> float:
-        return 100.0 - self.relative_error_pct
-
-
 def fit_ols(points, subject_id: str = "", emotion: str = "") -> LinearModel:
     """Least-squares line through (x, y) pairs.
 
@@ -172,10 +161,6 @@ def relative_error(hr_estimated: float, hr_measured: float) -> float:
     if hr_measured <= 0:
         raise NonPositiveMeasuredError(f"hr_measured={hr_measured}")
     return abs(hr_estimated - hr_measured) / hr_measured * 100.0
-
-
-def score_row(hr_estimated: float, hr_measured: float) -> ScoreRow:
-    return ScoreRow(relative_error_pct=relative_error(hr_estimated, hr_measured))
 
 
 def normal_coverage(values) -> tuple[float, float, float]:

@@ -1,16 +1,20 @@
-"""Loading, validation and writing of speech/ECG signals and dataset manifests.
+"""Loading, validation and writing of speech/ECG signals, manifests and tables.
 
 Audio lives in mono 16-bit linear PCM WAV containers, ECG in CSV text
 (either `time_s,mv` rows or a `# rate_hz=<R>` header followed by one mV
 value per line). A manifest CSV binds files to subjects and emotion labels.
+Every CSV table of the pipeline goes through `write_table` and `read_table`.
 """
 
 from __future__ import annotations
 
 import csv
+import typing
 import wave
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +43,13 @@ class EmotionLabel(str, Enum):
     @classmethod
     def parse(cls, text: str) -> "EmotionLabel":
         try:
-            return cls(text.strip().lower())
-        except ValueError:
+            return _LABELS[text.strip().lower()]
+        except KeyError:
             raise UnknownEmotionError(f"unknown emotion label: {text!r}") from None
+
+
+# A dict lookup; calling the enum class per table cell costs ten times as much
+_LABELS = {label.value: label for label in EmotionLabel}
 
 
 # Deterministic class order used for tie-breaking everywhere.
@@ -106,7 +114,9 @@ def load_audio(path: str | Path) -> AudioClip:
             n_frames = wav.getnframes()
             raw = wav.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
-        raise CorruptHeaderError(f"{path}: {exc}") from exc
+        # EOFError carries no message
+        reason = str(exc) or "file ends inside the WAV header"
+        raise CorruptHeaderError(f"{path}: {reason}") from exc
     if comp_type != "NONE":
         raise UnsupportedFormatError(f"{path}: compressed audio not supported")
     if n_channels != 1:
@@ -115,6 +125,9 @@ def load_audio(path: str | Path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: expected 16-bit samples, got {8 * samp_width}-bit")
     if n_frames == 0:
         raise EmptySignalError(f"{path}: empty audio file")
+    if len(raw) != n_frames * samp_width:
+        raise CorruptHeaderError(f"{path}: header gives {n_frames} frames, data chunk holds "
+                                 f"{len(raw) // samp_width} ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
     return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=str(path))
 
@@ -234,38 +247,78 @@ class DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and validate a manifest CSV; paths resolve relative to it."""
     path = Path(path)
-    base = path.parent
-    entries = []
-    seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise CorruptHeaderError(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
-        for row in reader:
-            try:
-                take = int(row["take_index"])
-            except (TypeError, ValueError):
-                raise CorruptRowError(f"{path}: bad take_index {row['take_index']!r}") from None
-            if take < 0:
-                raise CorruptRowError(f"{path}: negative take_index {take}")
-            emotion = EmotionLabel.parse(row["emotion"])
-            key = (row["subject_id"], emotion, take)
-            if key in seen:
-                raise DuplicateEntryError(f"{path}: duplicate entry {key}")
-            seen.add(key)
-            audio = (base / row["audio_path"]).resolve()
-            ecg = (base / row["ecg_path"]).resolve()
-            for p in (audio, ecg):
-                if not p.is_file():
-                    raise MissingFileError(f"{path}: referenced file missing: {p}")
-            entries.append(ManifestEntry(row["subject_id"], emotion, take, str(audio), str(ecg)))
+    entries, seen = [], set()
+    for row in read_table(path, ManifestEntry, MANIFEST_HEADER):
+        if row.take_index < 0:
+            raise CorruptRowError(f"{path}: negative take_index {row.take_index}")
+        key = (row.subject_id, row.emotion, row.take_index)
+        if key in seen:
+            raise DuplicateEntryError(f"{path}: duplicate entry {key}")
+        seen.add(key)
+        audio = (path.parent / row.audio_path).resolve()
+        ecg = (path.parent / row.ecg_path).resolve()
+        for p in (audio, ecg):
+            if not p.is_file():
+                raise MissingFileError(f"{path}: referenced file missing: {p}")
+        entries.append(replace(row, audio_path=str(audio), ecg_path=str(ecg)))
     return DatasetManifest(entries=tuple(entries))
 
 
 def write_manifest(entries, path: str | Path) -> None:
     """Write manifest rows; paths are emitted as given (keep them relative)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    write_table(path, MANIFEST_HEADER, map(attrgetter(*MANIFEST_HEADER), entries))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: UTF-8, "\\n" line ends, `csv`'s minimal quoting.
+
+    A float cell is written as `repr(float(v))`, which reads back to the
+    same bits, and an `EmotionLabel` cell as its value. `path` may also be
+    an open text stream, which is left open.
+    """
+    with (nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        for e in entries:
-            writer.writerow([e.subject_id, e.emotion.value, e.take_index, e.audio_path, e.ecg_path])
+        writer.writerow(header)
+        writer.writerows([repr(float(cell)) if isinstance(cell, float)
+                          else cell.value if isinstance(cell, EmotionLabel) else cell
+                          for cell in row] for row in rows)
+
+
+# Cell parser per declared field type; numpy parses str cells as float() does
+_PARSERS = {str: str, int: int, float: float, EmotionLabel: EmotionLabel.parse,
+            np.ndarray: lambda cells: np.array(cells, dtype=np.float64)}
+
+
+def read_table(path, record, header) -> list:
+    """The rows of a CSV table as instances of the dataclass `record`.
+
+    Each field is read from the column of its name and parsed by its
+    declared type (`str`, `int`, `float`, `EmotionLabel`); a last field
+    declared `np.ndarray` takes every column from its position on. The
+    header must equal `header`, or `header(n)` for a function of the file's
+    column count n; else CorruptHeaderError. A row of the wrong width or a
+    cell that does not parse raises CorruptRowError naming `path:line`; a
+    parser's VoicehrError passes through. Blank lines are skipped.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        expected = list(header(len(found)) if callable(header) else header)
+        if found != expected:
+            raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
+        types = typing.get_type_hints(record)
+        columns = [(slice(i, None) if types[f.name] is np.ndarray else expected.index(f.name),
+                    _PARSERS[types[f.name]]) for i, f in enumerate(fields(record))]
+        rows = []
+        try:
+            for row in reader:
+                if len(row) != len(expected):
+                    if not row:
+                        continue
+                    raise CorruptRowError(f"{path}:{reader.line_num}: expected "
+                                          f"{len(expected)} fields, got {len(row)}")
+                rows.append(record(*[parse(row[at]) for at, parse in columns]))
+        except (ValueError, csv.Error) as exc:  # csv.Error: a quote left open to the end
+            raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows

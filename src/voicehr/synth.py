@@ -9,10 +9,10 @@ written to a ledger CSV that downstream tests use as the oracle.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass, field, asdict, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,11 @@ from .signal_io import (
     EcgRecord,
     EmotionLabel,
     ManifestEntry,
+    read_table,
     write_audio,
     write_ecg,
     write_manifest,
+    write_table,
 )
 from .speech_features import (
     FeatureConfig,
@@ -384,26 +386,8 @@ LEDGER_HEADER = ["subject_id", "emotion", "take_index", "beta0", "beta1",
 
 
 def write_ledger(ledger, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(LEDGER_HEADER)
-        for row in ledger:
-            w.writerow([row.subject_id, row.emotion.value, row.take_index,
-                        repr(row.beta0), repr(row.beta1),
-                        repr(row.feature_distance), repr(row.heart_rate_bpm)])
+    write_table(path, LEDGER_HEADER, map(attrgetter(*LEDGER_HEADER), ledger))
 
 
 def load_ledger(path) -> list[PlantedTake]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(PlantedTake(
-                subject_id=row["subject_id"],
-                emotion=EmotionLabel.parse(row["emotion"]),
-                take_index=int(row["take_index"]),
-                beta0=float(row["beta0"]),
-                beta1=float(row["beta1"]),
-                feature_distance=float(row["feature_distance"]),
-                heart_rate_bpm=float(row["heart_rate_bpm"]),
-            ))
-    return out
+    return read_table(path, PlantedTake, LEDGER_HEADER)

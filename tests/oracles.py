@@ -1,6 +1,8 @@
 """Independent brute-force oracles shared by the test modules."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -111,8 +113,6 @@ def synth_utterance_formula(voice, g, rate_hz, duration_s, n_harmonics=10, peak=
 def generate_corpus_single_loop(spec, outdir):
     """Write a corpus and return its ledger the way the generator once did:
     one loop that solves, draws and writes each take in turn."""
-    from pathlib import Path
-
     from voicehr.errors import ConvergenceFailureError
     from voicehr.signal_io import EMOTION_ORDER, EmotionLabel, ManifestEntry, write_audio, \
         write_ecg, write_manifest
@@ -167,3 +167,140 @@ def generate_corpus_single_loop(spec, outdir):
     write_manifest(entries, outdir / "manifest.csv")
     write_ledger(ledger, outdir / "ledger.csv")
     return ledger
+
+
+# The table writers and readers as they were before the shared CSV codec:
+# one csv.writer / DictReader loop per table.
+
+FEATURES_COLUMNS = ["subject_id", "emotion", "take_index", "feature_distance", "heart_rate_bpm"]
+LEDGER_COLUMNS = ["subject_id", "emotion", "take_index", "beta0", "beta1",
+                  "feature_distance", "heart_rate_bpm"]
+MANIFEST_COLUMNS = ["subject_id", "emotion", "take_index", "audio_path", "ecg_path"]
+
+
+def write_manifest_loop(entries, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MANIFEST_COLUMNS)
+        for e in entries:
+            writer.writerow([e.subject_id, e.emotion.value, e.take_index, e.audio_path, e.ecg_path])
+
+
+def load_manifest_loop(path):
+    """DatasetManifest of a manifest CSV, one DictReader row at a time."""
+    from voicehr.errors import (
+        CorruptHeaderError,
+        CorruptRowError,
+        DuplicateEntryError,
+        MissingFileError,
+    )
+    from voicehr.signal_io import DatasetManifest, EmotionLabel, ManifestEntry
+
+    path = Path(path)
+    base = path.parent
+    entries = []
+    seen = set()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != MANIFEST_COLUMNS:
+            raise CorruptHeaderError(f"{path}: expected header {','.join(MANIFEST_COLUMNS)}")
+        for row in reader:
+            try:
+                take = int(row["take_index"])
+            except (TypeError, ValueError):
+                raise CorruptRowError(f"{path}: bad take_index {row['take_index']!r}") from None
+            if take < 0:
+                raise CorruptRowError(f"{path}: negative take_index {take}")
+            emotion = EmotionLabel.parse(row["emotion"])
+            key = (row["subject_id"], emotion, take)
+            if key in seen:
+                raise DuplicateEntryError(f"{path}: duplicate entry {key}")
+            seen.add(key)
+            audio = (base / row["audio_path"]).resolve()
+            ecg = (base / row["ecg_path"]).resolve()
+            for p in (audio, ecg):
+                if not p.is_file():
+                    raise MissingFileError(f"{path}: referenced file missing: {p}")
+            entries.append(ManifestEntry(row["subject_id"], emotion, take, str(audio), str(ecg)))
+    return DatasetManifest(entries=tuple(entries))
+
+
+def write_ledger_loop(ledger, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(LEDGER_COLUMNS)
+        for row in ledger:
+            w.writerow([row.subject_id, row.emotion.value, row.take_index,
+                        repr(row.beta0), repr(row.beta1),
+                        repr(row.feature_distance), repr(row.heart_rate_bpm)])
+
+
+def load_ledger_loop(path):
+    from voicehr.signal_io import EmotionLabel
+    from voicehr.synth import PlantedTake
+
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append(PlantedTake(
+                subject_id=row["subject_id"],
+                emotion=EmotionLabel.parse(row["emotion"]),
+                take_index=int(row["take_index"]),
+                beta0=float(row["beta0"]),
+                beta1=float(row["beta1"]),
+                feature_distance=float(row["feature_distance"]),
+                heart_rate_bpm=float(row["heart_rate_bpm"]),
+            ))
+    return out
+
+
+def write_features_loop(observations, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(FEATURES_COLUMNS)
+        for o in observations:
+            w.writerow([o.subject_id, o.emotion.value, o.take_index,
+                        repr(o.feature_distance), repr(o.heart_rate_bpm)])
+
+
+def read_features_loop(path):
+    from voicehr.regression import Observation
+    from voicehr.signal_io import EmotionLabel
+
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append(Observation(
+                subject_id=row["subject_id"],
+                emotion=EmotionLabel.parse(row["emotion"]),
+                take_index=int(row["take_index"]),
+                feature_distance=float(row["feature_distance"]),
+                heart_rate_bpm=float(row["heart_rate_bpm"])))
+    return out
+
+
+def write_embeddings_loop(vectors_by_subject, path, n_cepstra):
+    header = ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for subject_id in sorted(vectors_by_subject):
+            for vec in vectors_by_subject[subject_id]:
+                w.writerow([subject_id, vec.label.value]
+                           + [repr(float(v)) for v in vec.features])
+
+
+def read_embeddings_loop(path):
+    from voicehr.classify import LabeledVector
+    from voicehr.signal_io import EmotionLabel
+
+    vectors_by_subject = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            features = np.asarray([float(v) for v in row[2:]])
+            vectors_by_subject.setdefault(row[0], []).append(LabeledVector(
+                features=features, label=EmotionLabel.parse(row[1]),
+                subject_id=row[0]))
+    return vectors_by_subject

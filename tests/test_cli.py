@@ -219,6 +219,71 @@ class TestReport:
         assert "orphan_embeddings.csv" in err and "run extract first" in err
 
 
+# Edits that break a copied table; lines[2] is the file's line 3.
+def _drop_last_field(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0]
+
+
+def _bad_last_field(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",seventy"
+
+
+def _rename_last_column(lines):
+    lines[0] = lines[0].rsplit(",", 1)[0] + ",renamed"
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestMalformedTables:
+    """A malformed table is a data error naming the file, and the line for a row."""
+
+    @pytest.mark.parametrize("verb", ["fit", "report"])
+    @pytest.mark.parametrize("edit, where", [
+        (_bad_last_field, ":3: could not convert string to float: 'seventy'"),
+        (_rename_last_column, ": expected header subject_id,"),
+        (_drop_last_field, ":3: expected 5 fields, got 4"),
+    ], ids=["bad_float", "renamed_column", "short_row"])
+    def test_features(self, workspace, tmp_path, capsys, verb, edit, where):
+        _, _, features = workspace
+        shutil.copy(features.with_name("features_embeddings.csv"), tmp_path)
+        lines = features.read_text().splitlines()
+        edit(lines)
+        broken = _write_lines(tmp_path / "features.csv", lines)
+        assert main([verb, "--features", str(broken),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {broken}{where}")
+
+    @pytest.mark.parametrize("edit, where", [
+        (_bad_last_field, ":3: could not convert string to float: 'seventy'"),
+        (_drop_last_field, ":3: expected 16 fields, got 15"),
+    ], ids=["bad_cell", "short_row"])
+    def test_embeddings(self, workspace, tmp_path, capsys, edit, where):
+        _, _, features = workspace
+        copy = tmp_path / "features.csv"
+        shutil.copy(features, copy)
+        lines = features.with_name("features_embeddings.csv").read_text().splitlines()
+        edit(lines)
+        broken = _write_lines(tmp_path / "features_embeddings.csv", lines)
+        assert main(["classify", "--features", str(copy)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {broken}{where}")
+
+    def test_manifest_short_row(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        manifest = broken / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        _drop_last_field(lines)
+        _write_lines(manifest, lines)
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}:3: expected 5 fields, got 4")
+
+
 class TestPredict:
     def test_prints_prediction(self, workspace, capsys, tmp_path):
         from voicehr.regression import LinearModel, save_model

@@ -15,7 +15,6 @@ from voicehr.regression import (
     predict,
     relative_error,
     save_model,
-    score_row,
     summary_stats,
 )
 
@@ -151,12 +150,6 @@ class TestRelativeError:
     def test_non_positive_measured(self):
         with pytest.raises(NonPositiveMeasuredError):
             relative_error(80.0, 0.0)
-
-    def test_score_row_sums_to_100(self):
-        rng = np.random.default_rng(47)
-        for _ in range(100):
-            row = score_row(rng.uniform(40, 200), rng.uniform(40, 200))
-            assert row.relative_error_pct + row.accuracy_pct == 100.0
 
 
 class TestNormalCoverage:

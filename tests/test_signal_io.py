@@ -85,6 +85,24 @@ class TestLoadAudio:
         path.write_bytes(b"not a wav file at all")
         with pytest.raises(CorruptHeaderError):
             load_audio(path)
+        riff4 = tmp_path / "riff4.wav"
+        riff4.write_bytes(b"RIFF")
+        with pytest.raises(CorruptHeaderError) as raised:
+            load_audio(riff4)
+        assert str(raised.value) == f"{riff4}: file ends inside the WAV header"
+
+    # a 44-byte header and 6400 frames of 2 bytes, cut to half and to an odd length
+    @pytest.mark.parametrize("size", [6422, 6423], ids=["half", "odd_length"])
+    def test_truncated_data_chunk(self, tmp_path, size):
+        whole = tmp_path / "whole.wav"
+        write_audio(AudioClip(np.full(6400, 0.25), 16000.0), whole)
+        assert len(whole.read_bytes()) == 12844
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(whole.read_bytes()[:size])
+        with pytest.raises(CorruptHeaderError) as raised:
+            load_audio(cut)
+        assert str(raised.value) == (f"{cut}: header gives 6400 frames, data chunk holds "
+                                     f"3189 ({size - 44} bytes)")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.wav"
