@@ -1,29 +1,41 @@
-"""Share a job list between the calling process and one spawned child.
+"""Share a job list between the calling process and one forked child.
 
 `map_jobs(fn, jobs, n_takes)` returns `[fn(job) for job in jobs]`. When
 the work is big enough to pay back a child's start-up and the process
-may use two CPUs, one child started with the "spawn" method shares it:
-the caller takes jobs from the tail of the list and the child, once it
-has imported, takes them from the head. Both claim jobs under one shared
-lock, so the caller never idles while the child starts and neither idles
+may use two CPUs, one child started with the "fork" method shares it:
+the caller takes jobs from the tail of the list and the child takes them
+from the head. Both claim jobs under one shared lock, so neither idles
 while the other still has jobs left. Every job runs once at most. When
 jobs raise, the exception of the first failing job in job order is
-raised, as the in-process run raises it.
+raised, as the in-process run raises it. Where the platform has no
+"fork", every job runs in the calling process.
 
-`fn` and the jobs must pickle, and `fn` must be a pure function of its
-job, so that outputs are the same bytes wherever a job runs.
+The child inherits the imported modules, `fn` and the jobs, so neither
+needs to pickle; only the results it sends back do. `fn` must be a pure
+function of its job, so that outputs are the same bytes wherever a job
+runs.
+
+Forking is safe here: the calling process runs one Python thread, and
+OpenBLAS, the one library that starts threads of its own, shuts its
+thread pool down at a fork (a `pthread_atfork` handler) and starts it
+again when it is next needed. On Python 3.12 and later, a fork while
+other threads are alive raises a `DeprecationWarning`, which the test
+settings turn into an error; whether OpenBLAS's threads set it off there
+is not tested, because this code was only run on Python 3.11.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 
-# Below this many takes the child cannot pay back its start-up: spawn
-# re-imports numpy and scipy, 1.2-2 s on a 2-vCPU host, where sharing
-# broke even near 1000 takes of synth or extract (see CHANGES.md).
-MIN_SHARED_TAKES = 1200
+# Below this many takes sharing does not pay. The child starts in 5-15 ms,
+# but the two processes finish up to one job apart. On a 2-vCPU host,
+# shared over in-process time (median of 11) was 1.15 for a 60-take
+# extract (two 30-take jobs), 0.87 at 90 and 0.56-0.58 from 120 to 480
+# takes; synth gave 1.18 at 12 takes (two subjects), 0.70-0.89 from 30
+# to 90 and 0.61 at 120.
+MIN_SHARED_TAKES = 120
 # Longest wait, in seconds, for the child's results or its exit. When
 # the caller waits, the child is running one job at most.
 WAIT_S = 600.0
@@ -36,9 +48,8 @@ def _run(fn, job):
         return False, exc
 
 
-def _child_main(payload, cursor, sender) -> None:
+def _child_main(fn, jobs, cursor, sender) -> None:
     """Claim jobs from the head of `[cursor[0], cursor[1])`; send the outcomes."""
-    fn, jobs = pickle.loads(payload.raw)
     outcomes = {}
     while True:
         with cursor.get_lock():
@@ -60,17 +71,13 @@ def map_jobs(fn, jobs, n_takes: int) -> list:
     """`[fn(job) for job in jobs]`, shared with one child when it pays."""
     jobs = list(jobs)
     if (n_takes < MIN_SHARED_TAKES or len(jobs) < 2
-            or len(os.sched_getaffinity(0)) < 2):
+            or len(os.sched_getaffinity(0)) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(job) for job in jobs]
-    ctx = multiprocessing.get_context("spawn")
-    # The jobs go through shared memory: in the start-up pipe, more than
-    # its 64 KiB would block `start()` until the child had imported.
-    data = pickle.dumps((fn, jobs), protocol=pickle.HIGHEST_PROTOCOL)
-    payload = ctx.RawArray("c", len(data))
-    payload.raw = data
+    ctx = multiprocessing.get_context("fork")
     cursor = ctx.Array("q", [0, len(jobs)])  # jobs [head, tail) are unclaimed
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_main, args=(payload, cursor, sender),
+    child = ctx.Process(target=_child_main, args=(fn, jobs, cursor, sender),
                         name="voicehr-jobs", daemon=True)
     child.start()
     sender.close()
@@ -96,7 +103,7 @@ def map_jobs(fn, jobs, n_takes: int) -> list:
             child.join(WAIT_S)
     finally:
         if child.is_alive():
-            # it is still importing and can claim nothing, or it timed out
+            # it has claimed nothing and can claim nothing more, or it timed out
             child.kill()
             child.join(WAIT_S)
         receiver.close()

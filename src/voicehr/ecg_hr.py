@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, signal
 
 from .errors import (
@@ -72,9 +73,38 @@ def _band_pass(rate: float, band_low_hz: float, band_high_hz: float):
     return b, a
 
 
-def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
+@functools.lru_cache(maxsize=8)
+def _band_pass_zi(rate: float, band_low_hz: float, band_high_hz: float):
+    """Read-only `lfilter_zi` of `_band_pass`: the filter's step-response steady state."""
+    zi = signal.lfilter_zi(*_band_pass(rate, band_low_hz, band_high_hz))
+    zi.setflags(write=False)
+    return zi
+
+
+def band_pass_filtfilt(samples: np.ndarray, rate: float, config: PeakConfig) -> np.ndarray:
+    """`signal.filtfilt(b, a, samples)` of the band-pass, with the memoised zi.
+
+    The same steps as filtfilt's default: an odd extension by three
+    filter lengths at each end, a forward pass started from `zi` times
+    the first sample, a backward pass started from `zi` times the last
+    output, then the extension trimmed off. The bits are the same.
+    """
     b, a = _band_pass(rate, config.band_low_hz, config.band_high_hz)
-    band = signal.filtfilt(b, a, samples)
+    zi = _band_pass_zi(rate, config.band_low_hz, config.band_high_hz)
+    edge = 3 * max(len(a), len(b))
+    if samples.size <= edge:
+        raise ValueError("The length of the input vector x must be greater than padlen, "
+                         f"which is {edge}.")
+    ext = np.concatenate((2 * samples[:1] - samples[edge:0:-1],
+                          samples,
+                          2 * samples[-1:] - samples[-2:-(edge + 2):-1]))
+    y, _ = signal.lfilter(b, a, ext, zi=zi * ext[:1])
+    y, _ = signal.lfilter(b, a, y[::-1], zi=zi * y[-1:])
+    return y[::-1][edge:-edge]
+
+
+def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
+    band = band_pass_filtfilt(samples, rate, config)
     deriv = np.gradient(band)
     squared = deriv * deriv
     win = max(1, int(round(config.integration_window_s * rate)))
@@ -98,6 +128,18 @@ def refractory_select(candidates, strength, min_gap):
         elif strength[i] > strength[kept[m - 1]]:
             kept[m - 1] = i
     return kept[:m]
+
+
+def refine_peaks(power: np.ndarray, peaks: np.ndarray, half: int) -> np.ndarray:
+    """Index of the first maximum of `power` within `half` samples of each peak.
+
+    One argmax over all windows: the signal is padded with -1.0 at both
+    ends, which never wins because power is non-negative, so windows cut
+    short by an end pick the same sample as a clipped slice would.
+    """
+    pad = np.full(half, -1.0)
+    windows = sliding_window_view(np.concatenate((pad, power, pad)), 2 * half + 1)
+    return peaks - half + np.argmax(windows[peaks], axis=1)
 
 
 def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPeakSeries:
@@ -129,11 +171,7 @@ def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPea
     # filtfilt is zero-phase so this lands on the R wave.
     half = max(1, int(round(config.integration_window_s * rate)) // 2 + 1)
     power = band * band
-    refined = np.empty(peaks_env.size, dtype=np.int64)
-    for i, p in enumerate(peaks_env):
-        lo = max(0, p - half)
-        hi = min(power.size, p + half + 1)
-        refined[i] = lo + int(np.argmax(power[lo:hi]))
+    refined = refine_peaks(power, peaks_env, half)
     refined = np.unique(refined)
     kept2 = refractory_select(refined, power[refined], min_gap)
     return RPeakSeries(peak_indices=refined[kept2], sample_rate_hz=rate)

@@ -9,6 +9,9 @@ Every CSV table of the pipeline goes through `write_table` and `read_table`.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import re
 import typing
 import wave
 from contextlib import nullcontext
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -231,7 +235,9 @@ MANIFEST_HEADER = ["subject_id", "emotion", "take_index", "audio_path", "ecg_pat
 class DatasetManifest:
     """Binding of audio/ECG files to (subject, emotion, take) triples.
 
-    Paths are stored resolved (absolute); entry order follows the file.
+    Paths are absolute: each is the manifest's resolved directory joined
+    with the path as the file gives it, so a `..` or a symlink inside it
+    is kept, not resolved. Entry order follows the file.
     """
 
     entries: tuple = field(default_factory=tuple)
@@ -245,8 +251,9 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load and validate a manifest CSV; paths resolve relative to it."""
+    """Load and validate a manifest CSV; paths are joined to its resolved directory."""
     path = Path(path)
+    base = str(path.parent.resolve())
     entries, seen = [], set()
     for row in read_table(path, ManifestEntry, MANIFEST_HEADER):
         if row.take_index < 0:
@@ -255,12 +262,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if key in seen:
             raise DuplicateEntryError(f"{path}: duplicate entry {key}")
         seen.add(key)
-        audio = (path.parent / row.audio_path).resolve()
-        ecg = (path.parent / row.ecg_path).resolve()
+        audio = os.path.join(base, row.audio_path)
+        ecg = os.path.join(base, row.ecg_path)
         for p in (audio, ecg):
-            if not p.is_file():
+            if not os.path.isfile(p):
                 raise MissingFileError(f"{path}: referenced file missing: {p}")
-        entries.append(replace(row, audio_path=str(audio), ecg_path=str(ecg)))
+        entries.append(replace(row, audio_path=audio, ecg_path=ecg))
     return DatasetManifest(entries=tuple(entries))
 
 
@@ -270,15 +277,19 @@ def write_manifest(entries, path: str | Path) -> None:
 
 
 def write_table(path, header, rows) -> None:
-    """Write a CSV table: UTF-8, "\\n" line ends, `csv`'s minimal quoting.
+    """Write a CSV table: UTF-8, "\n" line ends, `csv`'s minimal quoting.
 
     A float cell is written as `repr(float(v))`, which reads back to the
-    same bits, and an `EmotionLabel` cell as its value. `path` may also be
+    same bits, and an `EmotionLabel` cell as its value. A text cell that
+    holds a delimiter, a quote, "\n" or "\r" is quoted. `path` may also be
     an open text stream, which is left open.
     """
     with (nullcontext(path) if hasattr(path, "write")
           else open(path, "w", encoding="utf-8", newline="")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes only the characters of its line terminator, so rows
+        # are made with "\r\n" and written with "\n": a lone "\r" is quoted
+        writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
+                            lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows([repr(float(cell)) if isinstance(cell, float)
                           else cell.value if isinstance(cell, EmotionLabel) else cell
@@ -290,6 +301,10 @@ _PARSERS = {str: str, int: int, float: float, EmotionLabel: EmotionLabel.parse,
             np.ndarray: lambda cells: np.array(cells, dtype=np.float64)}
 
 
+# A line ends at "\r\n", "\r" or "\n", as text read with newline="" splits it
+_LINE_END = re.compile("\r\n?|\n")
+
+
 def read_table(path, record, header) -> list:
     """The rows of a CSV table as instances of the dataclass `record`.
 
@@ -297,11 +312,19 @@ def read_table(path, record, header) -> list:
     declared type (`str`, `int`, `float`, `EmotionLabel`); a last field
     declared `np.ndarray` takes every column from its position on. The
     header must equal `header`, or `header(n)` for a function of the file's
-    column count n; else CorruptHeaderError. A row of the wrong width or a
-    cell that does not parse raises CorruptRowError naming `path:line`; a
-    parser's VoicehrError passes through. Blank lines are skipped.
+    column count n; else CorruptHeaderError. A row of the wrong width, a
+    cell that does not parse or a byte that is not UTF-8 raises
+    CorruptRowError naming `path:line`; a parser's VoicehrError passes
+    through. Blank lines are skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line the undecodable byte is on, as csv counts lines
+        line = len(_LINE_END.findall(raw[:exc.start].decode("utf-8"))) + 1
+        raise CorruptRowError(f"{path}:{line}: {exc}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])
         expected = list(header(len(found)) if callable(header) else header)

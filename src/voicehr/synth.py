@@ -247,22 +247,30 @@ def synth_ecg(bpm, rate_hz: float, duration_s: float,
     Returns the record and the planted beat times in seconds.
     """
     n = int(round(rate_hz * duration_s))
-    t = np.arange(n) / rate_hz
-    signal = np.zeros(n)
     beats = []
     tb = phase_s
     bpm_fn = bpm if callable(bpm) else (lambda _t: bpm)
     while tb < duration_s:
         beats.append(tb)
-        lo = max(0, int((tb - 0.35) * rate_hz))
-        hi = min(n, int((tb + 0.45) * rate_hz) + 1)
-        signal[lo:hi] += qrs_template_value(t[lo:hi] - tb)
         tb += 60.0 / bpm_fn(tb)
+    beats = np.asarray(beats)
+    # Beat k covers samples [lo[k], hi[k]) clipped to the record (a beat
+    # that ends before it adds nothing). Every beat is evaluated at once
+    # over the widest span, at the sample times np.arange(n) / rate_hz
+    # gives, and the rows are added in beat order.
+    lo = ((beats - 0.35) * rate_hz).astype(np.int64)
+    hi = ((beats + 0.45) * rate_hz).astype(np.int64) + 1
+    at = lo[:, None] + np.arange(np.max(hi - lo, initial=0))
+    template = qrs_template_value(at / rate_hz - beats[:, None])
+    signal = np.zeros(n)
+    for row, first, a, b in zip(template, lo.tolist(), np.maximum(lo, 0).tolist(),
+                                np.clip(hi, 0, n).tolist()):
+        signal[a:b] += row[a - first:b - first]
     if noise_std_mv > 0:
         if rng is None:
             rng = np.random.default_rng(0)
         signal = signal + rng.normal(0.0, noise_std_mv, n)
-    return EcgRecord(samples=signal, sample_rate_hz=rate_hz), np.asarray(beats)
+    return EcgRecord(samples=signal, sample_rate_hz=rate_hz), beats
 
 
 def _draw_planted_lines(rng: np.random.Generator, spec: SynthSpec):

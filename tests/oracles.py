@@ -96,6 +96,46 @@ def load_ecg_rate_loop(path):
     return rate, np.asarray(values)
 
 
+def synth_ecg_loop(bpm, rate_hz, duration_s, phase_s=0.0):
+    """(samples, beat times) of a noiseless QRS-template train, one beat at a time."""
+    from voicehr.synth import qrs_template_value
+
+    n = int(round(rate_hz * duration_s))
+    t = np.arange(n) / rate_hz
+    signal = np.zeros(n)
+    beats = []
+    tb = phase_s
+    bpm_fn = bpm if callable(bpm) else (lambda _t: bpm)
+    while tb < duration_s:
+        beats.append(tb)
+        lo = max(0, int((tb - 0.35) * rate_hz))
+        hi = min(n, int((tb + 0.45) * rate_hz) + 1)
+        signal[lo:hi] += qrs_template_value(t[lo:hi] - tb)
+        tb += 60.0 / bpm_fn(tb)
+    return signal, np.asarray(beats)
+
+
+def band_pass_filtfilt_fresh(samples, rate, band_low_hz=5.0, band_high_hz=15.0):
+    """scipy's own filtfilt of a freshly designed detector band-pass."""
+    from scipy import signal
+
+    nyq = rate / 2.0
+    high = min(band_high_hz, 0.99 * nyq)
+    low = min(band_low_hz, 0.5 * high)
+    b, a = signal.butter(2, [low / nyq, high / nyq], btype="band")
+    return signal.filtfilt(b, a, samples)
+
+
+def refine_peaks_loop(power, peaks, half):
+    """First maximum of `power` within `half` samples of each peak, one slice at a time."""
+    refined = np.empty(peaks.size, dtype=np.int64)
+    for i, p in enumerate(peaks):
+        lo = max(0, p - half)
+        hi = min(power.size, p + half + 1)
+        refined[i] = lo + int(np.argmax(power[lo:hi]))
+    return refined
+
+
 def synth_utterance_formula(voice, g, rate_hz, duration_s, n_harmonics=10, peak=0.5):
     """Harmonic utterance samples, every sine evaluated afresh."""
     n = int(round(rate_hz * duration_s))

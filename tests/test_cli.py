@@ -270,6 +270,18 @@ class TestMalformedTables:
         assert main(["classify", "--features", str(copy)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {broken}{where}")
 
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        # line 3001 lies far past the first chunk a text reader decodes
+        lines = [b"subject_id,emotion,take_index,feature_distance,heart_rate_bpm"]
+        lines += [b"s01,joy,%d,1.0,70.0" % i for i in range(3000)]
+        lines[3000] = b"s01,joy,2999,1.0,\xff70.0"
+        broken = tmp_path / "features.csv"
+        broken.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["fit", "--features", str(broken),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"error: {broken}:3001: 'utf-8' codec can't decode byte 0xff")
+
     def test_manifest_short_row(self, workspace, tmp_path, capsys):
         _, corpus, _ = workspace
         broken = tmp_path / "corpus"

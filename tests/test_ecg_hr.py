@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from oracles import band_pass_filtfilt_fresh, refine_peaks_loop
 from voicehr.ecg_hr import (
     PeakConfig,
     _band_pass,
+    _band_pass_zi,
+    band_pass_filtfilt,
     detect_r_peaks,
     extract_heart_rate,
     heart_rate_1500,
+    refine_peaks,
     refractory_select,
 )
 from voicehr.errors import (
@@ -41,6 +45,40 @@ class TestBandPass:
         fresh_b, fresh_a = signal.butter(2, [min(5.0, 0.5 * high) / nyq, high / nyq],
                                          btype="band")
         assert b.tobytes() == fresh_b.tobytes() and a.tobytes() == fresh_a.tobytes()
+
+
+    def test_memoised_initial_state_is_read_only(self):
+        zi = _band_pass_zi(250.0, 5.0, 15.0)
+        with pytest.raises(ValueError):
+            zi[0] = 0.0
+        assert zi.tobytes() == signal.lfilter_zi(*_band_pass(250.0, 5.0, 15.0)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rate=st.sampled_from([25.0, 100.0, 250.0, 500.0]),
+           n=st.integers(2, 600),
+           seed=st.integers(0, 2**32 - 1),
+           band=st.sampled_from([(5.0, 15.0), (0.5, 40.0), (8.0, 12.0)]))
+    def test_filtfilt_matches_scipy(self, rate, n, seed, band):
+        samples = np.random.default_rng(seed).normal(0.0, 1.0, n).cumsum()
+        config = PeakConfig(band_low_hz=band[0], band_high_hz=band[1])
+        try:
+            expected = band_pass_filtfilt_fresh(samples, rate, *band)
+        except ValueError as exc:
+            # a record no longer than the odd extension, 15 samples here
+            with pytest.raises(ValueError) as raised:
+                band_pass_filtfilt(samples, rate, config)
+            assert str(raised.value) == str(exc)
+            return
+        assert band_pass_filtfilt(samples, rate, config).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    def test_record_within_the_extension_raises_as_scipy(self, n):
+        samples = np.ones(n)
+        with pytest.raises(ValueError) as expected:
+            band_pass_filtfilt_fresh(samples, 250.0)
+        with pytest.raises(ValueError) as raised:
+            band_pass_filtfilt(samples, 250.0, PeakConfig())
+        assert str(raised.value) == str(expected.value)
 
 
 class TestDetectRPeaks:
@@ -87,6 +125,20 @@ class TestDetectRPeaks:
         matched = shifted_peaks[-expect.size:]
         assert np.max(np.abs(matched - expect)) <= 2
         assert abs(extract_heart_rate(shifted).bpm - base_hr) < 0.5
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(power=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0),
+                          min_size=1, max_size=120),
+           half=st.integers(1, 40), data=st.data())
+    def test_refine_matches_per_peak_loop(self, power, half, data):
+        # few distinct values, so ties are common and the first maximum must win
+        power = np.asarray(power)
+        peaks = np.asarray(sorted(data.draw(st.sets(st.integers(0, power.size - 1),
+                                                    min_size=1))), dtype=np.int64)
+        refined = refine_peaks(power, peaks, half)
+        assert refined.dtype == np.int64
+        assert refined.tobytes() == refine_peaks_loop(power, peaks, half).tobytes()
 
 
 class TestHeartRate1500:

@@ -1,12 +1,12 @@
-"""The job map shared between the calling process and one spawned child.
+"""The job map shared between the calling process and one forked child.
 
-The job functions live at module level so that the child can unpickle
-them. A job run by the child touches a marker file and the caller's
-jobs wait for it, so every shared run below has the child take part.
+A job run by the child touches a marker file and the caller's jobs wait
+for it, so every shared run below has the child take part.
 """
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -106,6 +106,24 @@ class TestMapJobs:
         with pytest.raises(RuntimeError, match="exited with code 3"):
             map_jobs(dying_job, jobs, n_takes=2)
         assert multiprocessing.active_children() == []
+
+    def test_closure_runs_in_the_child(self, shared, tmp_path):
+        offset = 7
+
+        def shifted_square(i):
+            value, pid = square_job((i, tmp_path, False))
+            return value + offset, pid
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(shifted_square)  # so a spawned child could not run it
+        results = map_jobs(shifted_square, range(4), n_takes=4)
+        assert [value for value, _ in results] == [i * i + offset for i in range(4)]
+        assert len({pid for _, pid in results}) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_runs_in_process(self, shared, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert map_jobs(pid_job, range(3), n_takes=3) == [os.getpid()] * 3
 
     @pytest.mark.parametrize("cpus, n_takes", [({0}, 10**6), ({0, 1}, 1)])
     def test_one_cpu_or_small_input_runs_in_process(self, monkeypatch, cpus, n_takes):

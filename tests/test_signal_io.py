@@ -1,3 +1,7 @@
+import os
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,6 +22,7 @@ from voicehr.errors import (
 from voicehr.signal_io import (
     AudioClip,
     EcgRecord,
+    MANIFEST_HEADER,
     EmotionLabel,
     ManifestEntry,
     load_audio,
@@ -238,6 +243,9 @@ class TestEcgTextMatchesLoops:
         assert record.samples.tobytes() == values.tobytes()
 
 
+HEADER = ",".join(MANIFEST_HEADER)
+
+
 def _touch_pair(tmp_path, stem):
     _write_wav(tmp_path / f"{stem}.wav", [0, 1, 2])
     (tmp_path / f"{stem}.csv").write_text("# rate_hz=500\n0.1\n")
@@ -282,6 +290,35 @@ class TestManifest:
             "s01,joy,0,nope.wav,nope.csv\n")
         with pytest.raises(MissingFileError):
             load_manifest(path)
+
+    def test_missing_file_names_the_manifest_and_the_path(self, tmp_path):
+        wav, _ = _touch_pair(tmp_path, "a")
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"{HEADER}\ns01,joy,0,{wav},gone.csv\n")
+        with pytest.raises(MissingFileError, match=re.escape(
+                f"{path}: referenced file missing: {tmp_path.resolve() / 'gone.csv'}")):
+            load_manifest(path)
+
+    def test_parent_relative_paths_load(self, tmp_path):
+        wav, csv_ = _touch_pair(tmp_path, "a")
+        (tmp_path / "lists").mkdir()
+        path = tmp_path / "lists" / "manifest.csv"
+        path.write_text(f"{HEADER}\ns01,joy,0,../{wav},../{csv_}\n")
+        entry, = load_manifest(path).entries
+        assert os.path.isabs(entry.audio_path)
+        assert Path(entry.audio_path).resolve() == (tmp_path / wav).resolve()
+        assert Path(entry.ecg_path).resolve() == (tmp_path / csv_).resolve()
+
+    def test_corpus_through_a_symlinked_directory(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wav, csv_ = _touch_pair(corpus, "a")
+        (corpus / "manifest.csv").write_text(f"{HEADER}\ns01,joy,0,{wav},{csv_}\n")
+        (tmp_path / "link").symlink_to(corpus, target_is_directory=True)
+        entry, = load_manifest(tmp_path / "link" / "manifest.csv").entries
+        # the manifest's directory is resolved, the paths within it are joined
+        assert entry.audio_path == str(corpus.resolve() / wav)
+        assert entry.ecg_path == str(corpus.resolve() / csv_)
 
     def test_order_insensitive(self, tmp_path):
         pairs = [_touch_pair(tmp_path, f"t{i}") for i in range(4)]

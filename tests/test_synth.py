@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generate_corpus_single_loop, synth_utterance_formula
+from oracles import generate_corpus_single_loop, synth_ecg_loop, synth_utterance_formula
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest
 from voicehr.synth import (
@@ -77,6 +77,35 @@ class TestSynthEcg:
         a, _ = synth_ecg(70.0, 250.0, 5.0, noise_std_mv=0.05, rng=rng_a)
         b, _ = synth_ecg(70.0, 250.0, 5.0, noise_std_mv=0.05, rng=rng_b)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bpm=st.one_of(
+               st.floats(35.0, 215.0),
+               st.tuples(st.floats(40.0, 180.0), st.floats(0.0, 30.0), st.floats(0.5, 12.0))
+               .map(lambda p: lambda t: p[0] + p[1] * np.sin(2 * np.pi * t / p[2]))),
+           rate_hz=st.sampled_from([100.0, 125.0, 250.0, 360.0, 500.0, 1000.0]),
+           duration_s=st.floats(0.1, 12.0),
+           phase_frac=st.floats(0.0, 1.0))
+    def test_matches_beat_by_beat_loop(self, bpm, rate_hz, duration_s, phase_frac):
+        # phases run from a first beat whose span starts before the record
+        # to past the record's end, where no beat is drawn
+        phase_s = phase_frac * (duration_s + 0.94) - 0.44
+        record, beats = synth_ecg(bpm, rate_hz, duration_s, phase_s=phase_s)
+        samples, expected_beats = synth_ecg_loop(bpm, rate_hz, duration_s, phase_s=phase_s)
+        assert record.samples.tobytes() == samples.tobytes()
+        assert beats.dtype == expected_beats.dtype
+        assert beats.tobytes() == expected_beats.tobytes()
+
+    def test_beat_that_ends_before_the_record_adds_nothing(self):
+        record, beats = synth_ecg(60.0, 250.0, 4.0, phase_s=-1.25)
+        assert beats[0] == -1.25
+        later, _ = synth_ecg(60.0, 250.0, 4.0, phase_s=-0.25)
+        assert record.samples.tobytes() == later.samples.tobytes()
+
+    @pytest.mark.parametrize("hr, phase_s", [(57.3, 0.21), (131.0, 0.0), (215.0, 0.27)])
+    def test_reference_rate_matches_beat_by_beat_loop(self, hr, phase_s):
+        record, _ = synth_ecg(hr, 250.0, 8.0, phase_s=phase_s)
+        assert record.samples.tobytes() == synth_ecg_loop(hr, 250.0, 8.0, phase_s)[0].tobytes()
 
 
 class TestSynthUtterance:
