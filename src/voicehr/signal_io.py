@@ -148,55 +148,54 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
 
 
 def load_ecg(path: str | Path) -> EcgRecord:
-    """Read an ECG CSV record.
+    r"""Read an ECG CSV record.
 
     Accepts either `time_s,mv` rows (rate inferred from the time column,
     uniformity enforced) or a `# rate_hz=<R>` header with one mV value
-    per following line.
+    per following line. The file is read as UTF-8 with "\r\n" and "\r"
+    taken as "\n"; a byte that is not UTF-8 raises CorruptRowError.
+
+    A `# rate_hz=` body whose every line is `-?[0-9]{1,9}\.[0-9]{6}\n`,
+    the form `write_ecg` gives, is parsed without a float() per line: a
+    line with digits N (the point dropped) is +-(N / 1e6), N summed from
+    its digits. That is the float float() gives: N < 2**53 and 1e6 are
+    exact doubles, every partial sum of N is an integer below 2**53, and
+    IEEE division rounds the exact quotient correctly, as float() rounds
+    the decimal; the sign is applied after, so "-0.000000" is -0.0. Any
+    other body is parsed line by line as float() does.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first.startswith("# rate_hz="):
-            try:
-                rate = float(first.split("=", 1)[1])
-            except ValueError:
-                raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
-            lines = fh.read().split("\n")
-            try:
-                # Lines split at "\n" as file iteration splits them (splitlines
-                # would also split at \f and \v). float() takes surrounding
-                # whitespace but not "1.0 2.0"; a blank or bad line sends the
-                # record through the loop below, which skips blanks and names
-                # a bad line.
-                values = list(map(float, lines[:-1] if lines[-1] == "" else lines))
-            except ValueError:
-                values = []
-                for lineno, line in enumerate(lines, start=2):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        values.append(float(line))
-                    except ValueError:
-                        raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
-            if not values:
-                raise EmptySignalError(f"{path}: no samples")
-            return EcgRecord(np.asarray(values), rate, source_id=str(path))
-        if first.replace(" ", "") != "time_s,mv":
-            raise CorruptHeaderError(f"{path}: unrecognized header {first!r}")
-        times, values = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except (ValueError, IndexError):
-                raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
-            times.append(t)
-            values.append(v)
+    raw = path.read_bytes()
+    text = _decode_utf8(path, raw)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first, _, body = text.partition("\n")
+    first = first.strip()
+    if first.startswith("# rate_hz="):
+        try:
+            rate = float(first.split("=", 1)[1])
+        except ValueError:
+            raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
+        values = _parse_fixed6(body.encode())
+        if values is None:
+            values = _parse_lines(path, body)
+        if not len(values):
+            raise EmptySignalError(f"{path}: no samples")
+        return EcgRecord(values, rate, source_id=str(path))
+    if first.replace(" ", "") != "time_s,mv":
+        raise CorruptHeaderError(f"{path}: unrecognized header {first!r}")
+    times, values = [], []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except (ValueError, IndexError):
+            raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
+        times.append(t)
+        values.append(v)
     if not values:
         raise EmptySignalError(f"{path}: no samples")
     if len(values) < 2:
@@ -211,12 +210,122 @@ def load_ecg(path: str | Path) -> EcgRecord:
     return EcgRecord(np.asarray(values), rate, source_id=str(path))
 
 
+def _parse_lines(path, body: str) -> list:
+    """Values of a `# rate_hz=` body, one float() per line."""
+    lines = body.split("\n")
+    try:
+        # Lines split at "\n" as file iteration splits them (splitlines
+        # would also split at \f and \v). float() takes surrounding
+        # whitespace but not "1.0 2.0"; a blank or bad line sends the
+        # record through the loop below, which skips blanks and names
+        # a bad line.
+        return list(map(float, lines[:-1] if lines[-1] == "" else lines))
+    except ValueError:
+        values = []
+        for lineno, line in enumerate(lines, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
+        return values
+
+
+def _parse_fixed6(body: bytes) -> np.ndarray | None:
+    r"""Values of a body of `-?[0-9]{1,9}\.[0-9]{6}\n` lines, else None."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    if not b.size or b[-1] != 10:
+        return None
+    ends = np.flatnonzero(b == 10)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    neg = b[starts] == 45
+    n_int = ends - starts - 7 - neg
+    most = n_int.max()
+    if n_int.min() < 1 or most > 9 or not (b[ends - 7] == 46).all():
+        return None
+    # every byte but each line's "\n", its "." and a leading "-" is a digit
+    if b.size - np.count_nonzero(b - 48 < 10) != 2 * ends.size + np.count_nonzero(neg):
+        return None
+    # N is the weighted sum of the 8 bytes before each "\n" (ones digit,
+    # "." and six fraction digits) and, on a line with more integer digits,
+    # of the 8 before those, less 48 ("0") per weight. Every product and
+    # partial sum is an integer below 2**53, so the float sums are exact.
+    n = _bytes_before(body, ends) @ _LOW_WEIGHTS - 48.0 * _LOW_WEIGHTS.sum()
+    if most > 1:
+        high = _bytes_before(b"0" * 8 + body, ends) - 48.0
+        n += np.einsum("ij,ij->i", high, _HIGH_WEIGHTS[n_int])
+    n /= 1e6
+    np.negative(n, out=n, where=neg)
+    return n
+
+
+# Weights of the 8 bytes before "\n": ones digit, ".", six fraction digits
+_LOW_WEIGHTS = np.array([1e6, 0.0, 1e5, 1e4, 1e3, 1e2, 1e1, 1.0])
+# Weights of the 8 bytes before those, by the line's integer digit count k:
+# the last k - 1 are its digits from 10 up, the others are not digits
+_HIGH_WEIGHTS = np.array([[10.0 ** (14 - i) if i >= 9 - k else 0.0 for i in range(8)]
+                          for k in range(10)])
+
+
+def _bytes_before(data: bytes, ends: np.ndarray) -> np.ndarray:
+    """(len(ends), 8) uint8 array of the 8 bytes of `data` before each index of `ends`."""
+    windows = np.ndarray((len(data) - 7,), dtype="V8", buffer=data, strides=(1,))
+    return windows[ends - 8].view(np.uint8).reshape(-1, 8)
+
+
+# "%.6f\n" of |x| < 1000 as two little-endian words per line: the sign and
+# integer part right-aligned in 7 bytes and ".", by index whole + 1001 *
+# negative; then six fraction digits, "\n" and a space
+_HEADS = np.array([b"%7d." % i for i in range(1001)]
+                  + [(b"-%d" % i).rjust(7) + b"." for i in range(1001)]).view("<u8")
+_DIGITS3 = np.array([int.from_bytes(b"%03d" % i, "little") for i in range(1000)],
+                    dtype=np.uint64)
+_TAIL_END = np.uint64(int.from_bytes(b"\n ", "little") << 48)
+
+
+def _format_fixed6(samples: np.ndarray) -> bytes | None:
+    r"""`"%.6f\n"` of every sample, or None where that needs CPython's formatter."""
+    magnitude = np.abs(samples)
+    if not (magnitude < 1000.0).all():
+        return None
+    scaled = magnitude * 1e6
+    n = np.rint(scaled)
+    if not (np.abs(scaled - n) < 0.5 - 1e-6).all():
+        return None
+    n = n.astype(np.int64)
+    whole = n // 1_000_000
+    micro = n - whole * 1_000_000
+    milli = micro // 1000
+    np.add(whole, 1001, out=whole, where=np.signbit(samples))
+    lines = np.empty((samples.size, 2), dtype="<u8")
+    lines[:, 0] = _HEADS[whole]
+    lines[:, 1] = (_DIGITS3[milli] | _DIGITS3[micro - milli * 1000] << np.uint64(24)
+                   | _TAIL_END)
+    # drop the spaces that align the sign and integer part and end a line
+    return lines.tobytes().translate(None, b" ")
+
+
 def write_ecg(record: EcgRecord, path: str | Path) -> None:
-    """Write an ECG record as CSV in the `# rate_hz=<R>` header layout."""
-    samples = record.samples.tolist()
-    text = f"# rate_hz={record.sample_rate_hz:g}\n" + ("%.6f\n" * len(samples)) % tuple(samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    r"""Write an ECG record as CSV in the `# rate_hz=<R>` header layout.
+
+    Each sample is a `"%.6f\n"` line. Where every |x| < 1000 and no
+    |x| * 1e6 lies within 1e-6 of a half-integer, the lines are built from
+    n = rint(|x| * 1e6) and the sign bit, and are the bytes CPython's
+    correctly rounded "%.6f" gives: below 1000, |x| * 1e6 < 2**30, so the
+    product is off the exact decimal by under 1.2e-7 and rounds to the
+    same integer. Ties such as 0.0078125, and any other record, go
+    through CPython's formatter.
+    """
+    body = _format_fixed6(record.samples)
+    if body is None:
+        samples = record.samples.tolist()
+        body = (("%.6f\n" * len(samples)) % tuple(samples)).encode()
+    with open(path, "wb") as fh:
+        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n".encode() + body)
 
 
 @dataclass(frozen=True)
@@ -301,8 +410,17 @@ _PARSERS = {str: str, int: int, float: float, EmotionLabel: EmotionLabel.parse,
             np.ndarray: lambda cells: np.array(cells, dtype=np.float64)}
 
 
-# A line ends at "\r\n", "\r" or "\n", as text read with newline="" splits it
+# A line ends at "\r\n", "\r" or "\n", as csv and text-mode files count lines
 _LINE_END = re.compile("\r\n?|\n")
+
+
+def _decode_utf8(path, raw: bytes) -> str:
+    """`raw` as UTF-8; a byte that is not raises CorruptRowError naming its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_END.findall(raw[:exc.start].decode("utf-8"))) + 1
+        raise CorruptRowError(f"{path}:{line}: {exc}") from None
 
 
 def read_table(path, record, header) -> list:
@@ -317,13 +435,7 @@ def read_table(path, record, header) -> list:
     CorruptRowError naming `path:line`; a parser's VoicehrError passes
     through. Blank lines are skipped.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line the undecodable byte is on, as csv counts lines
-        line = len(_LINE_END.findall(raw[:exc.start].decode("utf-8"))) + 1
-        raise CorruptRowError(f"{path}:{line}: {exc}") from None
+    text = _decode_utf8(path, Path(path).read_bytes())
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])

@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, rfft
 
 from .errors import ClipTooShortError, DimensionMismatchError, EmptyEnrollmentError
@@ -103,6 +104,14 @@ def mel_filterbank(n_filters: int, fft_size: int, rate_hz: float) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _hamming_window(n: int) -> np.ndarray:
+    """`np.hamming(n)`, built once per length and shared, so read-only."""
+    window = np.hamming(n)
+    window.setflags(write=False)
+    return window
+
+
 def frame_count(n_samples: int, frame: int, hop: int) -> int:
     if n_samples < frame:
         return 0
@@ -116,14 +125,15 @@ def pre_emphasize(samples: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    t = frame_count(samples.size, frame, hop)
-    idx = np.arange(frame)[None, :] + hop * np.arange(t)[:, None]
-    return samples[idx]
+    """Read-only (frame_count, frame) view of `samples`, one row per frame."""
+    if samples.size < frame:
+        return np.empty((0, frame), dtype=samples.dtype)
+    return sliding_window_view(samples, frame)[::hop]
 
 
 def filterbank_energies(frames: np.ndarray, fb: np.ndarray, fft_size: int) -> np.ndarray:
     """Mel filter energies of Hamming-windowed frames (rows)."""
-    windowed = frames * np.hamming(frames.shape[1])
+    windowed = frames * _hamming_window(frames.shape[1])
     power = np.abs(rfft(windowed, n=fft_size, axis=1)) ** 2
     return power @ fb.T
 

@@ -130,11 +130,6 @@ class SubjectVoice:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    def __reduce__(self):
-        # rebuilt through __init__, so an unpickled voice has read-only
-        # arrays and an empty basis cache too
-        return SubjectVoice, (self.f0_hz, self.phases, self.tilt)
-
     def _harmonic_basis(self, rate_hz: float, n: int) -> np.ndarray:
         """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
         key = (rate_hz, n)

@@ -18,6 +18,30 @@ def dft_filter_energies(frames, fb, fft_size):
     return (real ** 2 + imag ** 2) @ fb.T
 
 
+def frame_signal_fancy(samples, frame, hop):
+    """(frames, frame) copy of `samples` cut by one fancy index of start + offset."""
+    t = 0 if samples.size < frame else 1 + (samples.size - frame) // hop
+    idx = np.arange(frame)[None, :] + hop * np.arange(t)[:, None]
+    return samples[idx]
+
+
+def mfcc_fancy_framing(clip, config):
+    """Cepstra of `mfcc`'s steps with fancy-index frames and a fresh np.hamming."""
+    from scipy.fft import dct, rfft
+
+    from voicehr.speech_features import mel_filterbank, pre_emphasize
+
+    rate = clip.sample_rate_hz
+    fft_size = config.resolve_fft_size(rate)
+    frames = frame_signal_fancy(pre_emphasize(clip.samples, config.pre_emphasis),
+                                config.frame_samples(rate), config.hop_samples(rate))
+    windowed = frames * np.hamming(frames.shape[1])
+    energies = (np.abs(rfft(windowed, n=fft_size, axis=1)) ** 2) @ mel_filterbank(
+        config.n_mel_filters, fft_size, rate).T
+    log_energies = np.log(np.maximum(energies, config.log_floor))
+    return dct(log_energies, type=2, norm="ortho", axis=1)[:, : config.n_cepstra]
+
+
 def ols_closed_form(x, y):
     """Closed-form least-squares coefficients with compensated summation."""
     n = len(x)

@@ -91,6 +91,18 @@ class TestExtract:
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
         assert f"EcgRecord {ecg}: non-finite sample values" in capsys.readouterr().err
 
+    def test_non_utf8_ecg_byte_is_data_error(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        ecg = sorted((broken / "ecg").glob("*.csv"))[0]
+        lines = ecg.read_bytes().split(b"\n")
+        lines[2] = b"0.1\xff"
+        ecg.write_bytes(b"\n".join(lines))
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert f"{ecg}:3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_earlier_bad_ecg_is_reported_before_later_bad_wav(self, workspace, tmp_path,
                                                               capsys):
         # each take reads its WAV and then its ECG, so take order decides

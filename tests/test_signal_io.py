@@ -185,6 +185,13 @@ class TestLoadEcg:
         with pytest.raises(CorruptRowError, match=r"bad\.csv:5: 'abc'"):
             load_ecg(path)
 
+    @pytest.mark.parametrize("header", [b"# rate_hz=500", b"time_s,mv"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, header):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(header + b"\r\n0.000,0.1\r0.002,0.2\n0.004,\xb50.3\n")
+        with pytest.raises(CorruptRowError, match=r"latin1\.csv:4: 'utf-8' codec"):
+            load_ecg(path)
+
     def test_rate_header_two_numbers_on_a_line_is_corrupt(self, tmp_path):
         path = tmp_path / "pair.csv"
         path.write_text("# rate_hz=500\n0.1\n1.0 2.0\n0.3\n")
@@ -192,18 +199,37 @@ class TestLoadEcg:
             load_ecg(path)
 
 
+# Values below 1000 whose |x| * 1e6 lies near a half-integer: at an exact tie
+# "%.6f" rounds half to even, and write_ecg's fixed-point path must step aside
+NEAR_TIES = st.builds(lambda k, off, sign: sign * (k + 0.5 + off) / 1e6,
+                      st.integers(0, 10**9 - 1), st.sampled_from([0.0, 5e-7, -1e-6, 2e-6]),
+                      st.sampled_from([1.0, -1.0]))
 # -0.0 and values that round to -0.000000 keep their sign; large
-# magnitudes print every integer digit
-ECG_SAMPLES = st.lists(
-    st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
-              st.sampled_from([0.0, -0.0, -4e-7, 4e-7, -5e-7, 1e3, -1234.5678915, 9.9999995e5])),
-    min_size=1, max_size=300)
-ECG_LINES = st.lists(
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
-              st.floats(-10.0, 10.0).map("{:.6f}".format),
-              st.sampled_from(["", "  ", "-0.000000", " 1.5\t", "1.0 2.0", "abc", "1e3",
-                               "1_000", "1.0\f2.0", "\f", "0.5\r0.25", "0.5\r\n"])),
-    max_size=60)
+# magnitudes print every integer digit. The second list draws records
+# whose every |x| < 1000, as an ECG in mV has.
+ECG_SAMPLES = st.one_of(
+    st.lists(
+        st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, -4e-7, 4e-7, -5e-7, 1e3, -1234.5678915,
+                                   9.9999995e5])),
+        min_size=1, max_size=300),
+    st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats(-999.9999999, 999.9999999), NEAR_TIES),
+             min_size=1, max_size=300))
+# The second list draws bodies of "%.6f" lines, which load_ecg parses
+# without float(), with now and then a line it must leave to float()
+ECG_LINES = st.one_of(
+    st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.floats(-10.0, 10.0).map("{:.6f}".format),
+                  st.sampled_from(["", "  ", "-0.000000", " 1.5\t", "1.0 2.0", "abc", "1e3",
+                                   "1_000", "1.0\f2.0", "\f", "0.5\r0.25", "0.5\r\n"])),
+        max_size=60),
+    st.lists(
+        st.one_of(st.floats(-1e10, 1e10).map("{:.6f}".format),
+                  st.floats(-10.0, 10.0).map("{:.6f}".format),
+                  st.sampled_from(["-0.000000", "+0.500000", "00.500000", "-.500000",
+                                   "0.5000000", "1_0.000000", " 0.500000", "0.500000\r"])),
+        min_size=1, max_size=60))
 FUNCTION_TMP_PATH = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
                              deadline=None)
 
@@ -212,6 +238,16 @@ class TestEcgTextMatchesLoops:
     @FUNCTION_TMP_PATH
     @given(samples=ECG_SAMPLES, rate=st.sampled_from([250.0, 500.0, 360.0, 128.5, 1e-3]))
     @example(samples=[-0.0, -4e-7, 1e3, -2.5e6, 123456.7890125], rate=250.0)
+    @example(samples=[0.0078125], rate=250.0)
+    @example(samples=[np.nextafter(0.0078125, 0.0), np.nextafter(0.0078125, 1.0)], rate=250.0)
+    @example(samples=[0.0078125 + 1.5e-12, -0.0078125 - 1.5e-12], rate=250.0)
+    @example(samples=[999.9999995], rate=250.0)
+    @example(samples=[999.9999994, -999.9999996], rate=250.0)
+    @example(samples=[1000.0], rate=250.0)
+    @example(samples=[-0.0], rate=250.0)
+    @example(samples=[-5e-7], rate=250.0)
+    @example(samples=[-0.0, -4e-7, 0.25, -12.5000004], rate=250.0)
+    @example(samples=[1.7976931348623157e308, -1e300], rate=250.0)
     def test_write_same_bytes(self, tmp_path, samples, rate):
         record = EcgRecord(np.array(samples), rate)
         write_ecg(record, tmp_path / "bulk.csv")
@@ -223,6 +259,16 @@ class TestEcgTextMatchesLoops:
     @example(lines=["0.1", "", "abc", "0.2"], trailing_newline=True)
     @example(lines=["0.1", "1.0 2.0"], trailing_newline=False)
     @example(lines=["-0.0", "", "  ", "1e300"], trailing_newline=True)
+    @example(lines=["-0.000000", "123456789.123456", "-7.000001"], trailing_newline=True)
+    @example(lines=["0.250000", "1234567890.123456"], trailing_newline=True)
+    @example(lines=["0.250000", "+0.500000"], trailing_newline=True)
+    @example(lines=["0.250000", "00.500000"], trailing_newline=True)
+    @example(lines=["0.250000", "-.500000"], trailing_newline=True)
+    @example(lines=["0.250000", "0.5000000"], trailing_newline=True)
+    @example(lines=["0.250000", "1_0.000000"], trailing_newline=True)
+    @example(lines=["0.250000", " 0.500000"], trailing_newline=True)
+    @example(lines=["0.250000\r", "-0.500000\r"], trailing_newline=True)
+    @example(lines=["0.250000", "-0.500000"], trailing_newline=False)
     def test_load_same_bits(self, tmp_path, lines, trailing_newline):
         path = tmp_path / "ecg.csv"
         body = "\n".join(lines) + ("\n" if trailing_newline else "")

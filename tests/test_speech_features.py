@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import frame_signal_fancy, mfcc_fancy_framing
 from voicehr.errors import (
     ClipTooShortError,
     DimensionMismatchError,
@@ -11,9 +14,11 @@ from voicehr.speech_features import (
     CepstraMatrix,
     FeatureConfig,
     UtteranceEmbedding,
+    _hamming_window,
     feature_distance,
     filterbank_energies,
     frame_count,
+    frame_signal,
     mel_filterbank,
     mfcc,
     pre_emphasize,
@@ -117,6 +122,33 @@ class TestFrameCount:
                 count += 1
                 start += hop
             assert frame_count(n, frame, hop) == count
+
+
+class TestFraming:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 700), frame=st.integers(1, 400), hop=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_windows_match_fancy_index(self, n, frame, hop, seed):
+        samples = np.random.default_rng(seed).normal(0.0, 1.0, n)
+        frames = frame_signal(samples, frame, hop)
+        expected = frame_signal_fancy(samples, frame, hop)
+        assert frames.shape == expected.shape == (frame_count(n, frame, hop), frame)
+        assert frames.dtype == expected.dtype
+        assert frames.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(560, 6000), rate=st.sampled_from([8000.0, 16000.0, 22050.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cepstra_bits_match_fancy_framing(self, n, rate, seed):
+        clip = AudioClip(np.random.default_rng(seed).normal(0.0, 0.1, n), rate)
+        expected = mfcc_fancy_framing(clip, CONFIG)
+        assert mfcc(clip, CONFIG).frames.tobytes() == expected.tobytes()
+
+    def test_memoised_window_rejects_writes(self):
+        window = _hamming_window(400)
+        with pytest.raises(ValueError):
+            window[0] = 1.0
+        assert window.tobytes() == np.hamming(400).tobytes()
 
 
 class TestEmbeddingAndDistance:

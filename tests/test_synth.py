@@ -1,5 +1,4 @@
 import filecmp
-import pickle
 import re
 import struct
 from pathlib import Path
@@ -158,19 +157,6 @@ class TestSubjectVoice:
         a, b = make_voice(rng), make_voice(rng)
         assert a == a and a != b
         assert len({a, b}) == 2
-
-    def test_pickle_round_trip_keeps_arrays_read_only(self):
-        voice = make_voice(np.random.default_rng(7))
-        before = synth_utterance(voice, 1.3, 16000.0, 0.4)  # fills the basis cache
-        copy = pickle.loads(pickle.dumps(voice))
-        assert copy.f0_hz == voice.f0_hz
-        assert copy.phases.tobytes() == voice.phases.tobytes()
-        assert copy.tilt.tobytes() == voice.tilt.tobytes()
-        for values in (copy.phases, copy.tilt):
-            with pytest.raises(ValueError):
-                values[0] = 0.0
-        after = synth_utterance(copy, 1.3, 16000.0, 0.4)
-        assert after.samples.tobytes() == before.samples.tobytes()
 
 
 class TestPlanThenRender:
