@@ -12,7 +12,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
-from .errors import ConvergenceFailureError, MissingFileError, SpecInvalidError, VoicehrError
+from .errors import (
+    ConvergenceFailureError,
+    CorruptJsonError,
+    MissingFileError,
+    SpecInvalidError,
+    VoicehrError,
+)
 from .extract import (
     embeddings_csv_path,
     extract_observations,
@@ -23,7 +29,7 @@ from .extract import (
 )
 from .pipeline import HoldoutSpec, PipelineConfig
 from .regression import load_model, predict, save_model
-from .signal_io import load_manifest, write_table
+from .signal_io import load_manifest, read_json, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,7 +40,7 @@ EXIT_CONVERGENCE = 4
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return PipelineConfig.from_json(path)
+    return PipelineConfig.from_dict(read_json(path, dict), path)
 
 
 def _read_embeddings(features_path) -> dict:
@@ -46,9 +52,9 @@ def _read_embeddings(features_path) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec.from_json(args.spec) if args.spec else synth.SynthSpec()
+    spec = read_json(args.spec, synth.SynthSpec) if args.spec else synth.SynthSpec()
     if args.seed is not None:
-        spec = synth.SynthSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     manifest_path, ledger = synth.generate_synthetic_corpus(spec, args.out)
     print(f"wrote {len(ledger)} takes; manifest at {manifest_path}")
     return EXIT_OK
@@ -166,7 +172,7 @@ def main(argv=None) -> int:
     except ConvergenceFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (SpecInvalidError, ValueError) as exc:
+    except (SpecInvalidError, CorruptJsonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (VoicehrError, OSError) as exc:

@@ -31,6 +31,10 @@ class CorruptRowError(VoicehrError):
     """A CSV row could not be parsed."""
 
 
+class CorruptJsonError(VoicehrError):
+    """A JSON file does not parse or does not fit its declared record."""
+
+
 class DuplicateEntryError(VoicehrError):
     """Manifest contains a repeated (subject, emotion, take) triple."""
 

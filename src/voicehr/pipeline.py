@@ -8,10 +8,9 @@ four report tables as CSV plus a full-precision JSON summary.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .regression import (
     predict,
     relative_error,
 )
-from .signal_io import EMOTION_ORDER, EmotionLabel, write_table
+from .signal_io import EMOTION_ORDER, EmotionLabel, decode_json, read_json, write_json, write_table
 from .speech_features import FeatureConfig
 
 ALGORITHMS = ("cvr", "gnb", "knn")
@@ -69,22 +68,15 @@ class PipelineConfig:
     seed: int = 0
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        seed = int(d.get("seed", 0))
-        return cls(
-            feature=FeatureConfig(**d.get("feature", {})),
-            peak=PeakConfig(**d.get("peak", {})),
-            split=SplitSpec(**{"seed": seed, **d.get("split", {})}),
-            tree=TreeConfig(**d.get("tree", {})),
-            filter_window=FilterWindow(**d.get("filter_window", {})),
-            holdout=HoldoutSpec(**{"seed": seed, **d.get("holdout", {})}),
-            seed=seed,
-        )
+    def from_dict(cls, d, source="config") -> "PipelineConfig":
+        """The config of a parsed JSON object, decoded as `decode_json` does.
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        `split.seed` and `holdout.seed` default to the top-level `seed`.
+        """
+        config = decode_json(d, cls, source)
+        return replace(config, **{name: replace(getattr(config, name), seed=config.seed)
+                                  for name in ("split", "holdout")
+                                  if "seed" not in d.get(name, {})})
 
 
 def filter_observations(rows, window: FilterWindow = FilterWindow()):
@@ -274,28 +266,12 @@ def classifier_matrix(vectors_by_subject: dict[str, list[LabeledVector]],
 
 @dataclass
 class EvaluationReport:
-    table_separate: list          # CellScore
-    table_combined_vs_separate: list  # ComparisonRow
-    classifier_matrix: dict       # algo -> subject -> accuracy pct
-    classifier_averages: dict     # algo -> mean accuracy pct
+    table_separate: list[CellScore]
+    table_combined_vs_separate: list[ComparisonRow]
+    classifier_matrix: dict[str, dict[str, float]]  # algo -> subject -> accuracy pct
+    classifier_averages: dict[str, float]  # algo -> mean accuracy pct
     general_model_pct: float
     benchmark_model: LinearModel = field(default_factory=lambda: BENCHMARK_MODEL)
-
-    def to_dict(self) -> dict:
-        # the echoed model keeps its published beta0/beta1 keys
-        return {**asdict(self), "benchmark_model": self.benchmark_model.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvaluationReport":
-        return cls(
-            table_separate=[CellScore(**row) for row in d["table_separate"]],
-            table_combined_vs_separate=[
-                ComparisonRow(**row) for row in d["table_combined_vs_separate"]],
-            classifier_matrix=d["classifier_matrix"],
-            classifier_averages=d["classifier_averages"],
-            general_model_pct=d["general_model_pct"],
-            benchmark_model=LinearModel.from_dict(d["benchmark_model"]),
-        )
 
 
 def build_report(observations, vectors_by_subject, config: PipelineConfig) -> EvaluationReport:
@@ -366,17 +342,14 @@ def render_report(report: EvaluationReport, outdir, models=None) -> list[Path]:
     table("table4_averages.csv", ["classifier", "average_accuracy"],
           ([algo, round2(avg)] for algo, avg in report.classifier_averages.items()))
 
-    summary = report.to_dict()
-    if models is not None:
-        summary["models"] = [m.to_dict() for m in models]
     path = outdir / "summary.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report if models is None else {**vars(report), "models": models})
     written.append(path)
     return written
 
 
 def load_report(path) -> EvaluationReport:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        return EvaluationReport.from_dict(json.load(fh))
+    """The report of a summary.json; the models it may echo are not read back."""
+    summary = read_json(path, dict)
+    summary.pop("models", None)
+    return decode_json(summary, EvaluationReport, path)

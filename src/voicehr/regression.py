@@ -7,20 +7,20 @@ the 68-95-99.7 normal-coverage check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    CorruptJsonError,
     CorruptModelError,
     DegenerateXError,
     NonPositiveMeasuredError,
     TooFewPointsError,
 )
-from .signal_io import EmotionLabel
+from .signal_io import EmotionLabel, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -36,56 +36,31 @@ class Observation:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Fitted line: predicted bpm = beta0_hat + beta1_hat * distance."""
+    """Fitted line: predicted bpm = beta0_hat + beta1_hat * distance.
 
-    beta0_hat: float
-    beta1_hat: float
+    In a model file the coefficients are keyed "beta0" and "beta1"; a
+    file from before the store kept `s_xx` and `s_xy` reads them as 0.0.
+    """
+
+    beta0_hat: float = field(metadata={"json_key": "beta0"})
+    beta1_hat: float = field(metadata={"json_key": "beta1"})
     n: int
-    s_xx: float
-    s_xy: float
+    s_xx: float = field(metadata={"json_default": 0.0})
+    s_xy: float = field(metadata={"json_default": 0.0})
     residual_std: float
     subject_id: str = ""
     emotion: str = ""  # emotion value or "combined"
 
-    def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "emotion": self.emotion,
-            "beta0": self.beta0_hat,
-            "beta1": self.beta1_hat,
-            "n": self.n,
-            "s_xx": self.s_xx,
-            "s_xy": self.s_xy,
-            "residual_std": self.residual_std,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(
-            beta0_hat=float(d["beta0"]),
-            beta1_hat=float(d["beta1"]),
-            n=int(d["n"]),
-            s_xx=float(d.get("s_xx", 0.0)),
-            s_xy=float(d.get("s_xy", 0.0)),
-            residual_std=float(d["residual_std"]),
-            subject_id=d.get("subject_id", ""),
-            emotion=d.get("emotion", ""),
-        )
-
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model)
 
 
 def load_model(path: str | Path) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return LinearModel.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptModelError(
-                f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
+    try:
+        return read_json(path, LinearModel)
+    except CorruptJsonError as exc:
+        raise CorruptModelError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -119,7 +94,7 @@ def fit_ols(points, subject_id: str = "", emotion: str = "") -> LinearModel:
     beta1 = s_xy / s_xx
     beta0 = y_bar - beta1 * x_bar
     residuals = y - (beta0 + beta1 * x)
-    residual_std = float(np.std(residuals, ddof=1)) if n > 1 else 0.0
+    residual_std = float(np.std(residuals, ddof=1))
     return LinearModel(
         beta0_hat=beta0,
         beta1_hat=beta1,

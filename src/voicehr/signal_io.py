@@ -3,19 +3,23 @@
 Audio lives in mono 16-bit linear PCM WAV containers, ECG in CSV text
 (either `time_s,mv` rows or a `# rate_hz=<R>` header followed by one mV
 value per line). A manifest CSV binds files to subjects and emotion labels.
-Every CSV table of the pipeline goes through `write_table` and `read_table`.
+Every CSV table of the pipeline goes through `write_table` and `read_table`,
+and every JSON file (spec, config, model, summary) through `write_json` and
+`read_json`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import json
 import os
 import re
 import typing
 import wave
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -25,6 +29,7 @@ import numpy as np
 
 from .errors import (
     CorruptHeaderError,
+    CorruptJsonError,
     CorruptRowError,
     DuplicateEntryError,
     EmptySignalError,
@@ -33,6 +38,7 @@ from .errors import (
     NonUniformSamplingError,
     UnknownEmotionError,
     UnsupportedFormatError,
+    VoicehrError,
 )
 
 # 16-bit full scale; -32768 maps to -1.0 exactly.
@@ -457,3 +463,105 @@ def read_table(path, record, header) -> list:
         except (ValueError, csv.Error) as exc:  # csv.Error: a quote left open to the end
             raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
+
+
+def write_json(path, value) -> None:
+    """Write `value` as JSON: 2-space indent, sorted keys and a final "\n".
+
+    A dataclass is an object with a key per field: the field's name, or
+    its `metadata["json_key"]`.
+    """
+    text = json.dumps(value, indent=2, sort_keys=True, default=lambda record: {
+        key: getattr(record, f.name) for key, (f, _) in _json_fields(type(record)).items()})
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="")
+
+
+def read_json(path, record):
+    """The UTF-8 JSON file at `path` as a value of the type `record`.
+
+    `float` takes a number, `int` an integer, `str` a string and `bool`
+    true or false; a bool is no number. `X | None` also takes null,
+    `list[X]` an array, `dict[str, X]` an object and a bare `dict` any
+    object. A dataclass takes an object keyed as `write_json` keys it. A
+    missing key reads as its field's `metadata["json_default"]`, else the
+    field's default, else is an error; so is a key that names no field.
+    Each error, and one the dataclass raises on its values, is a
+    CorruptJsonError naming `path` and the key, such as `feature.n_cepstra`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # bad JSON, or a byte that is not UTF-8
+            raise CorruptJsonError(f"{path}: {exc}") from None
+    return decode_json(value, record, path)
+
+
+def decode_json(value, record, source):
+    """A parsed JSON value as `read_json` builds it; errors name `source`."""
+    try:
+        return _decode(value, record, "")
+    except CorruptJsonError as exc:
+        raise CorruptJsonError(f"{source}: {exc}") from None
+
+
+# The JSON values each type takes, as errors name them; a bool is no number
+_JSON_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+               str: (str, "a string"), bool: (bool, "true or false"),
+               list: (list, "an array"), dict: (dict, "an object")}
+
+
+def _decode(value, record, key: str):
+    origin, args = typing.get_origin(record) or record, typing.get_args(record)
+    if type(None) in args:  # X | None
+        inner, = set(args) - {type(None)}
+        return None if value is None else _decode(value, inner, key)
+    is_record = is_dataclass(origin)
+    kinds, expected = _JSON_KINDS[dict if is_record else origin]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and origin is not bool):
+        shown = _JSON_KINDS[type(value)][1] if type(value) in (list, dict) else json.dumps(value)
+        raise _corrupt(key, f"expected {expected}, got {shown}")
+    if is_record:
+        return _decode_record(value, origin, key)
+    if origin is list:
+        return [_decode(item, args[0], f"{key}[{i}]") for i, item in enumerate(value)]
+    if origin is dict:
+        return {name: _decode(item, args[1], _join(key, name))
+                for name, item in value.items()} if args else value
+    try:
+        return origin(value)
+    except OverflowError:
+        raise _corrupt(key, "expected a number, got an integer beyond float range") from None
+
+
+def _decode_record(value: dict, record, key: str):
+    spec = _json_fields(record)
+    for name in value:
+        if name not in spec:
+            raise _corrupt(_join(key, name), f"no such field in {record.__name__}")
+    kwargs = {}
+    for name, (f, field_type) in spec.items():
+        if name in value:
+            kwargs[f.name] = _decode(value[name], field_type, _join(key, name))
+        elif "json_default" in f.metadata:
+            kwargs[f.name] = f.metadata["json_default"]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise _corrupt(_join(key, name), "missing")
+    try:
+        return record(**kwargs)
+    except (ValueError, VoicehrError) as exc:  # the record's own checks
+        raise _corrupt(key, str(exc)) from None
+
+
+@functools.lru_cache(maxsize=None)
+def _json_fields(record) -> dict:
+    """JSON key -> (field, declared type) of each field of a dataclass."""
+    hints = typing.get_type_hints(record)
+    return {f.metadata.get("json_key", f.name): (f, hints[f.name]) for f in fields(record)}
+
+
+def _join(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
+
+
+def _corrupt(key: str, problem: str) -> CorruptJsonError:
+    return CorruptJsonError(f"{key}: {problem}" if key else problem)

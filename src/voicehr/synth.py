@@ -10,8 +10,7 @@ written to a ledger CSV that downstream tests use as the oracle.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -77,21 +76,6 @@ class SynthSpec:
             raise SpecInvalidError("noise_std_bpm must be non-negative")
         if not 0 < self.fd_tolerance < 1:
             raise SpecInvalidError("fd_tolerance must be in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        d = dict(d)
-        if "feature" in d:
-            d["feature"] = FeatureConfig(**d["feature"])
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "SynthSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ from voicehr.cli import (
 from voicehr.extract import read_embeddings_csv
 
 
+# A model file as the store wrote it before it kept s_xx and s_xy
+MODEL = {"subject_id": "s01", "emotion": "joy", "beta0": 70.0, "beta1": 0.1, "n": 4,
+         "residual_std": 1.0}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A tiny corpus taken through the whole CLI chain once."""
@@ -53,6 +58,24 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"bogus": 1}', "bogus"),
+        ('{"noise_std_bpm": "3"}', "noise_std_bpm"),
+        ('{"n_subjects": true}', "n_subjects"),
+        ('{"seed": "5"}', "seed"),
+        ('{"feature": {"n_cepstra": 2.5}}', "feature.n_cepstra"),
+        ('{"seed": 5', None),
+    ], ids=["unknown_key", "string_float", "bool_int", "string_int", "nested_float_int",
+            "bad_syntax"])
+    def test_malformed_spec_is_validation_error(self, tmp_path, capsys, text, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        assert main(["synth", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {spec_path}: {key}: " if key else f"error: {spec_path}: ")
+        assert not (tmp_path / "c").exists()
+
     def test_convergence_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "tight.json"
         spec_path.write_text(json.dumps({
@@ -61,6 +84,33 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec_path),
                      "--out", str(tmp_path / "c")]) == EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith("error: take s01_joy_000: ")
+
+
+class TestMalformedConfig:
+    """A config that is not JSON or does not fit PipelineConfig exits 2 naming the file."""
+
+    @pytest.mark.parametrize("verb", ["extract", "fit", "classify", "report"])
+    @pytest.mark.parametrize("text, key", [
+        ('{"feature": {"bogus": 1}}', "feature.bogus"),
+        ('{"feature": [1, 2]}', "feature"),
+        ('[1, 2]', None),
+        ('{"seed": "5"}', "seed"),
+        ('{"holdout": {"seed": null}}', "holdout.seed"),
+        ('{"split": {"train_fraction": 1.5}}', "split"),
+        ('{"seed": 5,}', None),
+    ], ids=["unknown_nested_key", "array_section", "array_config", "string_seed",
+            "null_seed", "invalid_value", "bad_syntax"])
+    def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
+        _, corpus, features = workspace
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        source = (["--manifest", str(corpus / "manifest.csv")] if verb == "extract"
+                  else ["--features", str(features)])
+        assert main([verb, *source, "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {config_path}: {key}: " if key else f"error: {config_path}: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestExtract:
@@ -201,7 +251,8 @@ class TestClassify:
         row = capsys.readouterr().out.splitlines()[1]
         matrix, subjects = pipeline.classifier_matrix(
             read_embeddings_csv(features.with_name("features_embeddings.csv")),
-            pipeline.PipelineConfig.from_json(config_path), algorithms=("cvr",))
+            pipeline.PipelineConfig.from_dict(json.loads(config_path.read_text())),
+            algorithms=("cvr",))
         assert row == ",".join(["cvr"] + [pipeline.round2(matrix["cvr"][s]) for s in subjects])
         assert row != default_row
 
@@ -321,12 +372,21 @@ class TestPredict:
         assert main(["predict", "--model", str(tmp_path / "nope.json"),
                      "--fd", "1"]) == EXIT_DATA
 
-    @pytest.mark.parametrize("payload", [
-        {"subject_id": "s01", "emotion": "joy", "beta1": 0.1, "n": 4, "residual_std": 1.0},
-        {"subject_id": "s01", "emotion": "joy", "beta0": "ninety", "beta1": 0.1, "n": 4,
-         "residual_std": 1.0},
-    ], ids=["missing_beta0", "non_numeric_beta0"])
-    def test_malformed_model_is_data_error(self, workspace, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("payload, key", [
+        ({"subject_id": "s01", "emotion": "joy", "beta1": 0.1, "n": 4, "residual_std": 1.0},
+         "beta0"),
+        ({"subject_id": "s01", "emotion": "joy", "beta0": "ninety", "beta1": 0.1, "n": 4,
+          "residual_std": 1.0}, "beta0"),
+        ({**MODEL, "n": 3.9}, "n"),
+        ({**MODEL, "n": "7"}, "n"),
+        ({**MODEL, "n": True}, "n"),
+        ({**MODEL, "subject_id": 5}, "subject_id"),
+        ({**MODEL, "emotion": None}, "emotion"),
+        ({**MODEL, "beta0_hat": 70.0}, "beta0_hat"),
+        ([MODEL], None),
+    ], ids=["missing_beta0", "non_numeric_beta0", "fractional_n", "string_n", "bool_n",
+            "numeric_subject_id", "null_emotion", "unknown_key", "array"])
+    def test_malformed_model_is_data_error(self, workspace, tmp_path, capsys, payload, key):
         _, _, features = workspace
         store = tmp_path / "models"
         store.mkdir()
@@ -335,4 +395,6 @@ class TestPredict:
         assert main(["predict", "--model", str(path), "--fd", "1"]) == EXIT_DATA
         assert main(["report", "--features", str(features), "--models", str(store),
                      "--out", str(tmp_path / "r")]) == EXIT_DATA
-        assert capsys.readouterr().err.count(str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(path)) == 2
+        assert err.count(f"error: {path}: {key}: " if key else f"error: {path}: ") == 2

@@ -1,7 +1,9 @@
 """The job map shared between the calling process and one forked child.
 
-A job run by the child touches a marker file and the caller's jobs wait
-for it, so every shared run below has the child take part.
+In `square_job` each side touches its own marker file and waits for the
+other's, so every shared run of it has both processes take part. This
+cannot deadlock with two jobs or more: each side claims a job before it
+waits, and it can claim only one before the other side has run.
 """
 
 import multiprocessing
@@ -20,7 +22,7 @@ FAILING = {1, 3}
 def _wait_for(marker, deadline_s=60.0):
     deadline = time.monotonic() + deadline_s
     while not marker.exists():
-        assert time.monotonic() < deadline, "the job child never ran a job"
+        assert time.monotonic() < deadline, f"no job touched {marker.name}"
         time.sleep(0.01)
 
 
@@ -28,10 +30,11 @@ def square_job(job):
     """(i * i, pid); raises for i in FAILING when asked to, and on a second run."""
     i, workdir, fail = job
     (workdir / f"{i}.ran").touch(exist_ok=False)
-    if multiprocessing.parent_process() is not None:
-        (workdir / "child_ran").touch()
-    else:
-        _wait_for(workdir / "child_ran")
+    mine, theirs = "child_ran", "caller_ran"
+    if multiprocessing.parent_process() is None:
+        mine, theirs = theirs, mine
+    (workdir / mine).touch()
+    _wait_for(workdir / theirs)
     if fail and i in FAILING:
         raise ValueError(f"job {i} failed")
     return i * i, os.getpid()
@@ -87,7 +90,7 @@ class TestMapJobs:
         assert multiprocessing.active_children() == []
 
     def test_in_process_run_raises_the_same(self, tmp_path):
-        (tmp_path / "child_ran").touch()
+        (tmp_path / "child_ran").touch()  # no child runs, so the caller must not wait
         jobs = [(i, tmp_path, True) for i in range(6)]
         with pytest.raises(ValueError, match=r"^job 1 failed$"):
             map_jobs(square_job, jobs, n_takes=6)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from voicehr.errors import OutOfRangeError, SubjectMismatchError
+from voicehr.errors import CorruptJsonError, OutOfRangeError, SubjectMismatchError
 from voicehr.pipeline import (
     CellScore,
     FilterWindow,
@@ -22,7 +22,7 @@ from voicehr.pipeline import (
     run_experiment_separate,
 )
 from voicehr.regression import Observation
-from voicehr.signal_io import EMOTION_ORDER, EmotionLabel
+from voicehr.signal_io import EMOTION_ORDER, EmotionLabel, read_json
 
 
 def make_observations(lines, n_per_cell, noise_std, seed):
@@ -305,10 +305,16 @@ class TestConfig:
         assert config.holdout.seed == 9
         assert config.split.seed == 9
 
-    def test_from_json(self, tmp_path):
+    @pytest.mark.parametrize("d", [{"split": []}, {"holdout": 3}, {"split": None}])
+    def test_section_that_is_not_an_object_is_reported(self, d):
+        with pytest.raises(CorruptJsonError,
+                           match="^config: (split|holdout): expected an object, got "):
+            PipelineConfig.from_dict(d)
+
+    def test_from_a_json_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"filter_window": {"hr_max_bpm": 200.0},
                                     "seed": 3}))
-        config = PipelineConfig.from_json(path)
+        config = PipelineConfig.from_dict(read_json(path, dict), path)
         assert config.filter_window.hr_max_bpm == 200.0
         assert config.split.seed == 3

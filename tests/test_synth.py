@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import generate_corpus_single_loop, synth_ecg_loop, synth_utterance_formula
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
-from voicehr.signal_io import EmotionLabel, load_manifest
+from voicehr.signal_io import EmotionLabel, load_manifest, read_json, write_json
 from voicehr.synth import (
     BASIS_CACHE_SIZE,
     SynthSpec,
@@ -44,9 +44,10 @@ class TestSynthSpec:
         with pytest.raises(SpecInvalidError):
             SynthSpec(fd_tolerance=0.0)
 
-    def test_dict_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         spec = SynthSpec(n_subjects=2, seed=9, homogeneous=True)
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
+        write_json(tmp_path / "spec.json", spec)
+        assert read_json(tmp_path / "spec.json", SynthSpec) == spec
 
 
 class TestSynthEcg:
