@@ -7,6 +7,7 @@ Verbs: synth, extract, fit, classify, report, predict. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -112,6 +113,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    # a feature distance is a Euclidean norm
+    if not (math.isfinite(args.fd) and args.fd >= 0):
+        raise ValueError(f"--fd must be a finite number >= 0, got {args.fd}")
     model = load_model(args.model)
     print(f"{predict(model, args.fd):g}")
     return EXIT_OK

@@ -18,6 +18,7 @@ import numpy as np
 from ._parallel import map_jobs
 from .classify import LabeledVector
 from .ecg_hr import PeakConfig, extract_heart_rate
+from .errors import VoicehrError
 from .regression import Observation
 from .signal_io import (
     DatasetManifest,
@@ -44,19 +45,29 @@ FEATURES_HEADER = ["subject_id", "emotion", "take_index",
 EXTRACT_CHUNK = 30
 
 
+def _naming(path, fn, *args):
+    """`fn(*args)`; a VoicehrError it raises is raised again, prefixed with `path`."""
+    try:
+        return fn(*args)
+    except VoicehrError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureConfig(),
                  peak_config: PeakConfig = PeakConfig(), cepstra_dir=None):
     """(embedding, heart rate) of one take.
 
     With `cepstra_dir`, the take's cepstra matrix is also written there
-    as `<subject>_<emotion>_<take>.csv`.
+    as `<subject>_<emotion>_<take>.csv`. An error of `mfcc` or of the
+    detector names the WAV or ECG file it came from, as the loaders'
+    errors do.
     """
-    cepstra = mfcc(load_audio(entry.audio_path), feature_config)
+    cepstra = _naming(entry.audio_path, mfcc, load_audio(entry.audio_path), feature_config)
     if cepstra_dir is not None:
         name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
         np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
     return (utterance_embedding(cepstra),
-            extract_heart_rate(load_ecg(entry.ecg_path), peak_config))
+            _naming(entry.ecg_path, extract_heart_rate, load_ecg(entry.ecg_path), peak_config))
 
 
 def _extract_chunk(entries, feature_config, peak_config, cepstra_dir):

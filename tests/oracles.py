@@ -160,6 +160,30 @@ def refine_peaks_loop(power, peaks, half):
     return refined
 
 
+def threshold_candidates_median_filter(env, fraction, width, floor):
+    """Interior maxima of `env` above max(fraction * scipy's running median, floor)."""
+    from scipy import ndimage
+
+    running_median = ndimage.median_filter(env, size=width, mode="nearest")
+    threshold = np.maximum(fraction * running_median, floor)
+    interior = (env[1:-1] > env[:-2]) & (env[1:-1] >= env[2:]) & (env[1:-1] > threshold[1:-1])
+    return np.flatnonzero(interior) + 1
+
+
+def refractory_select_numpy(candidates, strength, min_gap):
+    """The refractory loop over numpy scalars, into a preallocated index array."""
+    n = candidates.shape[0]
+    kept = np.empty(n, dtype=np.int64)
+    m = 0
+    for i in range(n):
+        if m == 0 or candidates[i] - candidates[kept[m - 1]] >= min_gap:
+            kept[m] = i
+            m += 1
+        elif strength[i] > strength[kept[m - 1]]:
+            kept[m - 1] = i
+    return kept[:m]
+
+
 def synth_utterance_formula(voice, g, rate_hz, duration_s, n_harmonics=10, peak=0.5):
     """Harmonic utterance samples, every sine evaluated afresh."""
     n = int(round(rate_hz * duration_s))

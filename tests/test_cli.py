@@ -1,8 +1,12 @@
+import dataclasses
 import gc
 import json
+import os
+import pickle
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from voicehr import pipeline
@@ -19,6 +23,11 @@ from voicehr.extract import read_embeddings_csv
 # A model file as the store wrote it before it kept s_xx and s_xy
 MODEL = {"subject_id": "s01", "emotion": "joy", "beta0": 70.0, "beta1": 0.1, "n": 4,
          "residual_std": 1.0}
+
+
+def _blank_ecg(path):
+    """An all-zero 10 s ECG record at 250 Hz: its envelope is empty."""
+    path.write_text("# rate_hz=250\n" + "0.000000\n" * 2500)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +107,12 @@ class TestMalformedConfig:
         ('{"holdout": {"seed": null}}', "holdout.seed"),
         ('{"split": {"train_fraction": 1.5}}', "split"),
         ('{"seed": 5,}', None),
+        ('{"peak": {"threshold_fraction": NaN}}', "peak"),
+        ('{"peak": {"threshold_fraction": Infinity}}', "peak"),
+        ('{"peak": {"threshold_fraction": -0.5}}', "peak"),
     ], ids=["unknown_nested_key", "array_section", "array_config", "string_seed",
-            "null_seed", "invalid_value", "bad_syntax"])
+            "null_seed", "invalid_value", "bad_syntax", "nan_threshold_fraction",
+            "infinite_threshold_fraction", "negative_threshold_fraction"])
     def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
         _, corpus, features = workspace
         config_path = tmp_path / "config.json"
@@ -165,6 +178,68 @@ class TestExtract:
         assert main(["extract", "--manifest", str(broken / "manifest.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
         assert f"EcgRecord {ecg}: non-finite" in capsys.readouterr().err
+
+    def test_flat_ecg_names_its_file(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        ecg = broken.resolve() / "ecg" / "s01_joy_003.csv"
+        _blank_ecg(ecg)
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ecg}: flat signal: empty envelope\n"
+
+    def test_short_clip_names_its_file(self, workspace, tmp_path, capsys):
+        from voicehr.signal_io import AudioClip, write_audio
+
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        wav = broken.resolve() / "audio" / "s02_anger_007.wav"
+        write_audio(AudioClip(np.zeros(10), 16000.0), wav)
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {wav}: ")
+
+    def test_first_failing_take_names_its_file_when_shared(self, workspace, tmp_path, capsys,
+                                                           monkeypatch):
+        # 144 takes, above MIN_SHARED_TAKES: the child takes jobs from the
+        # head, the caller from the tail, and each meets a flat ECG
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        rows = (broken / "manifest.csv").read_text().splitlines()
+        first, last = broken.resolve() / "ecg" / "first.csv", broken.resolve() / "ecg" / "last.csv"
+        lines = [rows[0]]
+        for copy in range(2):
+            for row in rows[1:]:
+                subject, emotion, take, audio, ecg = row.split(",")
+                lines.append(",".join([subject, emotion, str(int(take) + 100 * copy),
+                                       audio, ecg]))
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",ecg/first.csv"
+        lines[-2] = lines[-2].rsplit(",", 1)[0] + ",ecg/last.csv"
+        for path in (first, last):
+            _blank_ecg(path)
+        (broken / "manifest.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["extract", "--manifest", str(broken / "manifest.csv"),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {first}: flat signal: empty envelope\n"
+
+    def test_named_error_pickles_as_its_class(self, workspace, tmp_path):
+        from voicehr.errors import NoPeaksFoundError
+        from voicehr.extract import extract_take
+        from voicehr.signal_io import load_manifest
+
+        _, corpus, _ = workspace
+        entry = load_manifest(corpus / "manifest.csv").entries[0]
+        ecg = tmp_path / "flat.csv"
+        _blank_ecg(ecg)
+        with pytest.raises(NoPeaksFoundError) as raised:
+            extract_take(dataclasses.replace(entry, ecg_path=str(ecg)))
+        copy = pickle.loads(pickle.dumps(raised.value))
+        assert type(copy) is NoPeaksFoundError
+        assert str(copy) == str(raised.value) == f"{ecg}: flat signal: empty envelope"
 
     def test_cepstra_dump(self, workspace, tmp_path):
         _, corpus, _ = workspace
@@ -367,6 +442,17 @@ class TestPredict:
         save_model(LinearModel(97.031, 0.091, 10, 1.0, 1.0, 0.0), path)
         assert main(["predict", "--model", str(path), "--fd", "100"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "106.131"
+
+    @pytest.mark.parametrize("fd", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_fd_is_validated(self, tmp_path, capsys, fd):
+        from voicehr.regression import LinearModel, save_model
+
+        path = tmp_path / "m.json"
+        save_model(LinearModel(97.031, 0.091, 10, 1.0, 1.0, 0.0), path)
+        assert main(["predict", "--model", str(path), f"--fd={fd}"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --fd must be a finite number >= 0, got {float(fd)}\n"
 
     def test_missing_model_exit_code(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),

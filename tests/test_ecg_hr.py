@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from oracles import band_pass_filtfilt_fresh, refine_peaks_loop
+from oracles import (
+    band_pass_filtfilt_fresh,
+    refine_peaks_loop,
+    refractory_select_numpy,
+    threshold_candidates_median_filter,
+)
 from voicehr.ecg_hr import (
     PeakConfig,
     _band_pass,
     _band_pass_zi,
+    _envelope,
+    _threshold_candidates,
     band_pass_filtfilt,
     detect_r_peaks,
     extract_heart_rate,
@@ -81,6 +88,18 @@ class TestBandPass:
         assert str(raised.value) == str(expected.value)
 
 
+class TestPeakConfig:
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -float("inf"), -0.5,
+                                          -5e-324])
+    def test_threshold_fraction_must_be_finite_and_non_negative(self, fraction):
+        with pytest.raises(ValueError, match="^threshold_fraction must be a finite number"):
+            PeakConfig(threshold_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.0, 5e-324, 0.5, 1e300])
+    def test_threshold_fraction_accepted(self, fraction):
+        assert PeakConfig(threshold_fraction=fraction).threshold_fraction == fraction
+
+
 class TestDetectRPeaks:
     def test_impulse_train_found_at_impulses(self):
         record = impulse_train(5000, 200, 400)  # 10 s at 500 Hz
@@ -141,6 +160,35 @@ class TestDetectRPeaks:
         assert refined.tobytes() == refine_peaks_loop(power, peaks, half).tobytes()
 
 
+class TestThresholdCandidates:
+    # few distinct values, so ties and plateaus are common; subnormals too
+    envelopes = st.lists(
+        st.sampled_from([0.0, 5e-324, 2.2e-308, 0.25, 0.5, 1.0, 2.0])
+        | st.floats(0.0, 1e3, allow_subnormal=True), min_size=1, max_size=70)
+
+    @settings(max_examples=500, deadline=None)
+    @given(env=envelopes, width=st.integers(1, 90),
+           fraction=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1e3), data=st.data())
+    def test_matches_the_running_median_formula(self, env, width, fraction, data):
+        # widths run past the longest array, and are odd and even; a floor
+        # equal to a sample tests the strict comparison with it
+        floor = data.draw(st.sampled_from([0.0, 1e-3 * max(env), *env]))
+        env = np.asarray(env)
+        found = _threshold_candidates(env, fraction, width, floor)
+        expected = threshold_candidates_median_filter(env, fraction, width, floor)
+        assert found.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 499, 500, 501])
+    def test_detector_envelope(self, width):
+        record, _ = synth_ecg(72.0, 250.0, 6.0, phase_s=0.1)
+        env, _ = _envelope(record.samples, 250.0, PeakConfig())
+        floor = 1e-3 * env.max()
+        found = _threshold_candidates(env, 0.5, width, floor)
+        assert found.size > 0
+        assert found.tobytes() == threshold_candidates_median_filter(
+            env, 0.5, width, floor).tobytes()
+
+
 class TestHeartRate1500:
     def test_twenty_small_squares(self):
         assert heart_rate_1500(0.8) == pytest.approx(75.0)
@@ -195,6 +243,18 @@ class TestExtractHeartRate:
 
 
 class TestRefractorySelect:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 80),
+                              st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 1.0)),
+                    max_size=100),
+           st.integers(0, 120))
+    def test_matches_the_numpy_scalar_loop(self, steps, gap):
+        candidates = np.cumsum([s for s, _ in steps], dtype=np.int64)
+        strength = np.asarray([w for _, w in steps], dtype=np.float64)
+        kept = refractory_select(candidates, strength, gap)
+        assert kept.dtype == np.int64
+        assert kept.tobytes() == refractory_select_numpy(candidates, strength, gap).tobytes()
+
     def test_stronger_peak_wins_within_gap(self):
         candidates = np.array([100, 130, 400, 420, 450, 900], dtype=np.int64)
         strength = np.array([1.0, 2.0, 5.0, 3.0, 4.0, 1.0])

@@ -71,7 +71,9 @@ SYNTH_SPECS = st.builds(
     max_fd_iterations=st.integers(), feature=FEATURE_CONFIGS)
 PIPELINE_CONFIGS = st.builds(
     PipelineConfig, feature=FEATURE_CONFIGS,
-    peak=st.builds(PeakConfig, *[FLOATS] * 7),
+    peak=st.builds(PeakConfig, *[FLOATS] * 4,
+                   st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                   FLOATS, FLOATS),
     split=st.builds(SplitSpec, st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                                          exclude_max=True), st.integers()),
     tree=st.builds(TreeConfig, st.integers(), st.integers()),
