@@ -30,11 +30,12 @@ import multiprocessing
 import os
 
 # Below this many takes sharing does not pay. The child starts in 5-15 ms,
-# but the two processes finish up to one job apart. On a 2-vCPU host,
-# shared over in-process time (median of 11) was 1.15 for a 60-take
-# extract (two 30-take jobs), 0.87 at 90 and 0.56-0.58 from 120 to 480
-# takes; synth gave 1.18 at 12 takes (two subjects), 0.70-0.89 from 30
-# to 90 and 0.61 at 120.
+# but the two processes finish up to one job apart: one take in extract,
+# one subject (90 takes at the reference size) in synth. On a 2-vCPU
+# host, shared over in-process time (median of 11) was 1.15 for a 60-take
+# extract, 0.87 at 90 and 0.56-0.58 from 120 to 480 takes, measured when
+# an extract job was 30 takes; synth gave 1.18 at 12 takes (two subjects),
+# 0.70-0.89 from 30 to 90 and 0.61 at 120.
 MIN_SHARED_TAKES = 120
 # Longest wait, in seconds, for the child's results or its exit. When
 # the caller waits, the child is running one job at most.

@@ -39,9 +39,15 @@ class PeakConfig:
     min_signal_s: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.threshold_fraction) and self.threshold_fraction >= 0):
-            raise ValueError("threshold_fraction must be a finite number >= 0, "
-                             f"got {self.threshold_fraction}")
+        if not (0 < self.band_low_hz < self.band_high_hz < math.inf):
+            raise ValueError("require 0 < band_low_hz < band_high_hz, both finite, got "
+                             f"{self.band_low_hz}, {self.band_high_hz}")
+        for name in ("integration_window_s", "median_window_s", "min_signal_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
+        for name in ("refractory_s", "threshold_fraction"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,22 +75,15 @@ class HeartRate:
 
 @functools.lru_cache(maxsize=8)
 def _band_pass(rate: float, band_low_hz: float, band_high_hz: float):
-    """Read-only Butterworth (b, a), built once per rate and band."""
+    """Read-only Butterworth (b, a) and its steady state `lfilter_zi`, once per rate and band."""
     nyq = rate / 2.0
     high = min(band_high_hz, 0.99 * nyq)
     low = min(band_low_hz, 0.5 * high)
     b, a = signal.butter(2, [low / nyq, high / nyq], btype="band")
-    b.setflags(write=False)
-    a.setflags(write=False)
-    return b, a
-
-
-@functools.lru_cache(maxsize=8)
-def _band_pass_zi(rate: float, band_low_hz: float, band_high_hz: float):
-    """Read-only `lfilter_zi` of `_band_pass`: the filter's step-response steady state."""
-    zi = signal.lfilter_zi(*_band_pass(rate, band_low_hz, band_high_hz))
-    zi.setflags(write=False)
-    return zi
+    zi = signal.lfilter_zi(b, a)
+    for array in (b, a, zi):
+        array.setflags(write=False)
+    return b, a, zi
 
 
 def band_pass_filtfilt(samples: np.ndarray, rate: float, config: PeakConfig) -> np.ndarray:
@@ -95,8 +94,7 @@ def band_pass_filtfilt(samples: np.ndarray, rate: float, config: PeakConfig) -> 
     the first sample, a backward pass started from `zi` times the last
     output, then the extension trimmed off. The bits are the same.
     """
-    b, a = _band_pass(rate, config.band_low_hz, config.band_high_hz)
-    zi = _band_pass_zi(rate, config.band_low_hz, config.band_high_hz)
+    b, a, zi = _band_pass(rate, config.band_low_hz, config.band_high_hz)
     edge = 3 * max(len(a), len(b))
     if samples.size <= edge:
         raise ValueError("The length of the input vector x must be greater than padlen, "

@@ -41,10 +41,6 @@ FEATURES_HEADER = ["subject_id", "emotion", "take_index",
                    "feature_distance", "heart_rate_bpm"]
 
 
-# Takes per job when extraction is shared with a child process
-EXTRACT_CHUNK = 30
-
-
 def _naming(path, fn, *args):
     """`fn(*args)`; a VoicehrError it raises is raised again, prefixed with `path`."""
     try:
@@ -70,11 +66,6 @@ def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureCo
             _naming(entry.ecg_path, extract_heart_rate, load_ecg(entry.ecg_path), peak_config))
 
 
-def _extract_chunk(entries, feature_config, peak_config, cepstra_dir):
-    return [extract_take(entry, feature_config, peak_config, cepstra_dir)
-            for entry in entries]
-
-
 def extract_observations(manifest: DatasetManifest,
                          feature_config: FeatureConfig = FeatureConfig(),
                          peak_config: PeakConfig = PeakConfig(),
@@ -91,22 +82,18 @@ def extract_observations(manifest: DatasetManifest,
     if cepstra_dir is not None:
         Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
     entries = manifest.entries
-    chunks = [entries[i:i + EXTRACT_CHUNK] for i in range(0, len(entries), EXTRACT_CHUNK)]
-    extract_chunk = functools.partial(_extract_chunk, feature_config=feature_config,
-                                      peak_config=peak_config, cepstra_dir=cepstra_dir)
-    per_take = [result for chunk in map_jobs(extract_chunk, chunks, n_takes=len(entries))
-                for result in chunk]
-    embeddings = {(entry.subject_id, entry.emotion, entry.take_index): emb
-                  for entry, (emb, _) in zip(entries, per_take)}
-
-    references = {}
-    for subject_id in manifest.subjects():
-        neutral = [emb for (sid, emo, _), emb in embeddings.items()
-                   if sid == subject_id and emo == EmotionLabel.NEUTRAL]
-        if not neutral:
-            neutral = [emb for (sid, _, _), emb in embeddings.items()
-                       if sid == subject_id]
-        references[subject_id] = subject_reference(neutral)
+    per_take = map_jobs(functools.partial(extract_take, feature_config=feature_config,
+                                          peak_config=peak_config, cepstra_dir=cepstra_dir),
+                        entries, n_takes=len(entries))
+    # each subject's neutral takes and all its takes, in entry order: the
+    # order the reference mean adds them in
+    neutral, every = {}, {}
+    for entry, (emb, _) in zip(entries, per_take):
+        every.setdefault(entry.subject_id, []).append(emb)
+        if entry.emotion == EmotionLabel.NEUTRAL:
+            neutral.setdefault(entry.subject_id, []).append(emb)
+    references = {subject_id: subject_reference(neutral.get(subject_id) or every[subject_id])
+                  for subject_id in manifest.subjects()}
 
     observations = []
     vectors_by_subject: dict[str, list[LabeledVector]] = {}

@@ -49,12 +49,21 @@ class FilterWindow:
     hr_min_bpm: float = 30.0
     hr_max_bpm: float = 220.0
 
+    def __post_init__(self):
+        if not 0 <= self.hr_min_bpm <= self.hr_max_bpm < math.inf:
+            raise ValueError("require 0 <= hr_min_bpm <= hr_max_bpm, both finite, got "
+                             f"{self.hr_min_bpm}, {self.hr_max_bpm}")
+
 
 @dataclass(frozen=True)
 class HoldoutSpec:
     test_fraction: float = 0.2
     seed: int = 0
     in_sample: bool = False
+
+    def __post_init__(self):
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass(frozen=True)

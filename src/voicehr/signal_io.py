@@ -66,50 +66,39 @@ _LABELS = {label.value: label for label in EmotionLabel}
 EMOTION_ORDER = (EmotionLabel.JOY, EmotionLabel.NEUTRAL, EmotionLabel.ANGER)
 
 
-def _check_signal(samples: np.ndarray, sample_rate_hz: float, kind: str,
-                  source_id: str = "") -> None:
-    if source_id:
-        kind = f"{kind} {source_id}"
-    if sample_rate_hz <= 0:
-        raise InvalidSignalError(f"{kind}: sample_rate_hz must be positive")
-    if samples.size == 0:
-        raise EmptySignalError(f"{kind}: no samples")
-    if not np.all(np.isfinite(samples)):
-        raise InvalidSignalError(f"{kind}: non-finite sample values")
+@dataclass(frozen=True, eq=False)
+class _Signal:
+    """Samples at a fixed rate, checked on construction; the body of AudioClip and EcgRecord."""
+
+    samples: np.ndarray
+    sample_rate_hz: float
+    source_id: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        kind = type(self).__name__
+        if self.source_id:
+            kind = f"{kind} {self.source_id}"
+        if self.sample_rate_hz <= 0:
+            raise InvalidSignalError(f"{kind}: sample_rate_hz must be positive")
+        if self.samples.size == 0:
+            raise EmptySignalError(f"{kind}: no samples")
+        if not np.all(np.isfinite(self.samples)):
+            raise InvalidSignalError(f"{kind}: non-finite sample values")
+
+    @property
+    def duration_s(self) -> float:
+        return self.samples.size / self.sample_rate_hz
 
 
 @dataclass(frozen=True, eq=False)
-class AudioClip:
+class AudioClip(_Signal):
     """Mono speech signal, amplitudes normalized to [-1, 1]."""
 
-    samples: np.ndarray
-    sample_rate_hz: float
-    source_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        _check_signal(self.samples, self.sample_rate_hz, "AudioClip", self.source_id)
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass(frozen=True, eq=False)
-class EcgRecord:
+class EcgRecord(_Signal):
     """Single-lead ECG voltages in millivolts."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    source_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        _check_signal(self.samples, self.sample_rate_hz, "EcgRecord", self.source_id)
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 def load_audio(path: str | Path) -> AudioClip:
@@ -217,26 +206,21 @@ def load_ecg(path: str | Path) -> EcgRecord:
 
 
 def _parse_lines(path, body: str) -> list:
-    """Values of a `# rate_hz=` body, one float() per line."""
-    lines = body.split("\n")
-    try:
-        # Lines split at "\n" as file iteration splits them (splitlines
-        # would also split at \f and \v). float() takes surrounding
-        # whitespace but not "1.0 2.0"; a blank or bad line sends the
-        # record through the loop below, which skips blanks and names
-        # a bad line.
-        return list(map(float, lines[:-1] if lines[-1] == "" else lines))
-    except ValueError:
-        values = []
-        for lineno, line in enumerate(lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
-        return values
+    r"""Values of a `# rate_hz=` body, one float() per non-blank line.
+
+    Lines split at "\n" as file iteration splits them (splitlines would
+    also split at \f and \v); a bad line is named by its line number.
+    """
+    values = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
+    return values
 
 
 def _parse_fixed6(body: bytes) -> np.ndarray | None:

@@ -10,7 +10,7 @@ written to a ledger CSV that downstream tests use as the oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -89,10 +89,6 @@ class PlantedTake:
     heart_rate_bpm: float
 
 
-# Harmonic bases one voice keeps: one per (rate, length) it renders at.
-BASIS_CACHE_SIZE = 4
-
-
 @dataclass(frozen=True, eq=False)
 class SubjectVoice:
     """Fixed harmonic profile of one synthetic speaker.
@@ -106,7 +102,6 @@ class SubjectVoice:
     # Spectral-tilt weights; the steering parameter g scales these
     # log-amplitude offsets, moving the utterance through cepstral space.
     tilt: np.ndarray
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("phases", "tilt"):
@@ -114,20 +109,19 @@ class SubjectVoice:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    def _harmonic_basis(self, rate_hz: float, n: int) -> np.ndarray:
-        """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
-        key = (rate_hz, n)
-        basis = self._bases.get(key)
-        if basis is None:
-            t = np.arange(n) / rate_hz
-            k = np.arange(1, N_HARMONICS + 1)
-            basis = np.sin(2.0 * np.pi * self.f0_hz * k[:, None] * t[None, :]
-                           + self.phases[:, None])
-            basis.setflags(write=False)
-            if len(self._bases) >= BASIS_CACHE_SIZE:
-                del self._bases[next(iter(self._bases))]
-            self._bases[key] = basis
-        return basis
+
+# One slot: the generator renders every take of a voice at one (rate,
+# length) and renders its subjects one after another. A voice is keyed
+# by identity (eq=False).
+@functools.lru_cache(maxsize=1)
+def _harmonic_basis(voice: SubjectVoice, rate_hz: float, n: int) -> np.ndarray:
+    """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
+    t = np.arange(n) / rate_hz
+    k = np.arange(1, N_HARMONICS + 1)
+    basis = np.sin(2.0 * np.pi * voice.f0_hz * k[:, None] * t[None, :]
+                   + voice.phases[:, None])
+    basis.setflags(write=False)
+    return basis
 
 
 def make_voice(rng: np.random.Generator) -> SubjectVoice:
@@ -144,7 +138,7 @@ def synth_utterance(voice: SubjectVoice, g: float, rate_hz: float,
     n = int(round(rate_hz * duration_s))
     k = np.arange(1, N_HARMONICS + 1)
     amps = np.exp(g * voice.tilt) / k
-    signal = np.sum(amps[:, None] * voice._harmonic_basis(rate_hz, n), axis=0)
+    signal = np.sum(amps[:, None] * _harmonic_basis(voice, rate_hz, n), axis=0)
     signal *= PEAK_AMPLITUDE / np.max(np.abs(signal))
     return AudioClip(samples=signal, sample_rate_hz=rate_hz)
 
@@ -319,9 +313,7 @@ def _plan_corpus(rng: np.random.Generator, spec: SynthSpec) -> list[_SubjectPlan
 
 def _render_subject(plan: _SubjectPlan, spec: SynthSpec, outdir: Path):
     """Solve, synthesise and write one subject's takes; (entries, ledger rows)."""
-    # a fresh copy, so the basis it caches is freed with this render and
-    # does not live as long as the plan
-    voice = replace(plan.voice)
+    voice = plan.voice
     reference_clip = synth_utterance(voice, 0.0, spec.audio_rate_hz, spec.utterance_s)
     reference = utterance_embedding(mfcc(reference_clip, spec.feature))
     targeter = FdTargeter(voice, reference, spec)

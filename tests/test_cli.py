@@ -110,9 +110,27 @@ class TestMalformedConfig:
         ('{"peak": {"threshold_fraction": NaN}}', "peak"),
         ('{"peak": {"threshold_fraction": Infinity}}', "peak"),
         ('{"peak": {"threshold_fraction": -0.5}}', "peak"),
+        ('{"peak": {"median_window_s": NaN}}', "peak"),
+        ('{"peak": {"refractory_s": -1}}', "peak"),
+        ('{"peak": {"integration_window_s": -1}}', "peak"),
+        ('{"peak": {"min_signal_s": 0}}', "peak"),
+        ('{"peak": {"band_low_hz": 0}}', "peak"),
+        ('{"peak": {"band_low_hz": 20, "band_high_hz": 15}}', "peak"),
+        ('{"peak": {"band_high_hz": Infinity}}', "peak"),
+        ('{"filter_window": {"hr_min_bpm": NaN}}', "filter_window"),
+        ('{"filter_window": {"hr_max_bpm": -5}}', "filter_window"),
+        ('{"filter_window": {"hr_min_bpm": 100, "hr_max_bpm": 90}}', "filter_window"),
+        ('{"filter_window": {"hr_max_bpm": Infinity}}', "filter_window"),
+        ('{"holdout": {"test_fraction": NaN}}', "holdout"),
+        ('{"holdout": {"test_fraction": 1.5}}', "holdout"),
+        ('{"holdout": {"test_fraction": 0}}', "holdout"),
     ], ids=["unknown_nested_key", "array_section", "array_config", "string_seed",
             "null_seed", "invalid_value", "bad_syntax", "nan_threshold_fraction",
-            "infinite_threshold_fraction", "negative_threshold_fraction"])
+            "infinite_threshold_fraction", "negative_threshold_fraction",
+            "nan_median_window", "negative_refractory", "negative_integration_window",
+            "zero_min_signal", "zero_band_low", "inverted_band", "infinite_band_high",
+            "nan_hr_min", "negative_hr_max", "inverted_window", "infinite_hr_max",
+            "nan_test_fraction", "test_fraction_above_one", "zero_test_fraction"])
     def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
         _, corpus, features = workspace
         config_path = tmp_path / "config.json"

@@ -13,7 +13,6 @@ from oracles import (
 from voicehr.ecg_hr import (
     PeakConfig,
     _band_pass,
-    _band_pass_zi,
     _envelope,
     _threshold_candidates,
     band_pass_filtfilt,
@@ -42,7 +41,7 @@ def impulse_train(n, start, period, rate=500.0):
 class TestBandPass:
     @pytest.mark.parametrize("rate", [250.0, 500.0, 25.0])
     def test_memoised_coefficients_match_a_fresh_design(self, rate):
-        b, a = _band_pass(rate, 5.0, 15.0)
+        b, a, _ = _band_pass(rate, 5.0, 15.0)
         with pytest.raises(ValueError):
             b[0] = 0.0
         with pytest.raises(ValueError):
@@ -55,10 +54,10 @@ class TestBandPass:
 
 
     def test_memoised_initial_state_is_read_only(self):
-        zi = _band_pass_zi(250.0, 5.0, 15.0)
+        b, a, zi = _band_pass(250.0, 5.0, 15.0)
         with pytest.raises(ValueError):
             zi[0] = 0.0
-        assert zi.tobytes() == signal.lfilter_zi(*_band_pass(250.0, 5.0, 15.0)).tobytes()
+        assert zi.tobytes() == signal.lfilter_zi(b, a).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(rate=st.sampled_from([25.0, 100.0, 250.0, 500.0]),
@@ -98,6 +97,33 @@ class TestPeakConfig:
     @pytest.mark.parametrize("fraction", [0.0, -0.0, 5e-324, 0.5, 1e300])
     def test_threshold_fraction_accepted(self, fraction):
         assert PeakConfig(threshold_fraction=fraction).threshold_fraction == fraction
+
+    @pytest.mark.parametrize("low, high", [
+        (0.0, 15.0), (-1.0, 15.0), (15.0, 15.0), (20.0, 15.0), (float("nan"), 15.0),
+        (5.0, float("nan")), (5.0, float("inf")), (float("inf"), float("inf"))])
+    def test_band_edges_must_be_ordered_and_finite(self, low, high):
+        with pytest.raises(ValueError, match="^require 0 < band_low_hz < band_high_hz"):
+            PeakConfig(band_low_hz=low, band_high_hz=high)
+
+    @pytest.mark.parametrize("name", ["integration_window_s", "median_window_s",
+                                      "min_signal_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_windows_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0"):
+            PeakConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -5e-324])
+    def test_refractory_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="^refractory_s must be a finite number >= 0"):
+            PeakConfig(refractory_s=value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"band_low_hz": 0.5, "band_high_hz": 40.0}, {"band_low_hz": 8.0, "band_high_hz": 12.0},
+        {"band_low_hz": 5e-324, "band_high_hz": 1e300}, {"refractory_s": 0.0},
+        {"integration_window_s": 5e-324, "median_window_s": 1e300, "min_signal_s": 0.1}])
+    def test_edge_values_accepted(self, kwargs):
+        config = PeakConfig(**kwargs)
+        assert {name: getattr(config, name) for name in kwargs} == kwargs
 
 
 class TestDetectRPeaks:

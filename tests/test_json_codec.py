@@ -69,16 +69,23 @@ SYNTH_SPECS = st.builds(
     ecg_rate_hz=FLOATS, ecg_duration_s=FLOATS,
     fd_tolerance=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     max_fd_iterations=st.integers(), feature=FEATURE_CONFIGS)
+# the values each record's checks accept, down to subnormals and the largest double
+FINITE_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 PIPELINE_CONFIGS = st.builds(
     PipelineConfig, feature=FEATURE_CONFIGS,
-    peak=st.builds(PeakConfig, *[FLOATS] * 4,
-                   st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
-                   FLOATS, FLOATS),
-    split=st.builds(SplitSpec, st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                                         exclude_max=True), st.integers()),
+    peak=st.builds(
+        lambda band, **kw: PeakConfig(band_low_hz=min(band), band_high_hz=max(band), **kw),
+        band=st.tuples(FINITE_POSITIVE, FINITE_POSITIVE).filter(lambda band: band[0] != band[1]),
+        integration_window_s=FINITE_POSITIVE, refractory_s=FINITE_NON_NEGATIVE,
+        threshold_fraction=FINITE_NON_NEGATIVE, median_window_s=FINITE_POSITIVE,
+        min_signal_s=FINITE_POSITIVE),
+    split=st.builds(SplitSpec, OPEN_UNIT, st.integers()),
     tree=st.builds(TreeConfig, st.integers(), st.integers()),
-    filter_window=st.builds(FilterWindow, FLOATS, FLOATS),
-    holdout=st.builds(HoldoutSpec, FLOATS, st.integers(), st.booleans()),
+    filter_window=st.builds(lambda bounds: FilterWindow(min(bounds), max(bounds)),
+                            st.tuples(FINITE_NON_NEGATIVE, FINITE_NON_NEGATIVE)),
+    holdout=st.builds(HoldoutSpec, OPEN_UNIT, st.integers(), st.booleans()),
     seed=st.integers())
 
 

@@ -1,0 +1,37 @@
+"""Layout of the package: which modules may import what.
+
+Every file format the pipeline reads or writes goes through the codecs
+in `signal_io`, so it alone imports the standard library's format
+modules.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import voicehr
+
+PACKAGE = Path(voicehr.__file__).parent
+FORMAT_MODULES = {"json", "csv", "wave"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules `path` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_signal_io_imports_format_modules(path):
+    allowed = FORMAT_MODULES if path.name == "signal_io.py" else set()
+    assert imported_modules(path) & FORMAT_MODULES <= allowed
+
+
+def test_signal_io_is_where_the_formats_are():
+    assert imported_modules(PACKAGE / "signal_io.py") >= FORMAT_MODULES

@@ -15,7 +15,7 @@ import pytest
 from make_outputs_sha256 import GOLDEN, SPEC, digests, run_verbs
 from voicehr import _parallel
 from voicehr.cli import EXIT_OK, main
-from voicehr.signal_io import EMOTION_ORDER
+from voicehr.signal_io import EMOTION_ORDER, _parse_fixed6
 
 N_TAKES = SPEC.n_subjects * len(EMOTION_ORDER) * SPEC.takes_per_emotion
 
@@ -46,3 +46,15 @@ def test_in_process_extract_writes_the_same_bytes(outputs, tmp_path, monkeypatch
     alone = digests(tmp_path)
     assert len(alone) == 2 + N_TAKES
     assert alone == {name: table[name] for name in alone}
+
+
+def test_every_ecg_body_takes_the_fixed_point_parser(outputs):
+    # the line-by-line parser is kept for other writers' files; a change to
+    # write_ecg that sent these records to it would keep the bytes above
+    # and lose the speed
+    out, _ = outputs
+    paths = sorted((out / "corpus" / "ecg").glob("*.csv"))
+    assert len(paths) == N_TAKES
+    for path in paths:
+        _, _, body = path.read_bytes().partition(b"\n")
+        assert _parse_fixed6(body) is not None, path.name

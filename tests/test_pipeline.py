@@ -318,3 +318,26 @@ class TestConfig:
         config = PipelineConfig.from_dict(read_json(path, dict), path)
         assert config.filter_window.hr_max_bpm == 200.0
         assert config.split.seed == 3
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("hr_min, hr_max", [
+        (float("nan"), 220.0), (30.0, float("nan")), (30.0, -5.0), (-1.0, 220.0),
+        (100.0, 90.0), (30.0, float("inf")), (-float("inf"), 220.0)])
+    def test_bad_filter_window(self, hr_min, hr_max):
+        with pytest.raises(ValueError, match="^require 0 <= hr_min_bpm <= hr_max_bpm"):
+            FilterWindow(hr_min_bpm=hr_min, hr_max_bpm=hr_max)
+
+    @pytest.mark.parametrize("hr_min, hr_max", [(0.0, 0.0), (80.0, 80.0), (0.0, 1e300)])
+    def test_filter_window_edges_accepted(self, hr_min, hr_max):
+        window = FilterWindow(hr_min_bpm=hr_min, hr_max_bpm=hr_max)
+        assert (window.hr_min_bpm, window.hr_max_bpm) == (hr_min, hr_max)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), 0.0, 1.0, 1.5, -0.2])
+    def test_bad_test_fraction(self, fraction):
+        with pytest.raises(ValueError, match=r"^test_fraction must be in \(0, 1\)"):
+            HoldoutSpec(test_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [5e-324, 0.5, 0.9999])
+    def test_test_fraction_accepted(self, fraction):
+        assert HoldoutSpec(test_fraction=fraction).test_fraction == fraction

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from oracles import generate_corpus_single_loop, synth_ecg_loop, synth_utterance_formula
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest, read_json, write_json
+from voicehr import _parallel
 from voicehr.synth import (
-    BASIS_CACHE_SIZE,
     SynthSpec,
+    _harmonic_basis,
     generate_synthetic_corpus,
     load_ledger,
     synth_ecg,
@@ -121,9 +122,9 @@ class TestSynthUtterance:
         assert a.samples.size == b.samples.size == 6400
         assert np.max(np.abs(a.samples - b.samples)) > 0.01
 
-    # more (rate, duration) shapes than one voice keeps bases for, so the
-    # cache key and its eviction are both exercised; the first two share
-    # a length at different rates
+    # interleaved (rate, duration) shapes replace the one cached basis
+    # again and again, so its key is exercised; the first two share a
+    # length at different rates
     SHAPES = [(16000.0, 0.4), (8000.0, 0.8), (8000.0, 0.25), (16000.0, 0.1),
               (22050.0, 0.05), (16000.0, 0.2)]
 
@@ -132,7 +133,6 @@ class TestSynthUtterance:
            gs=st.lists(st.floats(-26.0, 26.0), min_size=1, max_size=5),
            shapes=st.lists(st.sampled_from(SHAPES), min_size=2, max_size=8))
     def test_matches_uncached_formula(self, seed, gs, shapes):
-        assert len(self.SHAPES) > BASIS_CACHE_SIZE
         voice = make_voice(np.random.default_rng(seed))
         for g in gs:
             for rate, duration in shapes:
@@ -158,6 +158,15 @@ class TestSubjectVoice:
         a, b = make_voice(rng), make_voice(rng)
         assert a == a and a != b
         assert len({a, b}) == 2
+
+    def test_one_basis_per_subject(self, tmp_path):
+        # the generator renders one subject after another at one shape,
+        # so the one-slot basis cache misses once per subject
+        spec = SynthSpec(**dict(TINY, n_subjects=2))
+        assert spec.n_subjects * 3 * spec.takes_per_emotion < _parallel.MIN_SHARED_TAKES
+        _harmonic_basis.cache_clear()
+        generate_synthetic_corpus(spec, tmp_path)
+        assert _harmonic_basis.cache_info().misses == 2
 
 
 class TestPlanThenRender:
