@@ -4,6 +4,10 @@ Three algorithms: classification-via-regression (one-vs-rest regression
 trees on 0/1 indicators, variance-reduction splits), Gaussian naive
 Bayes, and k-nearest-neighbor. Everything is deterministic: seeded
 stratified splits and fixed tie-breaking in Joy < Neutral < Anger order.
+
+Training sorts each feature once, stably, for all trees; a node scans
+every feature in one `best_split_scan` call and its children keep their
+rows in that order. Each model's `predict` labels every row of a 2-D array.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ class TreeConfig:
     max_depth: int = 6
     min_leaf: int = 5
 
+    def __post_init__(self):
+        if self.max_depth < 0 or self.min_leaf < 1:
+            raise ValueError("require max_depth >= 0 and min_leaf >= 1, got "
+                             f"{self.max_depth}, {self.min_leaf}")
+
 
 def _as_arrays(data):
     X = np.stack([d.features for d in data]).astype(np.float64)
@@ -70,24 +79,25 @@ def _check_training(data, min_per_class: int):
 # --- regression trees on class indicators ---
 
 def best_split_scan(values, targets, min_leaf):
-    """Best variance-reduction split of one feature.
+    """Best variance-reduction split of every feature of a node.
 
-    `values` must be ascending with `targets` permuted alongside.
-    Returns (threshold, gain); gain is the drop in total squared error
-    relative to predicting the node mean. gain = -1.0 when no split
-    leaves at least `min_leaf` samples on both sides. Among equal gains
-    the leftmost split wins.
+    `values` is (n, d) with each column ascending and `targets` (n, d)
+    permuted alongside it. Returns (thresholds, gains), one per column;
+    a gain is the drop in total squared error relative to predicting the
+    node mean, and -1.0 (threshold 0.0) when no split leaves at least
+    `min_leaf` samples on both sides. Among equal gains in a column the
+    leftmost split wins.
     """
-    n = values.shape[0]
+    n, d = values.shape
     if n < 2 * min_leaf:
-        return 0.0, -1.0
-    # cumsum adds left to right, so the totals carry the same bits as a
-    # running sum; np.sum adds pairwise and would not.
-    left_sum = np.cumsum(targets)
+        return np.zeros(d), np.full(d, -1.0)
+    # cumsum adds down each column in turn, so the totals carry the same
+    # bits as a running sum; np.sum adds pairwise and would not.
+    left_sum = np.cumsum(targets, axis=0)
     total = left_sum[-1]
-    total_sq = np.cumsum(targets * targets)[-1]
+    total_sq = np.cumsum(targets * targets, axis=0)[-1]
     parent_sse = total_sq - total * total / n
-    n_left = np.arange(1, n)
+    n_left = np.arange(1, n)[:, None]
     left_sum = left_sum[:-1]
     right_sum = total - left_sum
     children_sse = (total_sq
@@ -96,44 +106,44 @@ def best_split_scan(values, targets, min_leaf):
     gain = parent_sse - children_sse
     valid = ((values[1:] > values[:-1]) & (n_left >= min_leaf)
              & (n - n_left >= min_leaf) & (gain > -1.0))
-    if not valid.any():
-        return 0.0, -1.0
-    i = int(np.argmax(np.where(valid, gain, -np.inf)))
-    return 0.5 * (values[i] + values[i + 1]), gain[i]
+    i = np.argmax(np.where(valid, gain, -np.inf), axis=0)
+    cols = np.arange(d)
+    found = valid[i, cols]
+    return (np.where(found, 0.5 * (values[i, cols] + values[i + 1, cols]), 0.0),
+            np.where(found, gain[i, cols], -1.0))
 
 
-def _build_tree(X, y, depth, config: TreeConfig) -> dict:
-    n = y.size
-    leaf = {"leaf": float(y.mean())}
-    if depth >= config.max_depth or n < 2 * config.min_leaf:
+def _build_tree(X, y, rows, orders, depth, config: TreeConfig) -> dict:
+    """Tree over the ascending training `rows`; column j of `orders` holds
+    them sorted stably by feature j, and each child keeps its share in order."""
+    leaf = {"leaf": float(y[rows].mean())}
+    if depth >= config.max_depth or rows.size < 2 * config.min_leaf:
         return leaf
-    best = (-1.0, -1, 0.0)  # (gain, feature, threshold)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        thr, gain = best_split_scan(
-            np.ascontiguousarray(X[order, j]),
-            np.ascontiguousarray(y[order]),
-            config.min_leaf,
-        )
-        if gain > best[0] + 1e-12:
-            best = (gain, j, thr)
-    gain, feature, threshold = best
-    if gain <= 1e-12:
+    thresholds, gains = best_split_scan(
+        np.take_along_axis(X, orders, axis=0), y[orders], config.min_leaf)
+    best, feature = -1.0, -1
+    for j, gain in enumerate(gains.tolist()):
+        if gain > best + 1e-12:
+            best, feature = gain, j
+    if best <= 1e-12:
         return leaf
-    mask = X[:, feature] <= threshold
-    return {
-        "feature": int(feature),
-        "threshold": float(threshold),
-        "left": _build_tree(X[mask], y[mask], depth + 1, config),
-        "right": _build_tree(X[~mask], y[~mask], depth + 1, config),
-    }
+    threshold = float(thresholds[feature])
+    goes_left = X[:, feature] <= threshold
+    node = {"feature": feature, "threshold": threshold}
+    for side, mask in (("left", goes_left), ("right", ~goes_left)):
+        kept = orders.T[mask[orders].T].reshape(X.shape[1], -1).T
+        node[side] = _build_tree(X, y, rows[mask[rows]], kept, depth + 1, config)
+    return node
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> float:
-    node = tree
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["leaf"]
+def _tree_predict(tree: dict, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the leaf value of each of `X[rows]` into `out[rows]`."""
+    if "leaf" in tree:
+        out[rows] = tree["leaf"]
+        return
+    left = X[rows, tree["feature"]] <= tree["threshold"]
+    _tree_predict(tree["left"], X, rows[left], out)
+    _tree_predict(tree["right"], X, rows[~left], out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,19 +151,23 @@ class CvrModel:
     classes: tuple
     trees: tuple  # one nested-dict tree per class, aligned with classes
 
-    def predict(self, x: np.ndarray) -> EmotionLabel:
-        scores = [_tree_predict(t, x) for t in self.trees]
-        return self.classes[int(np.argmax(scores))]
+    def predict(self, X: np.ndarray) -> list:
+        scores = np.empty((len(self.trees), X.shape[0]))
+        for tree, out in zip(self.trees, scores):
+            _tree_predict(tree, X, np.arange(X.shape[0]), out)
+        return [self.classes[i] for i in np.argmax(scores, axis=0)]
 
 
 def train_cvr(data, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
     """One-vs-rest regression trees over 0/1 class indicators."""
     classes = _check_training(data, min_per_class=5)
     X, labels = _as_arrays(data)
+    rows = np.arange(X.shape[0])
+    orders = np.argsort(X, axis=0, kind="stable")  # shared by every tree
     trees = []
     for c in classes:
         y = np.asarray([1.0 if lab == c else 0.0 for lab in labels])
-        trees.append(_build_tree(X, y, 0, tree_config))
+        trees.append(_build_tree(X, y, rows, orders, 0, tree_config))
     return CvrModel(classes=tuple(classes), trees=tuple(trees))
 
 
@@ -166,11 +180,15 @@ class GnbModel:
     variances: np.ndarray  # (n_classes, d)
     log_priors: np.ndarray
 
-    def predict(self, x: np.ndarray) -> EmotionLabel:
-        log_lik = -0.5 * np.sum(
+    def log_likelihoods(self, X: np.ndarray) -> np.ndarray:
+        """(n, n_classes) Gaussian log-likelihoods of the rows of X, priors left out."""
+        return -0.5 * np.sum(
             np.log(2.0 * np.pi * self.variances)
-            + (x - self.means) ** 2 / self.variances, axis=1)
-        return self.classes[int(np.argmax(log_lik + self.log_priors))]
+            + (X[:, None, :] - self.means) ** 2 / self.variances, axis=2)
+
+    def predict(self, X: np.ndarray) -> list:
+        best = np.argmax(self.log_likelihoods(X) + self.log_priors, axis=1)
+        return [self.classes[i] for i in best]
 
 
 def train_gnb(data) -> GnbModel:
@@ -197,19 +215,22 @@ class KnnModel:
     train_labels: tuple
     k: int = 1
 
-    def predict(self, x: np.ndarray) -> EmotionLabel:
-        dist = np.linalg.norm(self.train_x - x, axis=1)
-        nearest = np.argsort(dist, kind="stable")[: self.k]
-        votes = {}
-        for i in nearest:
-            lab = self.train_labels[i]
-            count, total = votes.get(lab, (0, 0.0))
-            votes[lab] = (count + 1, total + dist[i])
-        # majority vote; ties by smaller summed distance, then class order
-        return min(
-            votes,
-            key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
-        )
+    def predict(self, X: np.ndarray) -> list:
+        # one row at a time: a (n_test, n_train, d) broadcast measured slower
+        labels = []
+        for x in X:
+            dist = np.linalg.norm(self.train_x - x, axis=1)
+            votes = {}
+            for i in np.argsort(dist, kind="stable")[: self.k]:
+                lab = self.train_labels[i]
+                count, total = votes.get(lab, (0, 0.0))
+                votes[lab] = (count + 1, total + dist[i])
+            # majority vote; ties by smaller summed distance, then class order
+            labels.append(min(
+                votes,
+                key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
+            ))
+        return labels
 
 
 def train_knn(data, k: int = 1) -> KnnModel:
@@ -248,5 +269,6 @@ def classification_accuracy(model, test) -> float:
     """Percent of correctly labeled test vectors."""
     if not test:
         raise EmptyTestSetError("empty test set")
-    correct = sum(1 for d in test if model.predict(d.features) == d.label)
+    X, labels = _as_arrays(test)
+    correct = sum(1 for got, lab in zip(model.predict(X), labels) if got == lab)
     return 100.0 * correct / len(test)

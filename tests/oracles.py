@@ -392,3 +392,101 @@ def read_embeddings_loop(path):
                 features=features, label=EmotionLabel.parse(row[1]),
                 subject_id=row[0]))
     return vectors_by_subject
+
+
+# The classifiers as they were before the shared presort and batched
+# predict: a tree node sorts and scans one feature at a time, and every
+# model labels one vector per call.
+
+def build_tree_loop(X, y, depth, config):
+    """Nested-dict regression tree; each node argsorts every feature afresh."""
+    n = y.size
+    leaf = {"leaf": float(y.mean())}
+    if depth >= config.max_depth or n < 2 * config.min_leaf:
+        return leaf
+    best = (-1.0, -1, 0.0)  # (gain, feature, threshold)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        thr, gain = split_scan_loop(X[order, j], y[order], config.min_leaf)
+        if gain > best[0] + 1e-12:
+            best = (gain, j, thr)
+    gain, feature, threshold = best
+    if gain <= 1e-12:
+        return leaf
+    mask = X[:, feature] <= threshold
+    return {
+        "feature": int(feature),
+        "threshold": float(threshold),
+        "left": build_tree_loop(X[mask], y[mask], depth + 1, config),
+        "right": build_tree_loop(X[~mask], y[~mask], depth + 1, config),
+    }
+
+
+def cvr_trees_loop(data, config):
+    """(classes, trees) of one-vs-rest trees built by `build_tree_loop`."""
+    from voicehr.signal_io import EMOTION_ORDER
+
+    X = np.stack([d.features for d in data]).astype(np.float64)
+    labels = [d.label for d in data]
+    classes = tuple(c for c in EMOTION_ORDER if c in labels)
+    trees = tuple(build_tree_loop(X, np.asarray([1.0 if lab == c else 0.0 for lab in labels]),
+                                  0, config) for c in classes)
+    return classes, trees
+
+
+def tree_predict_one(tree, x):
+    node = tree
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["leaf"]
+
+
+def cvr_predict_one(model, x):
+    scores = [tree_predict_one(t, x) for t in model.trees]
+    return model.classes[int(np.argmax(scores))]
+
+
+def gnb_log_likelihood_one(model, x):
+    return -0.5 * np.sum(
+        np.log(2.0 * np.pi * model.variances)
+        + (x - model.means) ** 2 / model.variances, axis=1)
+
+
+def gnb_predict_one(model, x):
+    return model.classes[int(np.argmax(gnb_log_likelihood_one(model, x) + model.log_priors))]
+
+
+def knn_predict_one(model, x):
+    from voicehr.signal_io import EMOTION_ORDER
+
+    dist = np.linalg.norm(model.train_x - x, axis=1)
+    nearest = np.argsort(dist, kind="stable")[: model.k]
+    votes = {}
+    for i in nearest:
+        lab = model.train_labels[i]
+        count, total = votes.get(lab, (0, 0.0))
+        votes[lab] = (count + 1, total + dist[i])
+    # majority vote; ties by smaller summed distance, then class order
+    return min(
+        votes,
+        key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
+    )
+
+
+def classifier_matrix_loop(vectors_by_subject, config):
+    """algo -> subject -> accuracy of the per-vector models, as `classifier_matrix` lays it out."""
+    from voicehr.classify import CvrModel, split, train_gnb, train_knn
+
+    predictors = {
+        "cvr": (lambda train: CvrModel(*cvr_trees_loop(train, config.tree)), cvr_predict_one),
+        "gnb": (train_gnb, gnb_predict_one),
+        "knn": (train_knn, knn_predict_one),
+    }
+    matrix = {algo: {} for algo in predictors}
+    for sid in sorted(vectors_by_subject):
+        train, test = split(vectors_by_subject[sid], config.split)
+        for algo, (train_fn, predict_one) in predictors.items():
+            model = train_fn(train)
+            correct = sum(1 for d in test if predict_one(model, d.features) == d.label)
+            matrix[algo][sid] = 100.0 * correct / len(test)
+    return matrix

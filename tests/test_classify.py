@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import split_scan_loop
+from oracles import (
+    cvr_predict_one,
+    cvr_trees_loop,
+    gnb_log_likelihood_one,
+    gnb_predict_one,
+    knn_predict_one,
+    split_scan_loop,
+)
 from voicehr.classify import (
     LabeledVector,
     SplitSpec,
@@ -76,16 +83,16 @@ class TestTrainCvr:
         rng.shuffle(shuffled)
         a = train_cvr(blob_vectors)
         b = train_cvr(shuffled)
-        probes = [v.features for v in blob_vectors[::7]]
-        assert [a.predict(x) for x in probes] == [b.predict(x) for x in probes]
+        probes = np.stack([v.features for v in blob_vectors[::7]])
+        assert a.predict(probes) == b.predict(probes)
 
     def test_monotone_scaling_invariance(self, blob_vectors):
         model = train_cvr(blob_vectors)
         scaled = [LabeledVector(features=v.features * 4.0, label=v.label)
                   for v in blob_vectors]
         scaled_model = train_cvr(scaled)
-        for v in blob_vectors[::5]:
-            assert model.predict(v.features) == scaled_model.predict(v.features * 4.0)
+        probes = np.stack([v.features for v in blob_vectors[::5]])
+        assert model.predict(probes) == scaled_model.predict(probes * 4.0)
 
 
 class TestTrainGnb:
@@ -96,7 +103,7 @@ class TestTrainGnb:
         labels = [EmotionLabel.JOY] * 400 + [EmotionLabel.ANGER] * 400
         model = train_gnb(make_data(features, labels))
         xs = np.linspace(-1.0, 1.0, 2001)
-        predictions = [model.predict(np.array([x])) for x in xs]
+        predictions = model.predict(xs[:, None])
         flips = [x for x, a, b in zip(xs[1:], predictions, predictions[1:]) if a != b]
         assert len(flips) == 1
         assert abs(flips[0]) <= 0.1
@@ -111,8 +118,8 @@ class TestTrainGnb:
         shuffled = list(blob_vectors)
         rng.shuffle(shuffled)
         a, b = train_gnb(blob_vectors), train_gnb(shuffled)
-        probes = [v.features for v in blob_vectors[::7]]
-        assert [a.predict(x) for x in probes] == [b.predict(x) for x in probes]
+        probes = np.stack([v.features for v in blob_vectors[::7]])
+        assert a.predict(probes) == b.predict(probes)
 
 
 class TestTrainKnn:
@@ -130,8 +137,8 @@ class TestTrainKnn:
         scaled = [LabeledVector(features=v.features * 2.5, label=v.label)
                   for v in blob_vectors]
         scaled_model = train_knn(scaled, k=3)
-        for v in blob_vectors[::5]:
-            assert model.predict(v.features) == scaled_model.predict(v.features * 2.5)
+        probes = np.stack([v.features for v in blob_vectors[::5]])
+        assert model.predict(probes) == scaled_model.predict(probes * 2.5)
 
 
 class TestSplit:
@@ -190,27 +197,101 @@ class TestClassificationAccuracy:
 
 
 @st.composite
-def split_cases(draw):
-    """Ascending feature values (often tied), targets (often 0/1), min_leaf <= n/2."""
+def split_columns(draw):
+    """One node's (n, d) ascending feature columns (often tied), their targets
+    (often 0/1) and a min_leaf <= n/2; each column is drawn on its own."""
     n = draw(st.integers(1, 200))
-    if draw(st.booleans()):
-        value = st.integers(0, 5).map(float)
-    else:
-        value = st.floats(-1e3, 1e3, allow_nan=False)
-    if draw(st.booleans()):
-        target = st.sampled_from([0.0, 1.0])
-    else:
-        target = st.floats(-10.0, 10.0, allow_nan=False)
-    values = draw(st.lists(value, min_size=n, max_size=n))
-    targets = draw(st.lists(target, min_size=n, max_size=n))
+    values, targets = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            value = st.integers(0, 5).map(float)
+        else:
+            value = st.floats(-1e3, 1e3, allow_nan=False)
+        if draw(st.booleans()):
+            target = st.sampled_from([0.0, 1.0])
+        else:
+            target = st.floats(-10.0, 10.0, allow_nan=False)
+        values.append(np.sort(np.asarray(draw(st.lists(value, min_size=n, max_size=n)))))
+        targets.append(draw(st.lists(target, min_size=n, max_size=n)))
     min_leaf = draw(st.integers(1, max(1, n // 2)))
-    return np.sort(np.asarray(values)), np.asarray(targets), min_leaf
+    return np.column_stack(values), np.column_stack(targets), min_leaf
 
 
 class TestBestSplitScan:
     @settings(max_examples=400, deadline=None)
-    @given(split_cases())
+    @given(split_columns())
     def test_matches_loop_oracle(self, case):
         values, targets, min_leaf = case
-        assert (best_split_scan(values, targets, min_leaf)
-                == split_scan_loop(values, targets, min_leaf))
+        thresholds, gains = best_split_scan(values, targets, min_leaf)
+        assert list(zip(thresholds.tolist(), gains.tolist())) == [
+            split_scan_loop(values[:, j], targets[:, j], min_leaf)
+            for j in range(values.shape[1])]
+
+
+CLASS_SETS = [EMOTION_ORDER[:2], EMOTION_ORDER[1:], EMOTION_ORDER[::2], EMOTION_ORDER]
+
+
+@st.composite
+def labeled_sets(draw):
+    """(training vectors, probe rows) with heavily tied, constant and
+    continuous feature columns; the probes include every training row."""
+    labels = []
+    for c in draw(st.sampled_from(CLASS_SETS)):
+        labels += [c] * draw(st.integers(5, 25))
+    # up to 16 columns: numpy sums 8 or more terms pairwise, fewer in a row
+    kinds = draw(st.lists(st.sampled_from(["ties", "constant", "normal"]),
+                          min_size=1, max_size=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng.shuffle(labels)
+    rows = len(labels) + 20
+    columns = []
+    for kind in kinds:
+        if kind == "ties":
+            columns.append(0.5 * rng.integers(0, 5, rows))
+        elif kind == "constant":
+            columns.append(np.full(rows, rng.normal()))
+        else:
+            columns.append(rng.normal(size=rows))
+    X = np.column_stack(columns)
+    return make_data(X[:len(labels)], labels), X
+
+
+class TestAgainstPerVectorOracle:
+    """Presorted trees and batched predict against the per-vector models."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(labeled_sets(), st.integers(0, 8), st.integers(1, 12))
+    def test_cvr_trees_and_labels(self, case, max_depth, min_leaf):
+        train, probes = case
+        config = TreeConfig(max_depth=max_depth, min_leaf=min_leaf)
+        model = train_cvr(train, config)
+        assert (model.classes, model.trees) == cvr_trees_loop(train, config)
+        assert model.predict(probes) == [cvr_predict_one(model, x) for x in probes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_sets())
+    def test_gnb_log_likelihoods_and_labels(self, case):
+        train, probes = case
+        model = train_gnb(train)
+        assert np.array_equal(model.log_likelihoods(probes),
+                              np.stack([gnb_log_likelihood_one(model, x) for x in probes]))
+        assert model.predict(probes) == [gnb_predict_one(model, x) for x in probes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_sets(), st.sampled_from([1, 3]))
+    def test_knn_labels(self, case, k):
+        train, probes = case
+        model = train_knn(train, k=k)
+        assert model.predict(probes) == [knn_predict_one(model, x) for x in probes]
+
+
+class TestTreeConfig:
+    @pytest.mark.parametrize("max_depth, min_leaf", [(-1, 5), (-3, 5), (6, 0), (6, -2)])
+    def test_bad_numbers(self, max_depth, min_leaf):
+        with pytest.raises(ValueError, match="^require max_depth >= 0 and min_leaf >= 1, "
+                                             f"got {max_depth}, {min_leaf}$"):
+            TreeConfig(max_depth=max_depth, min_leaf=min_leaf)
+
+    def test_edges_accepted(self):
+        config = TreeConfig(max_depth=0, min_leaf=1)
+        assert (config.max_depth, config.min_leaf) == (0, 1)

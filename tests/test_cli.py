@@ -124,13 +124,16 @@ class TestMalformedConfig:
         ('{"holdout": {"test_fraction": NaN}}', "holdout"),
         ('{"holdout": {"test_fraction": 1.5}}', "holdout"),
         ('{"holdout": {"test_fraction": 0}}', "holdout"),
+        ('{"tree": {"min_leaf": 0}}', "tree"),
+        ('{"tree": {"max_depth": -3}}', "tree"),
     ], ids=["unknown_nested_key", "array_section", "array_config", "string_seed",
             "null_seed", "invalid_value", "bad_syntax", "nan_threshold_fraction",
             "infinite_threshold_fraction", "negative_threshold_fraction",
             "nan_median_window", "negative_refractory", "negative_integration_window",
             "zero_min_signal", "zero_band_low", "inverted_band", "infinite_band_high",
             "nan_hr_min", "negative_hr_max", "inverted_window", "infinite_hr_max",
-            "nan_test_fraction", "test_fraction_above_one", "zero_test_fraction"])
+            "nan_test_fraction", "test_fraction_above_one", "zero_test_fraction",
+            "zero_min_leaf", "negative_max_depth"])
     def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
         _, corpus, features = workspace
         config_path = tmp_path / "config.json"

@@ -82,7 +82,7 @@ PIPELINE_CONFIGS = st.builds(
         threshold_fraction=FINITE_NON_NEGATIVE, median_window_s=FINITE_POSITIVE,
         min_signal_s=FINITE_POSITIVE),
     split=st.builds(SplitSpec, OPEN_UNIT, st.integers()),
-    tree=st.builds(TreeConfig, st.integers(), st.integers()),
+    tree=st.builds(TreeConfig, st.integers(min_value=0), st.integers(min_value=1)),
     filter_window=st.builds(lambda bounds: FilterWindow(min(bounds), max(bounds)),
                             st.tuples(FINITE_NON_NEGATIVE, FINITE_NON_NEGATIVE)),
     holdout=st.builds(HoldoutSpec, OPEN_UNIT, st.integers(), st.booleans()),

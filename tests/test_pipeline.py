@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from make_outputs_sha256 import SPEC as GATE_SPEC
+from oracles import classifier_matrix_loop
+from voicehr.classify import LabeledVector, SplitSpec
 from voicehr.errors import CorruptJsonError, OutOfRangeError, SubjectMismatchError
 from voicehr.pipeline import (
     CellScore,
@@ -12,6 +15,7 @@ from voicehr.pipeline import (
     HoldoutSpec,
     PipelineConfig,
     build_report,
+    classifier_matrix,
     compare_experiments,
     filter_observations,
     general_model_score,
@@ -22,7 +26,9 @@ from voicehr.pipeline import (
     run_experiment_separate,
 )
 from voicehr.regression import Observation
-from voicehr.signal_io import EMOTION_ORDER, EmotionLabel, read_json
+from voicehr.extract import extract_observations
+from voicehr.signal_io import EMOTION_ORDER, EmotionLabel, load_manifest, read_json
+from voicehr.synth import generate_synthetic_corpus
 
 
 def make_observations(lines, n_per_cell, noise_std, seed):
@@ -341,3 +347,32 @@ class TestConfigRules:
     @pytest.mark.parametrize("fraction", [5e-324, 0.5, 0.9999])
     def test_test_fraction_accepted(self, fraction):
         assert HoldoutSpec(test_fraction=fraction).test_fraction == fraction
+
+
+@pytest.fixture(scope="module")
+def noisy_gate_vectors(tmp_path_factory):
+    """The byte gate corpus's vectors with seeded noise, doubled until no
+    classifier scores 100 % on split seed 0 (it scores 100 % without noise)."""
+    manifest_path, _ = generate_synthetic_corpus(GATE_SPEC, tmp_path_factory.mktemp("gate"))
+    _, vectors_by_subject = extract_observations(load_manifest(manifest_path))
+    spread = np.stack([v.features for vs in vectors_by_subject.values() for v in vs]).std(axis=0)
+    for scale in 0.05 * 2.0 ** np.arange(8):
+        rng = np.random.default_rng(11)
+        noisy = {sid: [LabeledVector(v.features + scale * spread * rng.normal(size=spread.size),
+                                     v.label, v.subject_id) for v in vs]
+                 for sid, vs in vectors_by_subject.items()}
+        matrix, _ = classifier_matrix(noisy, PipelineConfig())
+        if all(acc < 100.0 for row in matrix.values() for acc in row.values()):
+            return noisy
+    raise AssertionError("every noise scale left a classifier at 100 %")
+
+
+class TestClassifierMatrixAgainstOracle:
+    """A flipped decision changes no byte of the gate corpus's 100 % matrix;
+    on noisy vectors it changes an accuracy."""
+
+    @pytest.mark.parametrize("split_seed", range(6))
+    def test_matches_per_vector_models(self, noisy_gate_vectors, split_seed):
+        config = PipelineConfig(split=SplitSpec(seed=split_seed))
+        matrix, _ = classifier_matrix(noisy_gate_vectors, config)
+        assert matrix == classifier_matrix_loop(noisy_gate_vectors, config)
