@@ -8,6 +8,8 @@ stratified splits and fixed tie-breaking in Joy < Neutral < Anger order.
 Training sorts each feature once, stably, for all trees; a node scans
 every feature in one `best_split_scan` call and its children keep their
 rows in that order. Each model's `predict` labels every row of a 2-D array.
+The trainers and `classification_accuracy` take a list of LabeledVector or
+a `VectorSet`, so a set used several times is stacked once.
 """
 
 from __future__ import annotations
@@ -28,9 +30,34 @@ GNB_VARIANCE_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LabeledVector:
+    """One feature vector and its emotion.
+
+    `features` may be a read-only view that shares its buffer with other
+    vectors (`read_embeddings_csv` gives such rows); treat it as read-only.
+    """
+
     features: np.ndarray
     label: EmotionLabel
     subject_id: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class VectorSet:
+    """Labeled vectors stacked once: `features` is (n, d) float64, `labels` in row order."""
+
+    features: np.ndarray
+    labels: tuple
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def stack_vectors(data) -> VectorSet:
+    """`data`, a list of LabeledVector or a VectorSet, as a VectorSet."""
+    if isinstance(data, VectorSet):
+        return data
+    return VectorSet(np.array([d.features for d in data], dtype=np.float64),
+                     tuple(d.label for d in data))
 
 
 @dataclass(frozen=True)
@@ -54,18 +81,11 @@ class TreeConfig:
                              f"{self.max_depth}, {self.min_leaf}")
 
 
-def _as_arrays(data):
-    X = np.stack([d.features for d in data]).astype(np.float64)
-    labels = [d.label for d in data]
-    return X, labels
-
-
 def _classes_present(labels):
     return [c for c in EMOTION_ORDER if c in labels]
 
 
-def _check_training(data, min_per_class: int):
-    labels = [d.label for d in data]
+def _check_training(labels, min_per_class: int):
     classes = _classes_present(labels)
     if len(classes) < 2:
         raise SingleClassError("training data contains a single class")
@@ -160,8 +180,9 @@ class CvrModel:
 
 def train_cvr(data, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
     """One-vs-rest regression trees over 0/1 class indicators."""
-    classes = _check_training(data, min_per_class=5)
-    X, labels = _as_arrays(data)
+    data = stack_vectors(data)
+    classes = _check_training(data.labels, min_per_class=5)
+    X, labels = data.features, data.labels
     rows = np.arange(X.shape[0])
     orders = np.argsort(X, axis=0, kind="stable")  # shared by every tree
     trees = []
@@ -193,8 +214,9 @@ class GnbModel:
 
 def train_gnb(data) -> GnbModel:
     """Per-class Gaussian likelihoods with class priors."""
-    classes = _check_training(data, min_per_class=2)
-    X, labels = _as_arrays(data)
+    data = stack_vectors(data)
+    classes = _check_training(data.labels, min_per_class=2)
+    X, labels = data.features, data.labels
     means, variances, priors = [], [], []
     for c in classes:
         rows = X[np.asarray([lab == c for lab in labels])]
@@ -216,27 +238,31 @@ class KnnModel:
     k: int = 1
 
     def predict(self, X: np.ndarray) -> list:
-        # one row at a time: a (n_test, n_train, d) broadcast measured slower
-        labels = []
-        for x in X:
-            dist = np.linalg.norm(self.train_x - x, axis=1)
-            votes = {}
-            for i in np.argsort(dist, kind="stable")[: self.k]:
-                lab = self.train_labels[i]
-                count, total = votes.get(lab, (0, 0.0))
-                votes[lab] = (count + 1, total + dist[i])
-            # majority vote; ties by smaller summed distance, then class order
-            labels.append(min(
-                votes,
-                key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
-            ))
-        return labels
+        # Euclidean distances with np.linalg.norm's bits, a test row at a
+        # time: a (n_test, n_train, d) broadcast has the same bits but
+        # measured slower
+        dist = np.empty((X.shape[0], self.train_x.shape[0]))
+        for x, out in zip(X, dist):
+            d = self.train_x - x
+            np.sqrt(np.add.reduce(d * d, axis=1), out=out)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+        codes = np.array([EMOTION_ORDER.index(lab) for lab in self.train_labels])
+        # votes[row, class]: the k neighbours' count and summed distance,
+        # added in neighbour order as a running sum
+        hits = codes[nearest][:, :, None] == np.arange(len(EMOTION_ORDER))
+        counts = hits.sum(axis=1)
+        near = np.take_along_axis(dist, nearest, axis=1)
+        totals = np.cumsum(np.where(hits, near[:, :, None], 0.0), axis=1)[:, -1]
+        # majority vote; ties by smaller summed distance, then class order
+        best = np.lexsort((totals, -counts), axis=1)[:, 0]
+        return [EMOTION_ORDER[i] for i in best]
 
 
 def train_knn(data, k: int = 1) -> KnnModel:
-    classes = _check_training(data, min_per_class=1)
-    X, labels = _as_arrays(data)
-    return KnnModel(classes=tuple(classes), train_x=X, train_labels=tuple(labels), k=k)
+    data = stack_vectors(data)
+    classes = _check_training(data.labels, min_per_class=1)
+    return KnnModel(classes=tuple(classes), train_x=data.features, train_labels=data.labels,
+                    k=k)
 
 
 # --- evaluation ---
@@ -267,8 +293,8 @@ def split(data, spec: SplitSpec):
 
 def classification_accuracy(model, test) -> float:
     """Percent of correctly labeled test vectors."""
-    if not test:
+    if not len(test):
         raise EmptyTestSetError("empty test set")
-    X, labels = _as_arrays(test)
-    correct = sum(1 for got, lab in zip(model.predict(X), labels) if got == lab)
+    test = stack_vectors(test)
+    correct = sum(1 for got, lab in zip(model.predict(test.features), test.labels) if got == lab)
     return 100.0 * correct / len(test)

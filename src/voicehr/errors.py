@@ -121,6 +121,10 @@ class SubjectTooSmallError(VoicehrError):
     """A subject has too few pooled observations to fit."""
 
 
+class NothingToEvaluateError(VoicehrError):
+    """No observation survived the filter, or no subject has vectors to classify."""
+
+
 class SubjectMismatchError(VoicehrError):
     """Experiment outputs cover different subject sets."""
 

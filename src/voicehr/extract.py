@@ -128,8 +128,8 @@ def embeddings_header(n_cepstra: int) -> list[str]:
     return ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
 
 
-@dataclass(frozen=True)
-class _EmbeddingRow:
+@dataclass
+class _EmbeddingRow:  # not frozen: a frozen record costs twice as much to build per row
     subject_id: str
     emotion: EmotionLabel
     features: np.ndarray  # the c0.. columns, then fd
@@ -143,8 +143,14 @@ def write_embeddings_csv(vectors_by_subject, path, n_cepstra: int) -> None:
 
 
 def read_embeddings_csv(path) -> dict[str, list[LabeledVector]]:
+    """The vectors of an embeddings CSV by subject, in file order.
+
+    Each vector's `features` is a read-only view of a block that the
+    rows of one `read_table` batch share, so writing to one raises
+    instead of changing its neighbours.
+    """
     vectors_by_subject: dict[str, list[LabeledVector]] = {}
     for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
-        vectors_by_subject.setdefault(row.subject_id, []).append(LabeledVector(
-            features=row.features, label=row.emotion, subject_id=row.subject_id))
+        vectors_by_subject.setdefault(row.subject_id, []).append(
+            LabeledVector(row.features, row.emotion, row.subject_id))
     return vectors_by_subject

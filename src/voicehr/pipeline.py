@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -21,6 +22,7 @@ from .classify import LabeledVector, SplitSpec, TreeConfig
 from .ecg_hr import PeakConfig
 from .errors import (
     CellTooSmallError,
+    NothingToEvaluateError,
     OutOfRangeError,
     SubjectMismatchError,
     SubjectTooSmallError,
@@ -262,11 +264,13 @@ def classifier_matrix(vectors_by_subject: dict[str, list[LabeledVector]],
     """Per-subject accuracy of each algorithm under the stratified split.
 
     Returns (matrix, subjects) with matrix[algo][subject] in percent.
+    Each subject's train and test sets are stacked once for every algorithm.
     """
     subjects = sorted(vectors_by_subject)
     matrix: dict[str, dict[str, float]] = {a: {} for a in algorithms}
     for sid in subjects:
-        train, test = classify.split(vectors_by_subject[sid], config.split)
+        train, test = map(classify.stack_vectors,
+                          classify.split(vectors_by_subject[sid], config.split))
         for algo in algorithms:
             model = _train_algo(algo, train, config.tree)
             matrix[algo][sid] = classify.classification_accuracy(model, test)
@@ -284,8 +288,19 @@ class EvaluationReport:
 
 
 def build_report(observations, vectors_by_subject, config: PipelineConfig) -> EvaluationReport:
-    """Run both regression experiments and the classifier sweep."""
-    kept, _ = filter_observations(observations, config.filter_window)
+    """Run both regression experiments and the classifier sweep.
+
+    Raises NothingToEvaluateError, with the rejected count per reason,
+    when no observation survives the filter, and when there are no vectors.
+    """
+    kept, rejected = filter_observations(observations, config.filter_window)
+    if not kept:
+        counts = Counter(reason for _, reason in rejected)
+        detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
+        raise NothingToEvaluateError("no observation survived the filter: " + (
+            f"all {len(rejected)} rejected ({detail})" if rejected else "there are none"))
+    if not vectors_by_subject:
+        raise NothingToEvaluateError("the embeddings hold no subject to classify")
     sep_scores, _, _ = run_experiment_separate(kept, config)
     comb_scores, _, _ = run_experiment_combined(kept, config)
     comparison = compare_experiments(sep_scores, comb_scores)

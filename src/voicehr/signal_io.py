@@ -21,7 +21,7 @@ import wave
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -395,9 +395,20 @@ def write_table(path, header, rows) -> None:
                           for cell in row] for row in rows)
 
 
-# Cell parser per declared field type; numpy parses str cells as float() does
-_PARSERS = {str: str, int: int, float: float, EmotionLabel: EmotionLabel.parse,
-            np.ndarray: lambda cells: np.array(cells, dtype=np.float64)}
+class _LabelCells(dict):
+    """Emotion label of a table cell: a cell that is a label's value is one lookup."""
+
+    def __missing__(self, text):
+        return EmotionLabel.parse(text)
+
+
+# Cell parser per declared scalar field type
+_PARSERS = {str: str, int: int, float: float, EmotionLabel: _LabelCells(_LABELS).__getitem__}
+
+# Rows `read_table` parses at a time, a column at a time: parsing a whole
+# table at once raised a report's peak RSS by several MB, a batch costs
+# well under one
+_BATCH_ROWS = 256
 
 
 # A line ends at "\r\n", "\r" or "\n", as csv and text-mode files count lines
@@ -418,12 +429,17 @@ def read_table(path, record, header) -> list:
 
     Each field is read from the column of its name and parsed by its
     declared type (`str`, `int`, `float`, `EmotionLabel`); a last field
-    declared `np.ndarray` takes every column from its position on. The
-    header must equal `header`, or `header(n)` for a function of the file's
-    column count n; else CorruptHeaderError. A row of the wrong width, a
-    cell that does not parse or a byte that is not UTF-8 raises
-    CorruptRowError naming `path:line`; a parser's VoicehrError passes
-    through. Blank lines are skipped.
+    declared `np.ndarray` takes every column from its position on, as one
+    float64 row of a read-only block shared by up to `_BATCH_ROWS` rows.
+    The header must equal `header`, or `header(n)` for a function of the
+    file's column count n; else CorruptHeaderError. Blank lines are skipped.
+
+    Rows are parsed in batches, a column at a time. A batch that holds a
+    fault is parsed again a row at a time, so the first fault in file
+    order is the one raised, as a row-by-row reader would: a row of the
+    wrong width, a cell that does not parse, a quote left open or a byte
+    that is not UTF-8 raises CorruptRowError naming `path:line`, and a
+    parser's VoicehrError passes through.
     """
     text = _decode_utf8(path, Path(path).read_bytes())
     with io.StringIO(text, newline="") as fh:
@@ -433,20 +449,51 @@ def read_table(path, record, header) -> list:
         if found != expected:
             raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
         types = typing.get_type_hints(record)
-        columns = [(slice(i, None) if types[f.name] is np.ndarray else expected.index(f.name),
-                    _PARSERS[types[f.name]]) for i, f in enumerate(fields(record))]
-        rows = []
-        try:
-            for row in reader:
-                if len(row) != len(expected):
-                    if not row:
-                        continue
-                    raise CorruptRowError(f"{path}:{reader.line_num}: expected "
-                                          f"{len(expected)} fields, got {len(row)}")
-                rows.append(record(*[parse(row[at]) for at, parse in columns]))
-        except (ValueError, csv.Error) as exc:  # csv.Error: a quote left open to the end
-            raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
-    return rows
+        # (column, parser) per field; None parses the float64 block from the column on
+        columns = [(i, None) if types[f.name] is np.ndarray
+                   else (expected.index(f.name), _PARSERS[types[f.name]])
+                   for i, f in enumerate(fields(record))]
+        parse = functools.partial(_parse_rows, record, len(expected), columns)
+        records = []
+        while True:
+            rows, lines, fault = [], [], None
+            try:
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        lines.append(reader.line_num)
+                        if len(rows) == _BATCH_ROWS:
+                            break
+            except csv.Error as exc:  # a quote left open to the end
+                fault = CorruptRowError(f"{path}:{reader.line_num}: {exc}")
+            try:
+                records += parse(rows)
+            except (ValueError, VoicehrError):
+                for row, line in zip(rows, lines):
+                    try:
+                        records += parse([row])
+                    except ValueError as exc:
+                        raise CorruptRowError(f"{path}:{line}: {exc}") from None
+            if fault is not None:
+                raise fault
+            if len(rows) < _BATCH_ROWS:
+                return records
+
+
+def _parse_rows(record, width: int, columns, rows) -> list:
+    """`record`s of the non-blank CSV `rows`, a column at a time."""
+    widths = set(map(len, rows)) - {width}
+    if widths:
+        raise ValueError(f"expected {width} fields, got {widths.pop()}")
+    values = []
+    for at, parse in columns:
+        if parse is None:  # numpy parses each str cell as float() does
+            block = np.array([row[at:] for row in rows], dtype=np.float64)
+            block.flags.writeable = False
+            values.append(block)
+        else:
+            values.append(map(parse, map(itemgetter(at), rows)))
+    return list(map(record, *values))
 
 
 def write_json(path, value) -> None:

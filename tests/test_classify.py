@@ -277,10 +277,16 @@ class TestAgainstPerVectorOracle:
                               np.stack([gnb_log_likelihood_one(model, x) for x in probes]))
         assert model.predict(probes) == [gnb_predict_one(model, x) for x in probes]
 
-    @settings(max_examples=200, deadline=None)
-    @given(labeled_sets(), st.sampled_from([1, 3]))
-    def test_knn_labels(self, case, k):
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_sets(), st.sampled_from([1, 2, 3, 5]), st.data())
+    def test_knn_labels(self, case, k, data):
+        """Even k ties votes, so the summed distance decides; k may exceed a
+        class's count; copies of training rows, under any label, give equal
+        distances that the stable order must break as the oracle does."""
         train, probes = case
+        copies = data.draw(st.lists(st.tuples(st.integers(0, len(train) - 1),
+                                              st.sampled_from(EMOTION_ORDER)), max_size=12))
+        train = train + [LabeledVector(train[i].features, label) for i, label in copies]
         model = train_knn(train, k=k)
         assert model.predict(probes) == [knn_predict_one(model, x) for x in probes]
 

@@ -377,6 +377,28 @@ class TestReport:
         err = capsys.readouterr().err
         assert "orphan_embeddings.csv" in err and "run extract first" in err
 
+    @pytest.mark.parametrize("emptied, message", [
+        ("hr_500", "no observation survived the filter: all 72 rejected (hr_out_of_range: 72)"),
+        ("features", "no observation survived the filter: there are none"),
+        ("embeddings", "the embeddings hold no subject to classify"),
+    ])
+    def test_nothing_to_evaluate_is_named(self, workspace, tmp_path, capsys, emptied, message):
+        _, _, features = workspace
+        tables = {"features": features.read_text().splitlines(),
+                  "embeddings": features.with_name("features_embeddings.csv")
+                  .read_text().splitlines()}
+        if emptied == "hr_500":
+            tables["features"][1:] = [row.rsplit(",", 1)[0] + ",500.0"
+                                      for row in tables["features"][1:]]
+        else:
+            del tables[emptied][1:]
+        copy = _write_lines(tmp_path / "features.csv", tables["features"])
+        _write_lines(tmp_path / "features_embeddings.csv", tables["embeddings"])
+        # a numpy RuntimeWarning would be an error here (pyproject filterwarnings)
+        assert main(["report", "--features", str(copy),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # Edits that break a copied table; lines[2] is the file's line 3.
 def _drop_last_field(lines):

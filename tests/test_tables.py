@@ -1,10 +1,12 @@
 """The shared CSV table codec against the per-table loops it replaced."""
 
+import csv
 import io
 import math
 import re
 import struct
 from dataclasses import fields
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from voicehr.extract import (
 )
 from voicehr.regression import Observation
 from voicehr.signal_io import (
+    _BATCH_ROWS,
+    EMOTION_ORDER,
     EmotionLabel,
     ManifestEntry,
     load_manifest,
@@ -273,6 +277,140 @@ class TestMalformedTables:
         path.write_bytes(b"subject_\xffid\n")
         with pytest.raises(CorruptRowError, match=f"^{re.escape(str(path))}:1: "):
             read_features_csv(path)
+
+
+def _feature_rows(n):
+    """`n` distinct valid rows of a features table, without their line ends."""
+    rng = np.random.default_rng(n)
+    return [f"s{i % 7:02d},{EMOTION_ORDER[i % 3].value},{i},{rng.normal()!r},"
+            f"{60.0 + 40.0 * rng.random()!r}" for i in range(n)]
+
+
+# Table lengths around the reader's batch size, up to more than two batches
+LENGTHS = [_BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 2 * _BATCH_ROWS, 2 * _BATCH_ROWS + 37]
+
+# A fault in a features row: (edit of the row, the error read_features_csv raises,
+# its text after any `path:line: `, where None takes the oracle's text)
+FAULTS = {
+    "bad_float": (lambda row: row.rsplit(",", 2)[0] + ",abc," + row.rsplit(",", 1)[1],
+                  CorruptRowError, None),
+    "unknown_emotion": (lambda row: row.replace(row.split(",")[1], "bliss", 1),
+                        UnknownEmotionError, None),
+    "short_row": (lambda row: row.rsplit(",", 1)[0], CorruptRowError,
+                  "expected 5 fields, got 4"),
+}
+
+
+def _read_error_line(path):
+    """(line, text) of the csv.Error a row-by-row csv.reader meets in `path`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        with pytest.raises(csv.Error) as raised:
+            for _ in reader:
+                pass
+        return reader.line_num, str(raised.value)
+
+
+class TestAcrossBatches:
+    """Tables longer than one batch read as the row-by-row loops read them."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_long_tables_match_loops(self, tmp_path, n):
+        path = _features_file(tmp_path, "".join(row + "\n" for row in _feature_rows(n)))
+        _same_outcome(read_features_csv, read_features_loop, path)
+        assert len(read_features_csv(path)) == n
+
+        rng = np.random.default_rng(n)
+        vectors = {f"s{j}": [LabeledVector(rng.normal(size=4), EMOTION_ORDER[i % 3], f"s{j}")
+                             for i in range(n // 3 + j)] for j in range(3)}
+        write_embeddings_csv(vectors, tmp_path / "emb.csv", 3)
+        got, expected = (read(tmp_path / "emb.csv")
+                         for read in (read_embeddings_csv, read_embeddings_loop))
+        assert list(got) == list(expected)
+        for subject_id, vecs in expected.items():
+            assert [(_bits(v.features), v.label, v.subject_id) for v in got[subject_id]] \
+                == [(_bits(v.features), v.label, v.subject_id) for v in vecs]
+
+    @pytest.mark.parametrize("at", [_BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1,
+                                    2 * _BATCH_ROWS])
+    def test_blank_line_and_quoted_newline_on_a_boundary(self, tmp_path, at):
+        n = 2 * _BATCH_ROWS + 37
+        rows = _feature_rows(n)
+        rows[at] = '"s\n' + rows[at][1:].replace(",", '",', 1)
+        rows[at:at] = [""]
+        path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+        _same_outcome(read_features_csv, read_features_loop, path)
+        assert read_features_csv(path)[at].subject_id.startswith("s\n")
+        # a fault after them names its line: the header, the rows and one more
+        # line for the quoted newline
+        path.write_text(path.read_text() + "s01,joy,0,1.0\n")
+        with pytest.raises(CorruptRowError, match=f"^{re.escape(str(path))}:{len(rows) + 3}: "
+                           "expected 5 fields, got 4$"):
+            read_features_csv(path)
+
+        # the embeddings row at `at` is the first of subject "b\n"
+        vectors = {sid: [LabeledVector(np.array([0.5 * i, 2.0]), EMOTION_ORDER[i % 3], sid)
+                         for i in range(size)] for sid, size in (("a", at), ("b\n", n - at))}
+        write_embeddings_csv(vectors, tmp_path / "emb.csv", 1)
+        got, expected = (read(tmp_path / "emb.csv")
+                         for read in (read_embeddings_csv, read_embeddings_loop))
+        assert {sid: [(_bits(v.features), v.label) for v in vecs] for sid, vecs in got.items()} \
+            == {sid: [(_bits(v.features), v.label) for v in vecs]
+                for sid, vecs in expected.items()}
+
+    @pytest.mark.parametrize("where", [(_BATCH_ROWS + 3, _BATCH_ROWS + 10),
+                                       (_BATCH_ROWS - 2, _BATCH_ROWS + 2)],
+                             ids=["one_batch", "two_batches"])
+    @pytest.mark.parametrize("first, second", list(permutations(FAULTS, 2)))
+    def test_first_of_two_faults_wins(self, tmp_path, first, second, where):
+        rows = _feature_rows(2 * _BATCH_ROWS + 37)
+        for kind, at in zip((first, second), where):
+            rows[at] = FAULTS[kind][0](rows[at])
+        path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+        _, error, text = FAULTS[first]
+        if text is None:  # the oracle stops at the first fault too
+            with pytest.raises((ValueError, UnknownEmotionError)) as oracle:
+                read_features_loop(path)
+            text = str(oracle.value)
+        if error is CorruptRowError:
+            text = f"{path}:{where[0] + 2}: {text}"
+        with pytest.raises(error) as raised:
+            read_features_csv(path)
+        assert str(raised.value) == text
+
+    @pytest.mark.parametrize("tail_rows", [50, 8000], ids=["short_tail", "over_field_limit"])
+    def test_bad_cell_before_a_quote_left_open(self, tmp_path, tail_rows):
+        rows = _feature_rows(_BATCH_ROWS + 20 + tail_rows)
+        rows[_BATCH_ROWS + 3] = FAULTS["bad_float"][0](rows[_BATCH_ROWS + 3])
+        rows[_BATCH_ROWS + 10] = '"' + rows[_BATCH_ROWS + 10]
+        path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+        with pytest.raises(CorruptRowError, match=f"^{re.escape(str(path))}:{_BATCH_ROWS + 5}: "
+                           "could not convert string to float: 'abc'$"):
+            read_features_csv(path)
+
+    def test_quote_left_open_names_the_readers_line(self, tmp_path):
+        rows = _feature_rows(_BATCH_ROWS + 8020)
+        rows[_BATCH_ROWS + 10] = '"' + rows[_BATCH_ROWS + 10]
+        path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+        line, text = _read_error_line(path)
+        with pytest.raises(CorruptRowError, match=f"^{re.escape(f'{path}:{line}: {text}')}$"):
+            read_features_csv(path)
+
+    def test_header_only_embeddings(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        write_embeddings_csv({}, path, 2)
+        assert read_embeddings_csv(path) == read_embeddings_loop(path) == {}
+
+    def test_rows_share_a_read_only_block(self, tmp_path):
+        vectors = {"s01": [LabeledVector(np.array([1.0 * i, -1.0]), EmotionLabel.JOY, "s01")
+                           for i in range(3)]}
+        write_embeddings_csv(vectors, tmp_path / "emb.csv", 1)
+        first, second, _ = read_embeddings_csv(tmp_path / "emb.csv")["s01"]
+        assert first.features.base is second.features.base is not None
+        assert not first.features.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.features[0] = 9.0
+        assert second.features.tolist() == [1.0, -1.0]
 
 
 class TestWriteTable:
