@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import (
     EmptyTestSetError,
+    InvalidSignalError,
     SingleClassError,
     TooFewExamplesError,
 )
-from .signal_io import EMOTION_ORDER, EmotionLabel
+from .signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel
 
 GNB_VARIANCE_FLOOR = 1e-9
 
@@ -53,11 +54,17 @@ class VectorSet:
 
 
 def stack_vectors(data) -> VectorSet:
-    """`data`, a list of LabeledVector or a VectorSet, as a VectorSet."""
+    """`data`, a list of LabeledVector or a VectorSet, as a VectorSet.
+
+    Each value must be finite with magnitude below `VALUE_LIMIT`.
+    """
     if isinstance(data, VectorSet):
         return data
-    return VectorSet(np.array([d.features for d in data], dtype=np.float64),
-                     tuple(d.label for d in data))
+    features = np.array([d.features for d in data], dtype=np.float64)
+    if not (np.abs(features) < VALUE_LIMIT).all():
+        raise InvalidSignalError(f"a feature value is not finite or is {VALUE_LIMIT:g} "
+                                 "or more in magnitude")
+    return VectorSet(features, tuple(d.label for d in data))
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 Verbs: synth, extract, fit, classify, report, predict. Exit codes:
 0 success, 2 validation error, 3 data error, 4 convergence failure.
+The class of an error is its type's `exit_code`; an `OSError` is a data
+error, and any other exception is a bug, shown as a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
-from .errors import (
-    ConvergenceFailureError,
-    CorruptJsonError,
-    MissingFileError,
-    SpecInvalidError,
-    VoicehrError,
-)
+from .errors import MissingFileError, SpecInvalidError, VoicehrError, named
 from .extract import (
     embeddings_csv_path,
     extract_observations,
@@ -36,6 +32,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
+
+# An error is one line, though a path from a manifest may hold a line break
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -80,7 +79,8 @@ def cmd_fit(args) -> int:
     kept, rejected = pipeline.filter_observations(observations, config.filter_window)
     experiment = (pipeline.run_experiment_separate if args.mode == "separate"
                   else pipeline.run_experiment_combined)
-    _, models, skipped = experiment(kept, replace(config, holdout=HoldoutSpec(in_sample=True)))
+    with named(args.features):
+        _, models, skipped = experiment(kept, replace(config, holdout=HoldoutSpec(in_sample=True)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for model in models:
@@ -92,8 +92,10 @@ def cmd_fit(args) -> int:
 
 def cmd_classify(args) -> int:
     config = _load_config(args.config)
-    matrix, subjects = pipeline.classifier_matrix(
-        _read_embeddings(args.features), config, algorithms=(args.algo,))
+    vectors_by_subject = _read_embeddings(args.features)
+    with named(embeddings_csv_path(args.features)):
+        matrix, subjects = pipeline.classifier_matrix(vectors_by_subject, config,
+                                                      algorithms=(args.algo,))
     write_table(sys.stdout if args.out is None else args.out, ["classifier"] + subjects,
                 [[args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects]])
     return EXIT_OK
@@ -102,7 +104,8 @@ def cmd_classify(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args.config)
     observations = read_features_csv(args.features)
-    report = pipeline.build_report(observations, _read_embeddings(args.features), config)
+    report = pipeline.build_report(observations, _read_embeddings(args.features), config,
+                                   (args.features, embeddings_csv_path(args.features)))
     models = None
     if args.models:
         models = [load_model(p) for p in sorted(Path(args.models).glob("*.json"))]
@@ -115,7 +118,7 @@ def cmd_report(args) -> int:
 def cmd_predict(args) -> int:
     # a feature distance is a Euclidean norm
     if not (math.isfinite(args.fd) and args.fd >= 0):
-        raise ValueError(f"--fd must be a finite number >= 0, got {args.fd}")
+        raise SpecInvalidError(f"--fd must be a finite number >= 0, got {args.fd}")
     model = load_model(args.model)
     print(f"{predict(model, args.fd):g}")
     return EXIT_OK
@@ -173,14 +176,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (SpecInvalidError, CorruptJsonError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (VoicehrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except VoicehrError as exc:
+        print(f"error: {exc}".translate(_ONE_LINE), file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}".translate(_ONE_LINE), file=sys.stderr)
         return EXIT_DATA
 
 

@@ -27,6 +27,9 @@ from .signal_io import EcgRecord
 # One "small square" on standard ECG paper, in seconds.
 SMALL_SQUARE_S = 0.04
 
+# filtfilt's padding at each end: three lengths of the order-2 band-pass's 5 coefficients
+_PADLEN = 15
+
 
 @dataclass(frozen=True)
 class PeakConfig:
@@ -176,6 +179,9 @@ def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPea
     if record.duration_s < config.min_signal_s:
         raise SignalTooShortError(
             f"need >= {config.min_signal_s} s of ECG, got {record.duration_s:.3f} s")
+    if record.samples.size <= _PADLEN:
+        raise SignalTooShortError(f"need > {_PADLEN} ECG samples for the band-pass filter, "
+                                  f"got {record.samples.size}")
     env, band = _envelope(record.samples, rate, config)
     peak_floor = env.max()
     if peak_floor <= 0.0:

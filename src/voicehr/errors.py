@@ -2,7 +2,27 @@
 
 
 class VoicehrError(Exception):
-    """Base class for all voicehr errors."""
+    """Base class for all voicehr errors.
+
+    `exit_code` is the CLI's exit class for the error: 3, a data error
+    (missing or corrupt input), unless a subclass says otherwise.
+    """
+
+    exit_code = 3
+
+
+class named:
+    """Context: a VoicehrError of the block is raised again as its type, prefixed with `source`."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, VoicehrError):
+            raise type(exc)(f"{self.source}: {exc}") from None
 
 
 # --- signal I/O ---
@@ -20,11 +40,7 @@ class EmptySignalError(VoicehrError):
 
 
 class InvalidSignalError(VoicehrError):
-    """Signal has a non-finite sample or a non-positive sample rate."""
-
-
-class NonUniformSamplingError(VoicehrError):
-    """ECG timestamps deviate too far from a uniform grid."""
+    """Signal has a non-finite sample or a bad sample rate, or a feature vector a bad value."""
 
 
 class CorruptRowError(VoicehrError):
@@ -33,6 +49,8 @@ class CorruptRowError(VoicehrError):
 
 class CorruptJsonError(VoicehrError):
     """A JSON file does not parse or does not fit its declared record."""
+
+    exit_code = 2
 
 
 class DuplicateEntryError(VoicehrError):
@@ -136,6 +154,10 @@ class OutOfRangeError(VoicehrError):
 class ConvergenceFailureError(VoicehrError):
     """Closed-loop feature-distance targeting did not converge."""
 
+    exit_code = 4
+
 
 class SpecInvalidError(VoicehrError):
-    """Synthetic corpus spec violates its invariants."""
+    """A synthetic corpus spec or a command-line value violates its rules."""
+
+    exit_code = 2

@@ -18,7 +18,7 @@ import numpy as np
 from ._parallel import map_jobs
 from .classify import LabeledVector
 from .ecg_hr import PeakConfig, extract_heart_rate
-from .errors import VoicehrError
+from .errors import named
 from .regression import Observation
 from .signal_io import (
     DatasetManifest,
@@ -41,14 +41,6 @@ FEATURES_HEADER = ["subject_id", "emotion", "take_index",
                    "feature_distance", "heart_rate_bpm"]
 
 
-def _naming(path, fn, *args):
-    """`fn(*args)`; a VoicehrError it raises is raised again, prefixed with `path`."""
-    try:
-        return fn(*args)
-    except VoicehrError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
 def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureConfig(),
                  peak_config: PeakConfig = PeakConfig(), cepstra_dir=None):
     """(embedding, heart rate) of one take.
@@ -58,12 +50,16 @@ def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureCo
     detector names the WAV or ECG file it came from, as the loaders'
     errors do.
     """
-    cepstra = _naming(entry.audio_path, mfcc, load_audio(entry.audio_path), feature_config)
+    clip = load_audio(entry.audio_path)
+    with named(entry.audio_path):
+        cepstra = mfcc(clip, feature_config)
     if cepstra_dir is not None:
         name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
         np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
-    return (utterance_embedding(cepstra),
-            _naming(entry.ecg_path, extract_heart_rate, load_ecg(entry.ecg_path), peak_config))
+    embedding = utterance_embedding(cepstra)
+    record = load_ecg(entry.ecg_path)
+    with named(entry.ecg_path):
+        return embedding, extract_heart_rate(record, peak_config)
 
 
 def extract_observations(manifest: DatasetManifest,

@@ -26,6 +26,7 @@ from .errors import (
     OutOfRangeError,
     SubjectMismatchError,
     SubjectTooSmallError,
+    named,
 )
 from .regression import (
     LinearModel,
@@ -34,7 +35,15 @@ from .regression import (
     predict,
     relative_error,
 )
-from .signal_io import EMOTION_ORDER, EmotionLabel, decode_json, read_json, write_json, write_table
+from .signal_io import (
+    EMOTION_ORDER,
+    VALUE_LIMIT,
+    EmotionLabel,
+    decode_json,
+    read_json,
+    write_json,
+    write_table,
+)
 from .speech_features import FeatureConfig
 
 ALGORITHMS = ("cvr", "gnb", "knn")
@@ -66,6 +75,8 @@ class HoldoutSpec:
     def __post_init__(self):
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,10 @@ class PipelineConfig:
     filter_window: FilterWindow = field(default_factory=FilterWindow)
     holdout: HoldoutSpec = field(default_factory=HoldoutSpec)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, d, source="config") -> "PipelineConfig":
@@ -100,6 +115,8 @@ def filter_observations(rows, window: FilterWindow = FilterWindow()):
             rejected.append((obs, "hr_out_of_range"))
         elif obs.feature_distance < 0:
             rejected.append((obs, "negative_fd"))
+        elif obs.feature_distance >= VALUE_LIMIT:  # its square would overflow in a fit
+            rejected.append((obs, "fd_too_large"))
         else:
             kept.append(obs)
     return kept, rejected
@@ -287,34 +304,41 @@ class EvaluationReport:
     benchmark_model: LinearModel = field(default_factory=lambda: BENCHMARK_MODEL)
 
 
-def build_report(observations, vectors_by_subject, config: PipelineConfig) -> EvaluationReport:
-    """Run both regression experiments and the classifier sweep.
+def build_report(observations, vectors_by_subject, config: PipelineConfig,
+                 sources=("observations", "vectors")) -> EvaluationReport:
+    """Run the classifier sweep and both regression experiments.
 
-    Raises NothingToEvaluateError, with the rejected count per reason,
-    when no observation survives the filter, and when there are no vectors.
+    An error is prefixed with the name of the input it comes from:
+    `sources[0]` for the observations, `sources[1]` for the vectors.
+    NothingToEvaluateError is raised when there are no vectors, and, with
+    the rejected count per reason, when no observation survives the filter.
     """
-    kept, rejected = filter_observations(observations, config.filter_window)
-    if not kept:
-        counts = Counter(reason for _, reason in rejected)
-        detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
-        raise NothingToEvaluateError("no observation survived the filter: " + (
-            f"all {len(rejected)} rejected ({detail})" if rejected else "there are none"))
-    if not vectors_by_subject:
-        raise NothingToEvaluateError("the embeddings hold no subject to classify")
-    sep_scores, _, _ = run_experiment_separate(kept, config)
-    comb_scores, _, _ = run_experiment_combined(kept, config)
-    comparison = compare_experiments(sep_scores, comb_scores)
-    matrix, _ = classifier_matrix(vectors_by_subject, config)
+    observations_source, vectors_source = sources
+    with named(vectors_source):
+        if not vectors_by_subject:
+            raise NothingToEvaluateError("the embeddings hold no subject to classify")
+        matrix, _ = classifier_matrix(vectors_by_subject, config)
     averages = {a: float(np.mean(list(per_subj.values())))
                 for a, per_subj in matrix.items()}
-    prediction_accuracy = float(np.mean([s.accuracy_pct for s in sep_scores]))
-    best_classification = max(averages.values())
+    # a classification accuracy lies in [0, 100]; a prediction accuracy need not
+    with named(observations_source):
+        kept, rejected = filter_observations(observations, config.filter_window)
+        if not kept:
+            counts = Counter(reason for _, reason in rejected)
+            detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
+            raise NothingToEvaluateError("no observation survived the filter: " + (
+                f"all {len(rejected)} rejected ({detail})" if rejected else "there are none"))
+        sep_scores, _, _ = run_experiment_separate(kept, config)
+        comb_scores, _, _ = run_experiment_combined(kept, config)
+        comparison = compare_experiments(sep_scores, comb_scores)
+        prediction_accuracy = float(np.mean([s.accuracy_pct for s in sep_scores]))
+        general = general_model_score(prediction_accuracy, max(averages.values()))
     return EvaluationReport(
         table_separate=sep_scores,
         table_combined_vs_separate=comparison,
         classifier_matrix=matrix,
         classifier_averages=averages,
-        general_model_pct=general_model_score(prediction_accuracy, best_classification),
+        general_model_pct=general,
     )
 
 

@@ -1,8 +1,8 @@
 """Loading, validation and writing of speech/ECG signals, manifests and tables.
 
-Audio lives in mono 16-bit linear PCM WAV containers, ECG in CSV text
-(either `time_s,mv` rows or a `# rate_hz=<R>` header followed by one mV
-value per line). A manifest CSV binds files to subjects and emotion labels.
+Audio lives in mono 16-bit linear PCM WAV containers, ECG in text files
+of a `# rate_hz=<R>` header followed by one mV value per line. A
+manifest CSV binds files to subjects and emotion labels.
 Every CSV table of the pipeline goes through `write_table` and `read_table`,
 and every JSON file (spec, config, model, summary) through `write_json` and
 `read_json`.
@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import re
 import typing
@@ -35,7 +36,6 @@ from .errors import (
     EmptySignalError,
     InvalidSignalError,
     MissingFileError,
-    NonUniformSamplingError,
     UnknownEmotionError,
     UnsupportedFormatError,
     VoicehrError,
@@ -79,8 +79,9 @@ class _Signal:
         kind = type(self).__name__
         if self.source_id:
             kind = f"{kind} {self.source_id}"
-        if self.sample_rate_hz <= 0:
-            raise InvalidSignalError(f"{kind}: sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidSignalError(f"{kind}: sample_rate_hz must be a finite number > 0, "
+                                     f"got {self.sample_rate_hz}")
         if self.samples.size == 0:
             raise EmptySignalError(f"{kind}: no samples")
         if not np.all(np.isfinite(self.samples)):
@@ -116,6 +117,9 @@ def load_audio(path: str | Path) -> AudioClip:
         # EOFError carries no message
         reason = str(exc) or "file ends inside the WAV header"
         raise CorruptHeaderError(f"{path}: {reason}") from exc
+    except RuntimeError:  # wave's seek past the end of the chunk it reads in
+        raise CorruptHeaderError(
+            f"{path}: a chunk size runs past the end of the RIFF chunk") from None
     if comp_type != "NONE":
         raise UnsupportedFormatError(f"{path}: compressed audio not supported")
     if n_channels != 1:
@@ -142,13 +146,20 @@ def write_audio(clip: AudioClip, path: str | Path) -> None:
         wav.writeframes(data)
 
 
-def load_ecg(path: str | Path) -> EcgRecord:
-    r"""Read an ECG CSV record.
+# No ECG sample (in mV), classifier feature value or fitted feature distance
+# reaches this magnitude: nine integer digits, as `_parse_fixed6` reads them.
+# The detector, the classifiers and the fit square such values, which would
+# overflow from about 1e154.
+VALUE_LIMIT = 1e9
 
-    Accepts either `time_s,mv` rows (rate inferred from the time column,
-    uniformity enforced) or a `# rate_hz=<R>` header with one mV value
-    per following line. The file is read as UTF-8 with "\r\n" and "\r"
-    taken as "\n"; a byte that is not UTF-8 raises CorruptRowError.
+
+def load_ecg(path: str | Path) -> EcgRecord:
+    r"""Read an ECG record: a `# rate_hz=<R>` header, then one mV value per line.
+
+    Any other first line raises CorruptHeaderError, and a finite value of
+    magnitude `VALUE_LIMIT` or more CorruptRowError. The file is read as
+    UTF-8 with "\r\n" and "\r" taken as "\n"; a byte that is not UTF-8
+    raises CorruptRowError.
 
     A `# rate_hz=` body whose every line is `-?[0-9]{1,9}\.[0-9]{6}\n`,
     the form `write_ecg` gives, is parsed without a float() per line: a
@@ -166,50 +177,26 @@ def load_ecg(path: str | Path) -> EcgRecord:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     first, _, body = text.partition("\n")
     first = first.strip()
-    if first.startswith("# rate_hz="):
-        try:
-            rate = float(first.split("=", 1)[1])
-        except ValueError:
-            raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
-        values = _parse_fixed6(body.encode())
-        if values is None:
-            values = _parse_lines(path, body)
-        if not len(values):
-            raise EmptySignalError(f"{path}: no samples")
-        return EcgRecord(values, rate, source_id=str(path))
-    if first.replace(" ", "") != "time_s,mv":
+    if not first.startswith("# rate_hz="):
         raise CorruptHeaderError(f"{path}: unrecognized header {first!r}")
-    times, values = [], []
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            t, v = float(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
-            raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
-        times.append(t)
-        values.append(v)
-    if not values:
+    try:
+        rate = float(first.split("=", 1)[1])
+    except ValueError:
+        raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
+    values = _parse_fixed6(body.encode())
+    if values is None:
+        values = _parse_lines(path, body)
+    if not len(values):
         raise EmptySignalError(f"{path}: no samples")
-    if len(values) < 2:
-        raise NonUniformSamplingError(f"{path}: need >= 2 timestamped rows")
-    times_arr = np.asarray(times)
-    dt = np.diff(times_arr)
-    rate = 1.0 / float(np.median(dt))
-    expected = times_arr[0] + np.arange(times_arr.size) / rate
-    jitter = float(np.max(np.abs(times_arr - expected)))
-    if jitter >= 0.25 / rate:
-        raise NonUniformSamplingError(f"{path}: timestamp jitter {jitter:.6g} s at rate {rate:g} Hz")
-    return EcgRecord(np.asarray(values), rate, source_id=str(path))
+    return EcgRecord(values, rate, source_id=str(path))
 
 
 def _parse_lines(path, body: str) -> list:
     r"""Values of a `# rate_hz=` body, one float() per non-blank line.
 
     Lines split at "\n" as file iteration splits them (splitlines would
-    also split at \f and \v); a bad line is named by its line number.
+    also split at \f and \v); a bad line is named by its line number, and
+    so is a finite value outside the range `_parse_fixed6` reads.
     """
     values = []
     for lineno, line in enumerate(body.split("\n"), start=2):
@@ -217,9 +204,13 @@ def _parse_lines(path, body: str) -> list:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise CorruptRowError(f"{path}:{lineno}: {line!r}") from None
+        if VALUE_LIMIT <= abs(value) < math.inf:
+            raise CorruptRowError(f"{path}:{lineno}: {line!r}: |value| must be below "
+                                  f"{VALUE_LIMIT:g} mV")
+        values.append(value)
     return values
 
 
@@ -439,12 +430,16 @@ def read_table(path, record, header) -> list:
     order is the one raised, as a row-by-row reader would: a row of the
     wrong width, a cell that does not parse, a quote left open or a byte
     that is not UTF-8 raises CorruptRowError naming `path:line`, and a
-    parser's VoicehrError passes through.
+    parser's VoicehrError is raised again as its type, prefixed with
+    `path:line`.
     """
     text = _decode_utf8(path, Path(path).read_bytes())
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, [])
+        try:
+            found = next(reader, [])
+        except csv.Error as exc:  # a quote left open past csv's field size limit
+            raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
         expected = list(header(len(found)) if callable(header) else header)
         if found != expected:
             raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
@@ -474,6 +469,8 @@ def read_table(path, record, header) -> list:
                         records += parse([row])
                     except ValueError as exc:
                         raise CorruptRowError(f"{path}:{line}: {exc}") from None
+                    except VoicehrError as exc:  # a parser's own, such as a bad label
+                        raise type(exc)(f"{path}:{line}: {exc}") from None
             if fault is not None:
                 raise fault
             if len(rows) < _BATCH_ROWS:

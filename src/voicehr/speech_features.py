@@ -10,6 +10,7 @@ reference embedding built from neutral takes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,19 @@ class FeatureConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.hop_length_s <= self.frame_length_s:
-            raise ValueError("require 0 < hop <= frame length")
+        if not 0 < self.hop_length_s <= self.frame_length_s < math.inf:
+            raise ValueError("require 0 < hop <= frame length, both finite, got "
+                             f"{self.hop_length_s}, {self.frame_length_s}")
+        if self.n_cepstra < 1:
+            raise ValueError(f"n_cepstra must be >= 1, got {self.n_cepstra}")
         if self.n_cepstra > self.n_mel_filters:
             raise ValueError("n_cepstra must not exceed n_mel_filters")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+        if self.fft_size is not None and self.fft_size < 1:
+            raise ValueError(f"fft_size must be null or >= 1, got {self.fft_size}")
+        if not math.isfinite(self.pre_emphasis):
+            raise ValueError(f"pre_emphasis must be a finite number, got {self.pre_emphasis}")
+        if not 0 < self.log_floor < math.inf:
+            raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor}")
 
     def frame_samples(self, rate_hz: float) -> int:
         return int(round(self.frame_length_s * rate_hz))

@@ -10,6 +10,7 @@ written to a ledger CSV that downstream tests use as the oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -72,10 +73,28 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_subjects < 1 or self.takes_per_emotion < 1:
             raise SpecInvalidError("need at least one subject and one take")
-        if self.noise_std_bpm < 0:
-            raise SpecInvalidError("noise_std_bpm must be non-negative")
+        if self.seed < 0:
+            raise SpecInvalidError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.noise_std_bpm < math.inf:
+            raise SpecInvalidError(
+                f"noise_std_bpm must be a finite number >= 0, got {self.noise_std_bpm}")
+        for name in ("audio_rate_hz", "utterance_s", "ecg_rate_hz", "ecg_duration_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise SpecInvalidError(f"{name} must be a finite number > 0, "
+                                       f"got {getattr(self, name)}")
+        # the utterance's and the ECG's sample counts round to at least one, and
+        # the utterance holds one analysis frame
+        for name, rate in (("utterance_s", "audio_rate_hz"), ("ecg_duration_s", "ecg_rate_hz")):
+            if getattr(self, name) * getattr(self, rate) < 1:
+                raise SpecInvalidError(f"{name} must hold one sample at {rate}, got "
+                                       f"{getattr(self, name)} s at {getattr(self, rate)} Hz")
+        if self.utterance_s < self.feature.frame_length_s:
+            raise SpecInvalidError(f"utterance_s must hold one feature frame of "
+                                   f"{self.feature.frame_length_s} s, got {self.utterance_s}")
         if not 0 < self.fd_tolerance < 1:
             raise SpecInvalidError("fd_tolerance must be in (0, 1)")
+        if self.max_fd_iterations < 1:
+            raise SpecInvalidError(f"max_fd_iterations must be >= 1, got {self.max_fd_iterations}")
 
 
 @dataclass(frozen=True)

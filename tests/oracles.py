@@ -103,8 +103,9 @@ def write_ecg_loop(record, path):
 def load_ecg_rate_loop(path):
     """(rate, samples) of a `# rate_hz=` ECG file, parsed line by line.
 
-    Blank lines are skipped; a line that is not one float raises
-    ValueError naming `path:lineno`.
+    Blank lines are skipped; a line that is not one float, or whose
+    finite value is 1e9 mV or more in magnitude, raises ValueError naming
+    `path:lineno`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rate = float(fh.readline().strip().split("=", 1)[1])
@@ -114,9 +115,12 @@ def load_ecg_rate_loop(path):
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {line!r}") from None
+            if 1e9 <= abs(value) < math.inf:
+                raise ValueError(f"{path}:{lineno}: {line!r}: |value| must be below 1e+09 mV")
+            values.append(value)
     return rate, np.asarray(values)
 
 

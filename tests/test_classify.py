@@ -18,11 +18,17 @@ from voicehr.classify import (
     best_split_scan,
     classification_accuracy,
     split,
+    stack_vectors,
     train_cvr,
     train_gnb,
     train_knn,
 )
-from voicehr.errors import EmptyTestSetError, SingleClassError, TooFewExamplesError
+from voicehr.errors import (
+    EmptyTestSetError,
+    InvalidSignalError,
+    SingleClassError,
+    TooFewExamplesError,
+)
 from voicehr.signal_io import EMOTION_ORDER, EmotionLabel
 
 
@@ -185,6 +191,16 @@ class TestClassificationAccuracy:
         model = train_knn(blob_vectors)
         with pytest.raises(EmptyTestSetError):
             classification_accuracy(model, [])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e9, 3.2e250])
+    def test_feature_value_out_of_range(self, blob_vectors, value):
+        bad = LabeledVector(np.array([0.5, value]), EMOTION_ORDER[0])
+        edge = LabeledVector(np.array([0.5, -999999999.999999]), EMOTION_ORDER[0])
+        assert stack_vectors([edge]).features.shape == (1, 2)
+        for train in (train_cvr, train_gnb, train_knn):
+            with pytest.raises(InvalidSignalError, match="^a feature value is not finite or "
+                               "is 1e[+]09 or more in magnitude$"):
+                train(blob_vectors + [bad])
 
     def test_random_labels_near_chance(self):
         rng = np.random.default_rng(67)

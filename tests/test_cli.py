@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from voicehr import pipeline
+from voicehr import cli, errors, pipeline
 from voicehr.cli import (
     EXIT_CONVERGENCE,
     EXIT_DATA,
@@ -126,6 +128,14 @@ class TestMalformedConfig:
         ('{"holdout": {"test_fraction": 0}}', "holdout"),
         ('{"tree": {"min_leaf": 0}}', "tree"),
         ('{"tree": {"max_depth": -3}}', "tree"),
+        ('{"feature": {"n_cepstra": 0}}', "feature"),
+        ('{"feature": {"fft_size": -1}}', "feature"),
+        ('{"feature": {"pre_emphasis": NaN}}', "feature"),
+        ('{"feature": {"frame_length_s": Infinity}}', "feature"),
+        ('{"feature": {"log_floor": Infinity}}', "feature"),
+        ('{"split": {"seed": -1}}', "split"),
+        ('{"holdout": {"seed": -1}}', "holdout"),
+        ('{"seed": -1}', None),
     ], ids=["unknown_nested_key", "array_section", "array_config", "string_seed",
             "null_seed", "invalid_value", "bad_syntax", "nan_threshold_fraction",
             "infinite_threshold_fraction", "negative_threshold_fraction",
@@ -133,7 +143,9 @@ class TestMalformedConfig:
             "zero_min_signal", "zero_band_low", "inverted_band", "infinite_band_high",
             "nan_hr_min", "negative_hr_max", "inverted_window", "infinite_hr_max",
             "nan_test_fraction", "test_fraction_above_one", "zero_test_fraction",
-            "zero_min_leaf", "negative_max_depth"])
+            "zero_min_leaf", "negative_max_depth", "zero_cepstra", "negative_fft_size",
+            "nan_pre_emphasis", "infinite_frame_length", "infinite_log_floor",
+            "negative_split_seed", "negative_holdout_seed", "negative_seed"])
     def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
         _, corpus, features = workspace
         config_path = tmp_path / "config.json"
@@ -397,7 +409,8 @@ class TestReport:
         # a numpy RuntimeWarning would be an error here (pyproject filterwarnings)
         assert main(["report", "--features", str(copy),
                      "--out", str(tmp_path / "r")]) == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        source = tmp_path / "features_embeddings.csv" if emptied == "embeddings" else copy
+        assert capsys.readouterr().err == f"error: {source}: {message}\n"
 
 
 # Edits that break a copied table; lines[2] is the file's line 3.
@@ -527,3 +540,236 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.count(str(path)) == 2
         assert err.count(f"error: {path}: {key}: " if key else f"error: {path}: ") == 2
+
+
+def _broken_ecg(text):
+    """A case: the workspace corpus with one ECG file replaced by `text`, run through extract."""
+    def build(workspace, tmp_path):
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        ecg = broken.resolve() / "ecg" / "s01_joy_002.csv"
+        ecg.write_text(text)
+        return ["extract", "--manifest", str(broken / "manifest.csv"),
+                "--out", str(tmp_path / "f.csv")], str(ecg)
+    return build
+
+
+def _bad_spec(payload):
+    """A case: synth with a spec of one subject and take, changed by `payload`."""
+    def build(workspace, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_subjects": 1, "takes_per_emotion": 1,
+                                         "ecg_duration_s": 4.0, **payload}))
+        return ["synth", "--spec", str(spec_path), "--out", str(tmp_path / "c")], str(spec_path)
+    return build
+
+
+def _fd_nan(workspace, tmp_path):
+    from voicehr.regression import LinearModel, save_model
+
+    path = tmp_path / "m.json"
+    save_model(LinearModel(97.031, 0.091, 10, 1.0, 1.0, 0.0), path)
+    return ["predict", "--model", str(path), "--fd", "nan"], "--fd"
+
+
+def _path_with_line_break(workspace, tmp_path):
+    _, corpus, _ = workspace
+    broken = tmp_path / "corpus"
+    shutil.copytree(corpus, broken)
+    manifest = broken / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ',"ecg/gone\n.csv"'
+    _write_lines(manifest, lines)
+    return ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")], \
+        str(manifest)
+
+
+def _infinite_embedding(workspace, tmp_path):
+    _, _, features = workspace
+    copy = tmp_path / "features.csv"
+    shutil.copy(features, copy)
+    lines = features.with_name("features_embeddings.csv").read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",inf"
+    broken = _write_lines(tmp_path / "features_embeddings.csv", lines)
+    return ["classify", "--features", str(copy)], str(broken)
+
+
+def _header_quote_left_open(workspace, tmp_path):
+    # the rest of the file becomes one header field, longer than csv's field limit
+    path = tmp_path / "features.csv"
+    path.write_text('"subject_id' + "\ns01,joy,1,1.0,70.0" * 10000 + "\n")
+    return ["fit", "--features", str(path), "--out", str(tmp_path / "models")], str(path)
+
+
+class TestExitClass:
+    """The exit class is the error type's; a fault's one `error:` line names its file."""
+
+    @pytest.mark.parametrize("build, code, text", [
+        (_broken_ecg("# rate_hz=1\n0.1\n0.2\n0.3\n"), EXIT_DATA,
+         "need > 15 ECG samples for the band-pass filter, got 3"),
+        (_broken_ecg("# rate_hz=nan\n" + "0.1\n" * 1000), EXIT_DATA,
+         "sample_rate_hz must be a finite number > 0, got nan"),
+        (_broken_ecg("time_s,mv\n" + "".join(f"{i / 250:.6f},0.1\n" for i in range(1000))),
+         EXIT_DATA, "unrecognized header 'time_s,mv'"),
+        (_fd_nan, EXIT_VALIDATION, "must be a finite number >= 0, got nan"),
+        (_bad_spec({"audio_rate_hz": 0}), EXIT_VALIDATION, "audio_rate_hz must be"),
+        (_bad_spec({"audio_rate_hz": float("nan")}), EXIT_VALIDATION, "audio_rate_hz must be"),
+        (_bad_spec({"utterance_s": 0}), EXIT_VALIDATION, "utterance_s must be"),
+        (_bad_spec({"feature": {"fft_size": -1}}), EXIT_VALIDATION, "feature: fft_size must be"),
+        (_bad_spec({"noise_std_bpm": float("nan")}), EXIT_VALIDATION, "noise_std_bpm must be"),
+        (_bad_spec({"feature": {"n_cepstra": 0}}), EXIT_VALIDATION,
+         "feature: n_cepstra must be"),
+        (_bad_spec({"feature": {"n_cepstra": -3}}), EXIT_VALIDATION,
+         "feature: n_cepstra must be"),
+        (_bad_spec({"feature": {"pre_emphasis": float("nan")}}), EXIT_VALIDATION,
+         "feature: pre_emphasis must be"),
+        (_bad_spec({"ecg_duration_s": float("inf")}), EXIT_VALIDATION,
+         "ecg_duration_s must be"),
+        (_bad_spec({"feature": {"frame_length_s": float("inf")}}), EXIT_VALIDATION,
+         "feature: require 0 < hop <= frame length, both finite"),
+        (_bad_spec({"max_fd_iterations": 0}), EXIT_VALIDATION, "max_fd_iterations must be"),
+        (_bad_spec({"audio_rate_hz": 1e-300}), EXIT_VALIDATION, "utterance_s must hold one sample"),
+        (_header_quote_left_open, EXIT_DATA, "field larger than field limit"),
+        (_path_with_line_break, EXIT_DATA, "referenced file missing: "),
+        (_infinite_embedding, EXIT_DATA, "a feature value is not finite"),
+    ], ids=["ecg_shorter_than_filter_padding", "ecg_nan_rate", "ecg_timestamped", "fd_nan",
+            "zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_fft_size",
+            "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
+            "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
+            "no_audio_sample",
+            "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
+    def test_fault_exits_in_its_class(self, workspace, tmp_path, capsys, build, code, text):
+        argv, named = build(workspace, tmp_path)
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert named in err and text in err
+        if code == EXIT_VALIDATION:  # the file, then the key
+            assert err.startswith(f"error: {named}: {text}" if named != "--fd"
+                                  else f"error: --fd {text}")
+        assert not (tmp_path / "c").exists()
+
+    def test_stray_value_error_is_a_traceback(self, tmp_path, monkeypatch):
+        from voicehr.regression import LinearModel, save_model
+
+        def stray(model, fd):
+            raise ValueError("stray")
+
+        path = tmp_path / "m.json"
+        save_model(LinearModel(97.031, 0.091, 10, 1.0, 1.0, 0.0), path)
+        monkeypatch.setattr(cli, "predict", stray)
+        with pytest.raises(ValueError, match="^stray$"):
+            main(["predict", "--model", str(path), "--fd", "1"])
+
+    def test_every_error_type_keeps_its_class(self):
+        types = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.VoicehrError)]
+        assert len(types) == 31
+        special = {errors.ConvergenceFailureError: EXIT_CONVERGENCE,
+                   errors.SpecInvalidError: EXIT_VALIDATION,
+                   errors.CorruptJsonError: EXIT_VALIDATION}
+        assert {t: t.exit_code for t in types} == {t: special.get(t, EXIT_DATA) for t in types}
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """A 24-take corpus with every file a verb reads: features, embeddings, config, models.
+
+    Eight takes per emotion leave the tree classifier the five training
+    examples per class it needs.
+    """
+    from voicehr.signal_io import write_json
+
+    root = tmp_path_factory.mktemp("damage").resolve()
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps({"n_subjects": 1, "takes_per_emotion": 8,
+                                     "ecg_duration_s": 4.0, "seed": 5}))
+    write_json(root / "config.json", pipeline.PipelineConfig())
+    assert main(["synth", "--spec", str(spec_path), "--out", str(root / "corpus")]) == EXIT_OK
+    assert main(["extract", "--manifest", str(root / "corpus" / "manifest.csv"),
+                 "--out", str(root / "features.csv")]) == EXIT_OK
+    assert main(["fit", "--features", str(root / "features.csv"),
+                 "--out", str(root / "models")]) == EXIT_OK
+    (root / "out").mkdir()
+    for verb in ("classify", "report"):
+        assert main(_argv(root, verb, root / "out")) == EXIT_OK
+    return root
+
+
+# The verbs that read each kind of input
+READERS = {"wav": ["extract"], "ecg": ["extract"], "manifest": ["extract"],
+           "features": ["fit", "report"], "embeddings": ["classify", "report"],
+           "config": ["extract", "fit", "classify", "report"], "model": ["predict", "report"]}
+
+
+def _damaged_file(root, kind, take):
+    stem = f"s01_{['joy', 'neutral', 'anger'][take % 3]}_{take // 3:03d}"
+    return root / {"wav": f"corpus/audio/{stem}.wav", "ecg": f"corpus/ecg/{stem}.csv",
+                   "manifest": "corpus/manifest.csv", "features": "features.csv",
+                   "embeddings": "features_embeddings.csv", "config": "config.json",
+                   "model": "models/s01_joy.json"}[kind]
+
+
+def _damage(data: bytes, op: str, at: int, byte: int) -> bytes:
+    """`data` after one change `op` at offset `at` (taken modulo the length)."""
+    at %= len(data) + 1
+    if op == "truncate":
+        return data[:at]
+    if op == "insert":
+        return data[:at] + bytes([byte]) + data[at:]
+    if op == "empty":
+        return b""
+    if op == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    at = min(at, len(data) - 1)
+    if op == "delete":
+        return data[:at] + data[at + 1:]
+    return data[:at] + bytes([byte]) + data[at + 1:]  # replace
+
+
+def _argv(root, verb, out):
+    config = ["--config", str(root / "config.json")]
+    features = ["--features", str(root / "features.csv")]
+    return {"extract": ["extract", "--manifest", str(root / "corpus" / "manifest.csv"), *config,
+                        "--out", str(out / "f.csv")],
+            "fit": ["fit", *features, *config, "--out", str(out / "models")],
+            "classify": ["classify", *features, *config, "--out", str(out / "m.csv")],
+            "report": ["report", *features, "--models", str(root / "models"), *config,
+                       "--out", str(out / "r")],
+            "predict": ["predict", "--model", str(root / "models" / "s01_joy.json"),
+                        "--fd", "5"]}[verb]
+
+
+class TestDamagedInputs:
+    """One byte-level change to one input never ends a verb in a traceback."""
+
+    # capsys is read before and after each example
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), kind=st.sampled_from(sorted(READERS)),
+           op=st.sampled_from(["replace", "insert", "delete", "truncate", "empty", "crlf"]),
+           at=st.integers(min_value=0, max_value=1 << 16), byte=st.integers(0, 255),
+           take=st.integers(0, 23))
+    def test_one_error_line_in_the_documented_class(self, small_store, tmp_path_factory,
+                                                    capsys, data, kind, op, at, byte, take):
+        verb = data.draw(st.sampled_from(READERS[kind]), label="verb")
+        path = _damaged_file(small_store, kind, take)
+        original = path.read_bytes()
+        path.write_bytes(_damage(original, op, at, byte))
+        capsys.readouterr()
+        try:
+            code = main(_argv(small_store, verb, tmp_path_factory.mktemp("out")))
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DATA, EXIT_CONVERGENCE)
+        if code == EXIT_OK:
+            assert err == ""
+            return
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        if code == EXIT_VALIDATION:
+            assert kind == "config" and err.startswith(f"error: {path}: ")
+        if code == EXIT_DATA:  # a changed config names the input it rejects
+            assert str(small_store if kind == "config" else path) in err

@@ -54,25 +54,29 @@ def round_trip(tmp_path, value):
 
 # NaN aside (it equals nothing), every double: -0.0, subnormals, the extremes, infinities
 FLOATS = st.floats(allow_nan=False)
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+# the values each record's checks accept, down to subnormals and the largest double
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+SEEDS = st.integers(min_value=0)
 FEATURE_CONFIGS = st.builds(
     lambda hop_frame, filters_cepstra, **kw: FeatureConfig(
         hop_length_s=min(hop_frame), frame_length_s=max(hop_frame),
         n_cepstra=min(filters_cepstra), n_mel_filters=max(filters_cepstra), **kw),
-    hop_frame=st.tuples(POSITIVE, POSITIVE),
-    filters_cepstra=st.tuples(st.integers(), st.integers()),
-    pre_emphasis=FLOATS, fft_size=st.none() | st.integers(), log_floor=POSITIVE)
+    hop_frame=st.tuples(FINITE_POSITIVE, FINITE_POSITIVE),
+    filters_cepstra=st.tuples(st.integers(min_value=1), st.integers(min_value=1)),
+    pre_emphasis=FINITE, fft_size=st.none() | st.integers(min_value=1), log_floor=FINITE_POSITIVE)
+# a rate and a duration that hold at least one sample
+SAMPLED = st.tuples(FINITE_POSITIVE, FINITE_POSITIVE).filter(lambda pair: pair[0] * pair[1] >= 1)
 SYNTH_SPECS = st.builds(
-    SynthSpec, n_subjects=st.integers(min_value=1), takes_per_emotion=st.integers(min_value=1),
-    seed=st.integers(), noise_std_bpm=st.floats(min_value=0.0, allow_nan=False),
-    homogeneous=st.booleans(), audio_rate_hz=FLOATS, utterance_s=FLOATS,
-    ecg_rate_hz=FLOATS, ecg_duration_s=FLOATS,
-    fd_tolerance=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-    max_fd_iterations=st.integers(), feature=FEATURE_CONFIGS)
-# the values each record's checks accept, down to subnormals and the largest double
-FINITE_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    lambda audio, ecg, feature, **kw: SynthSpec(
+        audio_rate_hz=audio[0], utterance_s=max(audio[1], feature.frame_length_s),
+        ecg_rate_hz=ecg[0], ecg_duration_s=ecg[1], feature=feature, **kw),
+    n_subjects=st.integers(min_value=1), takes_per_emotion=st.integers(min_value=1),
+    seed=SEEDS, noise_std_bpm=FINITE_NON_NEGATIVE, homogeneous=st.booleans(),
+    audio=SAMPLED, ecg=SAMPLED, fd_tolerance=OPEN_UNIT,
+    max_fd_iterations=st.integers(min_value=1), feature=FEATURE_CONFIGS)
 PIPELINE_CONFIGS = st.builds(
     PipelineConfig, feature=FEATURE_CONFIGS,
     peak=st.builds(
@@ -81,12 +85,12 @@ PIPELINE_CONFIGS = st.builds(
         integration_window_s=FINITE_POSITIVE, refractory_s=FINITE_NON_NEGATIVE,
         threshold_fraction=FINITE_NON_NEGATIVE, median_window_s=FINITE_POSITIVE,
         min_signal_s=FINITE_POSITIVE),
-    split=st.builds(SplitSpec, OPEN_UNIT, st.integers()),
+    split=st.builds(SplitSpec, OPEN_UNIT, SEEDS),
     tree=st.builds(TreeConfig, st.integers(min_value=0), st.integers(min_value=1)),
     filter_window=st.builds(lambda bounds: FilterWindow(min(bounds), max(bounds)),
                             st.tuples(FINITE_NON_NEGATIVE, FINITE_NON_NEGATIVE)),
-    holdout=st.builds(HoldoutSpec, OPEN_UNIT, st.integers(), st.booleans()),
-    seed=st.integers())
+    holdout=st.builds(HoldoutSpec, OPEN_UNIT, SEEDS, st.booleans()),
+    seed=SEEDS)
 
 
 class TestRoundTrip:
@@ -244,6 +248,51 @@ class TestDecode:
         with pytest.raises(CorruptJsonError,
                            match=f"^{path}: feature: n_cepstra must not exceed n_mel_filters$"):
             read_json(path, SynthSpec)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"audio_rate_hz": 0.0}, "audio_rate_hz must be a finite number > 0, got 0.0"),
+        ({"audio_rate_hz": float("nan")}, "audio_rate_hz must be a finite number > 0, got nan"),
+        ({"utterance_s": 0.0}, "utterance_s must be a finite number > 0, got 0.0"),
+        ({"ecg_rate_hz": -250.0}, "ecg_rate_hz must be a finite number > 0, got -250.0"),
+        ({"ecg_duration_s": float("inf")}, "ecg_duration_s must be a finite number > 0, got inf"),
+        ({"noise_std_bpm": float("nan")}, "noise_std_bpm must be a finite number >= 0, got nan"),
+        ({"noise_std_bpm": -1.0}, "noise_std_bpm must be a finite number >= 0, got -1.0"),
+        ({"max_fd_iterations": 0}, "max_fd_iterations must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"audio_rate_hz": 1e-300},
+         "utterance_s must hold one sample at audio_rate_hz, got 0.4 s at 1e-300 Hz"),
+        ({"ecg_duration_s": 0.001},
+         "ecg_duration_s must hold one sample at ecg_rate_hz, got 0.001 s at 250.0 Hz"),
+        ({"utterance_s": 0.02}, "utterance_s must hold one feature frame of 0.025 s, got 0.02"),
+        ({"feature": {"frame_length_s": float("inf")}},
+         "feature: require 0 < hop <= frame length, both finite, got 0.01, inf"),
+        ({"feature": {"n_cepstra": 0}}, "feature: n_cepstra must be >= 1, got 0"),
+        ({"feature": {"n_cepstra": -3}}, "feature: n_cepstra must be >= 1, got -3"),
+        ({"feature": {"fft_size": -1}}, "feature: fft_size must be null or >= 1, got -1"),
+        ({"feature": {"fft_size": 0}}, "feature: fft_size must be null or >= 1, got 0"),
+        ({"feature": {"pre_emphasis": float("nan")}},
+         "feature: pre_emphasis must be a finite number, got nan"),
+        ({"feature": {"log_floor": float("inf")}},
+         "feature: log_floor must be a finite number > 0, got inf"),
+    ], ids=["zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_ecg_rate",
+            "infinite_ecg_duration", "nan_noise", "negative_noise", "zero_iterations",
+            "negative_seed", "no_audio_sample", "no_ecg_sample", "utterance_shorter_than_frame",
+            "infinite_frame_length", "zero_cepstra", "negative_cepstra",
+            "negative_fft_size", "zero_fft_size", "nan_pre_emphasis", "infinite_log_floor"])
+    def test_synth_spec_rules(self, payload, message):
+        with pytest.raises(CorruptJsonError) as caught:
+            decode_json(payload, SynthSpec, "spec.json")
+        assert str(caught.value) == f"spec.json: {message}"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"split": {"seed": -2}}, "split: seed must be >= 0, got -2"),
+        ({"holdout": {"seed": -3}}, "holdout: seed must be >= 0, got -3"),
+    ], ids=["top_level", "split", "holdout"])
+    def test_config_seeds_are_non_negative(self, payload, message):
+        with pytest.raises(CorruptJsonError) as caught:
+            PipelineConfig.from_dict(payload, "config.json")
+        assert str(caught.value) == f"config.json: {message}"
 
     @pytest.mark.parametrize("raw", [b'{"seed": 5', b"", b'{"seed": 5}\xff', b"[1, 2] 3"])
     def test_unreadable_file_names_it(self, tmp_path, raw):

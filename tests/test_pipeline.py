@@ -81,6 +81,12 @@ class TestFilterObservations:
         _, rejected = filter_observations([self.obs(-0.1, 80.0)])
         assert rejected[0][1] == "negative_fd"
 
+    def test_rejects_distance_too_large_to_fit(self):
+        kept, rejected = filter_observations([self.obs(1e9, 80.0), self.obs(3.2e250, 80.0),
+                                              self.obs(999999999.999999, 80.0)])
+        assert [r for _, r in rejected] == ["fd_too_large", "fd_too_large"]
+        assert [o.feature_distance for o in kept] == [999999999.999999]
+
     def test_custom_window(self):
         kept, _ = filter_observations([self.obs(1.0, 25.0)],
                                       FilterWindow(hr_min_bpm=20.0))

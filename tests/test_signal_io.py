@@ -15,7 +15,6 @@ from voicehr.errors import (
     EmptySignalError,
     InvalidSignalError,
     MissingFileError,
-    NonUniformSamplingError,
     UnknownEmotionError,
     UnsupportedFormatError,
 )
@@ -109,6 +108,16 @@ class TestLoadAudio:
         assert str(raised.value) == (f"{cut}: header gives 6400 frames, data chunk holds "
                                      f"3189 ({size - 44} bytes)")
 
+    def test_chunk_size_past_the_riff_chunk(self, tmp_path):
+        path = tmp_path / "long_fmt.wav"
+        write_audio(AudioClip(np.full(64, 0.25), 16000.0), path)
+        data = bytearray(path.read_bytes())
+        data[16:20] = (1 << 20).to_bytes(4, "little")  # the fmt chunk's size
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptHeaderError, match=f"^{re.escape(str(path))}: a chunk size runs "
+                           "past the end of the RIFF chunk$"):
+            load_audio(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.wav"
         _write_wav(path, [])
@@ -117,26 +126,6 @@ class TestLoadAudio:
 
 
 class TestLoadEcg:
-    def test_rate_from_timestamps(self, tmp_path):
-        path = tmp_path / "ecg.csv"
-        rows = "\n".join(f"{0.002 * i:.3f},{0.1 * (i + 1):.3f}" for i in range(10))
-        path.write_text("time_s,mv\n" + rows + "\n")
-        record = load_ecg(path)
-        assert record.sample_rate_hz == pytest.approx(500.0)
-        assert record.samples[0] == pytest.approx(0.1)
-
-    def test_corrupt_row(self, tmp_path):
-        path = tmp_path / "ecg.csv"
-        path.write_text("time_s,mv\n0.000,0.1\n0.002,0.2\n0.004,abc\n")
-        with pytest.raises(CorruptRowError):
-            load_ecg(path)
-
-    def test_non_uniform_sampling(self, tmp_path):
-        path = tmp_path / "ecg.csv"
-        path.write_text("time_s,mv\n0.000,0.1\n0.002,0.2\n0.010,0.3\n0.012,0.2\n")
-        with pytest.raises(NonUniformSamplingError):
-            load_ecg(path)
-
     def test_rate_header_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         record = EcgRecord(np.round(rng.normal(0, 0.4, 500), 6), 500.0)
@@ -145,15 +134,6 @@ class TestLoadEcg:
         reloaded = load_ecg(path)
         assert reloaded.sample_rate_hz == 500.0
         assert np.array_equal(reloaded.samples, record.samples)
-
-    def test_timestamped_round_trip(self, tmp_path):
-        samples = np.linspace(-1, 1, 100)
-        path = tmp_path / "ts.csv"
-        path.write_text("time_s,mv\n" + "".join(
-            f"{i / 250.0:.6f},{v:.6f}\n" for i, v in enumerate(samples)))
-        reloaded = load_ecg(path)
-        assert reloaded.sample_rate_hz == pytest.approx(250.0)
-        np.testing.assert_allclose(reloaded.samples, samples, atol=1e-6)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -185,11 +165,26 @@ class TestLoadEcg:
         with pytest.raises(CorruptRowError, match=r"bad\.csv:5: 'abc'"):
             load_ecg(path)
 
-    @pytest.mark.parametrize("header", [b"# rate_hz=500", b"time_s,mv"])
+    @pytest.mark.parametrize("header", [b"# rate_hz=500"])
     def test_non_utf8_byte_names_its_line(self, tmp_path, header):
         path = tmp_path / "latin1.csv"
         path.write_bytes(header + b"\r\n0.000,0.1\r0.002,0.2\n0.004,\xb50.3\n")
         with pytest.raises(CorruptRowError, match=r"latin1\.csv:4: 'utf-8' codec"):
+            load_ecg(path)
+
+    @pytest.mark.parametrize("first", ["time_s,mv", "rate_hz=500", ""])
+    def test_any_other_header_is_unrecognized(self, tmp_path, first):
+        path = tmp_path / "other.csv"
+        path.write_text(first + "\n0.000,0.1\n0.004,0.2\n")
+        with pytest.raises(CorruptHeaderError,
+                           match=f"^{re.escape(str(path))}: unrecognized header {first!r}$"):
+            load_ecg(path)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_rate_must_be_finite(self, tmp_path, rate):
+        path = tmp_path / "rate.csv"
+        path.write_text(f"# rate_hz={rate}\n0.1\n0.2\n")
+        with pytest.raises(InvalidSignalError, match="sample_rate_hz must be a finite number > 0"):
             load_ecg(path)
 
     def test_rate_header_two_numbers_on_a_line_is_corrupt(self, tmp_path):

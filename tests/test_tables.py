@@ -236,7 +236,8 @@ class TestMalformedTables:
 
     def test_unknown_emotion_passes_through(self, tmp_path):
         path = _features_file(tmp_path, "s01,bliss,0,1.0,70.0\n")
-        with pytest.raises(UnknownEmotionError, match="'bliss'"):
+        with pytest.raises(UnknownEmotionError,
+                           match=f"^{re.escape(str(path))}:2: unknown emotion label: 'bliss'$"):
             read_features_csv(path)
 
     def test_short_embeddings_row(self, tmp_path):
@@ -290,7 +291,7 @@ def _feature_rows(n):
 LENGTHS = [_BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 2 * _BATCH_ROWS, 2 * _BATCH_ROWS + 37]
 
 # A fault in a features row: (edit of the row, the error read_features_csv raises,
-# its text after any `path:line: `, where None takes the oracle's text)
+# its text after `path:line: `, where None takes the oracle's text)
 FAULTS = {
     "bad_float": (lambda row: row.rsplit(",", 2)[0] + ",abc," + row.rsplit(",", 1)[1],
                   CorruptRowError, None),
@@ -372,8 +373,7 @@ class TestAcrossBatches:
             with pytest.raises((ValueError, UnknownEmotionError)) as oracle:
                 read_features_loop(path)
             text = str(oracle.value)
-        if error is CorruptRowError:
-            text = f"{path}:{where[0] + 2}: {text}"
+        text = f"{path}:{where[0] + 2}: {text}"
         with pytest.raises(error) as raised:
             read_features_csv(path)
         assert str(raised.value) == text
