@@ -2,14 +2,17 @@
 
 Three algorithms: classification-via-regression (one-vs-rest regression
 trees on 0/1 indicators, variance-reduction splits), Gaussian naive
-Bayes, and k-nearest-neighbor. Everything is deterministic: seeded
-stratified splits and fixed tie-breaking in Joy < Neutral < Anger order.
+Bayes, and the nearest-neighbour rule (1-NN). Everything is deterministic:
+seeded stratified splits, fixed tie-breaking in Joy < Neutral < Anger order
+for the trees and naive Bayes, and the first of equally near training rows
+for 1-NN.
 
-Training sorts each feature once, stably, for all trees; a node scans
-every feature in one `best_split_scan` call and its children keep their
-rows in that order. Each model's `predict` labels every row of a 2-D array.
-The trainers and `classification_accuracy` take a list of LabeledVector or
-a `VectorSet`, so a set used several times is stacked once.
+Training sorts each feature once, stably, for all trees; a pure node is a
+leaf, any other node scans every feature in one `best_split_scan` call and
+its children keep their rows in that order. Each model's `predict` labels
+every row of a 2-D array. The trainers and `classification_accuracy` take
+a list of LabeledVector or a `VectorSet`, so a set used several times is
+stacked once.
 """
 
 from __future__ import annotations
@@ -145,8 +148,11 @@ def best_split_scan(values, targets, min_leaf):
 def _build_tree(X, y, rows, orders, depth, config: TreeConfig) -> dict:
     """Tree over the ascending training `rows`; column j of `orders` holds
     them sorted stably by feature j, and each child keeps its share in order."""
-    leaf = {"leaf": float(y[rows].mean())}
-    if depth >= config.max_depth or rows.size < 2 * config.min_leaf:
+    targets = y[rows]
+    leaf = {"leaf": float(targets.mean())}
+    # a pure node's scan sums small integers, so every gain it finds is exactly 0
+    if (depth >= config.max_depth or rows.size < 2 * config.min_leaf
+            or targets.min() == targets.max()):
         return leaf
     thresholds, gains = best_split_scan(
         np.take_along_axis(X, orders, axis=0), y[orders], config.min_leaf)
@@ -237,14 +243,13 @@ def train_gnb(data) -> GnbModel:
                     log_priors=np.log(np.asarray(priors)))
 
 
-# --- k nearest neighbors ---
+# --- nearest neighbour ---
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     classes: tuple
     train_x: np.ndarray
     train_labels: tuple
-    k: int = 1
 
     def predict(self, X: np.ndarray) -> list:
         # Euclidean distances with np.linalg.norm's bits, a test row at a
@@ -254,24 +259,14 @@ class KnnModel:
         for x, out in zip(X, dist):
             d = self.train_x - x
             np.sqrt(np.add.reduce(d * d, axis=1), out=out)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
-        codes = np.array([EMOTION_ORDER.index(lab) for lab in self.train_labels])
-        # votes[row, class]: the k neighbours' count and summed distance,
-        # added in neighbour order as a running sum
-        hits = codes[nearest][:, :, None] == np.arange(len(EMOTION_ORDER))
-        counts = hits.sum(axis=1)
-        near = np.take_along_axis(dist, nearest, axis=1)
-        totals = np.cumsum(np.where(hits, near[:, :, None], 0.0), axis=1)[:, -1]
-        # majority vote; ties by smaller summed distance, then class order
-        best = np.lexsort((totals, -counts), axis=1)[:, 0]
-        return [EMOTION_ORDER[i] for i in best]
+        # the first of equally near training rows wins
+        return [self.train_labels[i] for i in np.argmin(dist, axis=1)]
 
 
-def train_knn(data, k: int = 1) -> KnnModel:
+def train_knn(data) -> KnnModel:
     data = stack_vectors(data)
     classes = _check_training(data.labels, min_per_class=1)
-    return KnnModel(classes=tuple(classes), train_x=data.features, train_labels=data.labels,
-                    k=k)
+    return KnnModel(classes=tuple(classes), train_x=data.features, train_labels=data.labels)
 
 
 # --- evaluation ---

@@ -54,6 +54,13 @@ EMOTION_PROFILES = {
 HOMOGENEOUS_BETA0 = (75.0, 95.0)
 HOMOGENEOUS_BETA1 = (0.25, 0.45)
 
+# Planted heart rates are clipped to this range, inside the detector's filter window.
+PLANTED_BPM_RANGE = (35.0, 215.0)
+# A take holds at most this many audio or ECG samples (65.5 s at 16 kHz),
+# and an ECG record at most this many beats at the fastest planted rate.
+MAX_TAKE_SAMPLES = 2 ** 20
+MAX_ECG_BEATS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -82,12 +89,20 @@ class SynthSpec:
             if not 0 < getattr(self, name) < math.inf:
                 raise SpecInvalidError(f"{name} must be a finite number > 0, "
                                        f"got {getattr(self, name)}")
-        # the utterance's and the ECG's sample counts round to at least one, and
-        # the utterance holds one analysis frame
+        # each take's sample counts round to at least one and stay within
+        # MAX_TAKE_SAMPLES, the ECG's beats within MAX_ECG_BEATS, and the
+        # utterance holds one analysis frame
         for name, rate in (("utterance_s", "audio_rate_hz"), ("ecg_duration_s", "ecg_rate_hz")):
-            if getattr(self, name) * getattr(self, rate) < 1:
+            seconds, hz = getattr(self, name), getattr(self, rate)
+            if seconds * hz < 1:
                 raise SpecInvalidError(f"{name} must hold one sample at {rate}, got "
-                                       f"{getattr(self, name)} s at {getattr(self, rate)} Hz")
+                                       f"{seconds} s at {hz} Hz")
+            if seconds * hz > MAX_TAKE_SAMPLES:
+                raise SpecInvalidError(f"{name} must hold at most {MAX_TAKE_SAMPLES} samples "
+                                       f"at {rate}, got {seconds} s at {hz} Hz")
+        if self.ecg_duration_s > MAX_ECG_BEATS * 60 / PLANTED_BPM_RANGE[1]:
+            raise SpecInvalidError(f"ecg_duration_s must hold at most {MAX_ECG_BEATS} beats "
+                                   f"at {PLANTED_BPM_RANGE[1]:g} bpm, got {self.ecg_duration_s} s")
         if self.utterance_s < self.feature.frame_length_s:
             raise SpecInvalidError(f"utterance_s must hold one feature frame of "
                                    f"{self.feature.frame_length_s} s, got {self.utterance_s}")
@@ -345,7 +360,7 @@ def _render_subject(plan: _SubjectPlan, spec: SynthSpec, outdir: Path):
         except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
         hr = beta0 + beta1 * fd + noise
-        hr = float(np.clip(hr, 35.0, 215.0))  # keep inside the filter window
+        hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
         phase = 0.0 + (60.0 / hr) * u
         ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
         audio_rel = f"audio/{stem}.wav"

@@ -461,20 +461,9 @@ def gnb_predict_one(model, x):
 
 
 def knn_predict_one(model, x):
-    from voicehr.signal_io import EMOTION_ORDER
-
+    """The label of the first nearest training row, in stable order."""
     dist = np.linalg.norm(model.train_x - x, axis=1)
-    nearest = np.argsort(dist, kind="stable")[: model.k]
-    votes = {}
-    for i in nearest:
-        lab = model.train_labels[i]
-        count, total = votes.get(lab, (0, 0.0))
-        votes[lab] = (count + 1, total + dist[i])
-    # majority vote; ties by smaller summed distance, then class order
-    return min(
-        votes,
-        key=lambda lab: (-votes[lab][0], votes[lab][1], EMOTION_ORDER.index(lab)),
-    )
+    return model.train_labels[np.argsort(dist, kind="stable")[0]]
 
 
 def classifier_matrix_loop(vectors_by_subject, config):

@@ -11,6 +11,7 @@ from oracles import (
     knn_predict_one,
     split_scan_loop,
 )
+from voicehr import classify
 from voicehr.classify import (
     LabeledVector,
     SplitSpec,
@@ -100,6 +101,26 @@ class TestTrainCvr:
         probes = np.stack([v.features for v in blob_vectors[::5]])
         assert model.predict(probes) == scaled_model.predict(probes * 4.0)
 
+    def test_pure_node_is_a_leaf_without_a_scan(self, monkeypatch):
+        # feature j separates class j from the rest, so each root split
+        # leaves two pure children; the loop oracle scans them, the
+        # presorted trees do not
+        labels = [c for c in EMOTION_ORDER for _ in range(12)]
+        rng = np.random.default_rng(29)
+        features = np.array([[float(lab == c) for c in EMOTION_ORDER] for lab in labels])
+        data = make_data(features + 0.1 * rng.random(features.shape), labels)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return best_split_scan(*args)
+
+        monkeypatch.setattr(classify, "best_split_scan", counted)
+        model = train_cvr(data)
+        assert len(calls) == 3
+        assert (model.classes, model.trees) == cvr_trees_loop(data, TreeConfig())
+        assert all("leaf" in tree["left"] and "leaf" in tree["right"] for tree in model.trees)
+
 
 class TestTrainGnb:
     def test_decision_boundary_symmetric_classes(self):
@@ -130,19 +151,19 @@ class TestTrainGnb:
 
 class TestTrainKnn:
     def test_perfect_on_own_training_set(self, blob_vectors):
-        model = train_knn(blob_vectors, k=1)
+        model = train_knn(blob_vectors)
         assert classification_accuracy(model, blob_vectors) == 100.0
 
     def test_blobs_holdout_accuracy(self, blob_vectors):
         train, test = split(blob_vectors, SplitSpec(seed=3))
-        model = train_knn(train, k=1)
+        model = train_knn(train)
         assert classification_accuracy(model, test) >= 95.0
 
     def test_scaling_invariance(self, blob_vectors):
-        model = train_knn(blob_vectors, k=3)
+        model = train_knn(blob_vectors)
         scaled = [LabeledVector(features=v.features * 2.5, label=v.label)
                   for v in blob_vectors]
-        scaled_model = train_knn(scaled, k=3)
+        scaled_model = train_knn(scaled)
         probes = np.stack([v.features for v in blob_vectors[::5]])
         assert model.predict(probes) == scaled_model.predict(probes * 2.5)
 
@@ -294,16 +315,15 @@ class TestAgainstPerVectorOracle:
         assert model.predict(probes) == [gnb_predict_one(model, x) for x in probes]
 
     @settings(max_examples=300, deadline=None)
-    @given(labeled_sets(), st.sampled_from([1, 2, 3, 5]), st.data())
-    def test_knn_labels(self, case, k, data):
-        """Even k ties votes, so the summed distance decides; k may exceed a
-        class's count; copies of training rows, under any label, give equal
-        distances that the stable order must break as the oracle does."""
+    @given(labeled_sets(), st.data())
+    def test_knn_labels(self, case, data):
+        """Copies of training rows, under any label, give equal distances
+        that the stable order must break as the oracle does."""
         train, probes = case
         copies = data.draw(st.lists(st.tuples(st.integers(0, len(train) - 1),
                                               st.sampled_from(EMOTION_ORDER)), max_size=12))
         train = train + [LabeledVector(train[i].features, label) for i, label in copies]
-        model = train_knn(train, k=k)
+        model = train_knn(train)
         assert model.predict(probes) == [knn_predict_one(model, x) for x in probes]
 
 

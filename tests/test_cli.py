@@ -630,6 +630,10 @@ class TestExitClass:
          "feature: require 0 < hop <= frame length, both finite"),
         (_bad_spec({"max_fd_iterations": 0}), EXIT_VALIDATION, "max_fd_iterations must be"),
         (_bad_spec({"audio_rate_hz": 1e-300}), EXIT_VALIDATION, "utterance_s must hold one sample"),
+        (_bad_spec({"utterance_s": 1e6}), EXIT_VALIDATION,
+         "utterance_s must hold at most 1048576 samples"),
+        (_bad_spec({"ecg_rate_hz": 1e-6, "ecg_duration_s": 1e12}), EXIT_VALIDATION,
+         "ecg_duration_s must hold at most 65536 beats"),
         (_header_quote_left_open, EXIT_DATA, "field larger than field limit"),
         (_path_with_line_break, EXIT_DATA, "referenced file missing: "),
         (_infinite_embedding, EXIT_DATA, "a feature value is not finite"),
@@ -637,7 +641,7 @@ class TestExitClass:
             "zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_fft_size",
             "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
             "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
-            "no_audio_sample",
+            "no_audio_sample", "audio_too_long", "ecg_too_many_beats",
             "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
     def test_fault_exits_in_its_class(self, workspace, tmp_path, capsys, build, code, text):
         argv, named = build(workspace, tmp_path)

@@ -158,6 +158,17 @@ class TestDetectRPeaks:
             scaled = detect_r_peaks(EcgRecord(record.samples * c, 500.0))
             assert np.array_equal(scaled.peak_indices, reference.peak_indices)
 
+    @settings(max_examples=150, deadline=None)
+    @given(bpm=st.floats(35.0, 215.0), phase=st.floats(0.0, 1.0, exclude_max=True),
+           rate=st.sampled_from([125.0, 250.0, 360.0, 500.0]), seconds=st.floats(2.0, 20.0),
+           power=st.integers(-30, 30))
+    def test_power_of_two_scale_keeps_the_peaks(self, bpm, phase, rate, seconds, power):
+        # scaling by 2**power changes no mantissa, so every step's bits scale exactly
+        record, _ = synth_ecg(bpm, rate, seconds, phase_s=phase * 60.0 / bpm)
+        scaled = EcgRecord(record.samples * 2.0 ** power, rate)
+        assert np.array_equal(detect_r_peaks(scaled).peak_indices,
+                              detect_r_peaks(record).peak_indices)
+
     def test_time_shift_equivariance(self):
         record, _ = synth_ecg(80.0, 250.0, 12.0, phase_s=0.4)
         base_hr = extract_heart_rate(record).bpm

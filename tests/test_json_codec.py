@@ -1,6 +1,8 @@
 """The shared JSON codec: spec, config, model store and report summary."""
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from voicehr.pipeline import (
 from voicehr.regression import LinearModel, load_model, save_model
 from voicehr.signal_io import decode_json, read_json, write_json
 from voicehr.speech_features import FeatureConfig
-from voicehr.synth import SynthSpec
+from voicehr.synth import MAX_ECG_BEATS, MAX_TAKE_SAMPLES, PLANTED_BPM_RANGE, SynthSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,16 +69,35 @@ FEATURE_CONFIGS = st.builds(
     hop_frame=st.tuples(FINITE_POSITIVE, FINITE_POSITIVE),
     filters_cepstra=st.tuples(st.integers(min_value=1), st.integers(min_value=1)),
     pre_emphasis=FINITE, fft_size=st.none() | st.integers(min_value=1), log_floor=FINITE_POSITIVE)
-# a rate and a duration that hold at least one sample
-SAMPLED = st.tuples(FINITE_POSITIVE, FINITE_POSITIVE).filter(lambda pair: pair[0] * pair[1] >= 1)
-SYNTH_SPECS = st.builds(
-    lambda audio, ecg, feature, **kw: SynthSpec(
-        audio_rate_hz=audio[0], utterance_s=max(audio[1], feature.frame_length_s),
-        ecg_rate_hz=ecg[0], ecg_duration_s=ecg[1], feature=feature, **kw),
-    n_subjects=st.integers(min_value=1), takes_per_emotion=st.integers(min_value=1),
-    seed=SEEDS, noise_std_bpm=FINITE_NON_NEGATIVE, homogeneous=st.booleans(),
-    audio=SAMPLED, ecg=SAMPLED, fd_tolerance=OPEN_UNIT,
-    max_fd_iterations=st.integers(min_value=1), feature=FEATURE_CONFIGS)
+
+
+# the shortest duration that a finite rate can fill with one sample, with room to round
+SHORTEST_S = 2 / sys.float_info.max
+
+
+def rates_for(seconds):
+    """Finite rates at which `seconds` holds from one to MAX_TAKE_SAMPLES samples."""
+    most = min(MAX_TAKE_SAMPLES, seconds * sys.float_info.max)
+    return st.floats(1.0, most).map(lambda samples: samples / seconds).filter(
+        lambda hz: hz < math.inf and 1 <= seconds * hz <= MAX_TAKE_SAMPLES)
+
+
+@st.composite
+def synth_specs(draw):
+    """Specs whose utterance holds one feature frame, whose takes hold from
+    one to MAX_TAKE_SAMPLES samples and whose ECG holds at most MAX_ECG_BEATS beats."""
+    feature = draw(FEATURE_CONFIGS)
+    utterance_s = draw(st.floats(max(feature.frame_length_s, SHORTEST_S), allow_infinity=False))
+    ecg_duration_s = draw(st.floats(SHORTEST_S, MAX_ECG_BEATS * 60 / PLANTED_BPM_RANGE[1]))
+    return draw(st.builds(
+        SynthSpec, n_subjects=st.integers(min_value=1), takes_per_emotion=st.integers(min_value=1),
+        seed=SEEDS, noise_std_bpm=FINITE_NON_NEGATIVE, homogeneous=st.booleans(),
+        audio_rate_hz=rates_for(utterance_s), utterance_s=st.just(utterance_s),
+        ecg_rate_hz=rates_for(ecg_duration_s), ecg_duration_s=st.just(ecg_duration_s),
+        fd_tolerance=OPEN_UNIT, max_fd_iterations=st.integers(min_value=1),
+        feature=st.just(feature)))
+
+
 PIPELINE_CONFIGS = st.builds(
     PipelineConfig, feature=FEATURE_CONFIGS,
     peak=st.builds(
@@ -106,7 +127,7 @@ class TestRoundTrip:
         assert bits(round_trip(tmp_path, model)) == bits(load_model(tmp_path / "value.json"))
 
     @FUNCTION_TMP_PATH
-    @given(spec=SYNTH_SPECS)
+    @given(spec=synth_specs())
     @example(spec=SynthSpec())
     @example(spec=SynthSpec(feature=FeatureConfig(fft_size=1024)))
     def test_synth_spec(self, tmp_path, spec):
@@ -263,6 +284,14 @@ class TestDecode:
          "utterance_s must hold one sample at audio_rate_hz, got 0.4 s at 1e-300 Hz"),
         ({"ecg_duration_s": 0.001},
          "ecg_duration_s must hold one sample at ecg_rate_hz, got 0.001 s at 250.0 Hz"),
+        ({"utterance_s": 1e6},
+         "utterance_s must hold at most 1048576 samples at audio_rate_hz, got 1000000.0 s at "
+         "16000.0 Hz"),
+        ({"ecg_rate_hz": 1e6, "ecg_duration_s": 2.0},
+         "ecg_duration_s must hold at most 1048576 samples at ecg_rate_hz, got 2.0 s at "
+         "1000000.0 Hz"),
+        ({"ecg_rate_hz": 1e-6, "ecg_duration_s": 1e12},
+         "ecg_duration_s must hold at most 65536 beats at 215 bpm, got 1000000000000.0 s"),
         ({"utterance_s": 0.02}, "utterance_s must hold one feature frame of 0.025 s, got 0.02"),
         ({"feature": {"frame_length_s": float("inf")}},
          "feature: require 0 < hop <= frame length, both finite, got 0.01, inf"),
@@ -276,7 +305,8 @@ class TestDecode:
          "feature: log_floor must be a finite number > 0, got inf"),
     ], ids=["zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_ecg_rate",
             "infinite_ecg_duration", "nan_noise", "negative_noise", "zero_iterations",
-            "negative_seed", "no_audio_sample", "no_ecg_sample", "utterance_shorter_than_frame",
+            "negative_seed", "no_audio_sample", "no_ecg_sample", "audio_too_long",
+            "ecg_too_long", "ecg_too_many_beats", "utterance_shorter_than_frame",
             "infinite_frame_length", "zero_cepstra", "negative_cepstra",
             "negative_fft_size", "zero_fft_size", "nan_pre_emphasis", "infinite_log_floor"])
     def test_synth_spec_rules(self, payload, message):
