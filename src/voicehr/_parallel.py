@@ -8,7 +8,9 @@ from the head. Both claim jobs under one shared lock, so neither idles
 while the other still has jobs left. Every job runs once at most. When
 jobs raise, the exception of the first failing job in job order is
 raised, as the in-process run raises it. Where the platform has no
-"fork", every job runs in the calling process.
+"fork", every job runs in the calling process. In both `synth` and
+`extract` a job is one take, so the two processes finish at most one
+take apart.
 
 The child inherits the imported modules, `fn` and the jobs, so neither
 needs to pickle; only the results it sends back do. `fn` must be a pure
@@ -30,12 +32,12 @@ import multiprocessing
 import os
 
 # Below this many takes sharing does not pay. The child starts in 5-15 ms,
-# but the two processes finish up to one job apart: one take in extract,
-# one subject (90 takes at the reference size) in synth. On a 2-vCPU
-# host, shared over in-process time (median of 11) was 1.15 for a 60-take
-# extract, 0.87 at 90 and 0.56-0.58 from 120 to 480 takes, measured when
-# an extract job was 30 takes; synth gave 1.18 at 12 takes (two subjects),
-# 0.70-0.89 from 30 to 90 and 0.61 at 120.
+# and the two processes finish up to one job, one take, apart. On a
+# 2-vCPU host, shared over in-process time (median of 11) was 1.15 for a
+# 60-take extract, 0.87 at 90 and 0.56-0.58 from 120 to 480 takes,
+# measured when an extract job was 30 takes; synth, when a job was one
+# subject, gave 1.18 at 12 takes (two subjects), 0.70-0.89 from 30 to 90
+# and 0.61 at 120.
 MIN_SHARED_TAKES = 120
 # Longest wait, in seconds, for the child's results or its exit. When
 # the caller waits, the child is running one job at most.

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, signal
 
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     SignalTooShortError,
 )
 from .signal_io import EcgRecord
+from .speech_features import frame_signal
 
 # One "small square" on standard ECG paper, in seconds.
 SMALL_SQUARE_S = 0.04
@@ -110,9 +110,23 @@ def band_pass_filtfilt(samples: np.ndarray, rate: float, config: PeakConfig) -> 
     return y[::-1][edge:-edge]
 
 
+def _central_difference(x: np.ndarray) -> np.ndarray:
+    """`np.gradient(x)` of a 1-D float array of two or more samples, bit for bit.
+
+    Halved central differences inside, one-sided differences at the ends,
+    without `np.gradient`'s argument handling.
+    """
+    out = np.empty_like(x)
+    np.subtract(x[2:], x[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0
+    out[0] = x[1] - x[0]
+    out[-1] = x[-1] - x[-2]
+    return out
+
+
 def _envelope(samples: np.ndarray, rate: float, config: PeakConfig):
     band = band_pass_filtfilt(samples, rate, config)
-    deriv = np.gradient(band)
+    deriv = _central_difference(band)
     squared = deriv * deriv
     win = max(1, int(round(config.integration_window_s * rate)))
     return ndimage.uniform_filter1d(squared, size=win, mode="nearest"), band
@@ -137,7 +151,7 @@ def _threshold_candidates(env, fraction, width, floor):
     half = width // 2
     padded = np.concatenate((np.full(half, scaled[0]), scaled,
                              np.full(width - 1 - half, scaled[-1])))
-    windows = sliding_window_view(padded, width)[maxima]
+    windows = frame_signal(padded, width)[maxima]
     # a sum of bools in int32 counts them faster than count_nonzero's int64
     return maxima[(windows < env[maxima, None]).sum(axis=1, dtype=np.int32) > half]
 
@@ -169,7 +183,7 @@ def refine_peaks(power: np.ndarray, peaks: np.ndarray, half: int) -> np.ndarray:
     short by an end pick the same sample as a clipped slice would.
     """
     pad = np.full(half, -1.0)
-    windows = sliding_window_view(np.concatenate((pad, power, pad)), 2 * half + 1)
+    windows = frame_signal(np.concatenate((pad, power, pad)), 2 * half + 1)
     return peaks - half + np.argmax(windows[peaks], axis=1)
 
 
@@ -208,13 +222,14 @@ def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPea
     return RPeakSeries(peak_indices=refined[kept2], sample_rate_hz=rate)
 
 
-def heart_rate_1500(rr_interval_s: float) -> float:
-    """Heart rate from one RR interval via the 1500 rule.
+def heart_rate_1500(rr_interval_s):
+    """Heart rate from an RR interval, or from an array of them, via the 1500 rule.
 
     The interval is expressed in standard 0.04 s small squares and the
-    rate is 1500 divided by that count (algebraically 60 / RR).
+    rate is 1500 divided by that count (algebraically 60 / RR). A float
+    gives a float, an array the rate of each interval.
     """
-    if rr_interval_s <= 0:
+    if np.any(rr_interval_s <= 0):
         raise NonPositiveIntervalError(f"rr_interval_s={rr_interval_s}")
     n_small_squares = rr_interval_s / SMALL_SQUARE_S
     return 1500.0 / n_small_squares
@@ -226,5 +241,4 @@ def extract_heart_rate(record: EcgRecord, config: PeakConfig = PeakConfig()) -> 
     if peaks.peak_indices.size < 2:
         raise InsufficientPeaksError("need >= 2 peaks for a rate estimate")
     rr = peaks.rr_intervals_s()
-    rates = [heart_rate_1500(float(r)) for r in rr]
-    return HeartRate(bpm=float(np.mean(rates)), n_intervals=rr.size)
+    return HeartRate(bpm=float(np.mean(heart_rate_1500(rr))), n_intervals=rr.size)

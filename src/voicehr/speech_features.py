@@ -14,11 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, rfft
 
 from .errors import ClipTooShortError, DimensionMismatchError, EmptyEnrollmentError
 from .signal_io import AudioClip
+
+# Largest `fft_size` a config may set: a frame block of 2**16 columns is
+# 512 KiB a frame, and the default size at 16 kHz is 512.
+MAX_FFT_SIZE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -39,12 +43,13 @@ class FeatureConfig:
             raise ValueError(f"n_cepstra must be >= 1, got {self.n_cepstra}")
         if self.n_cepstra > self.n_mel_filters:
             raise ValueError("n_cepstra must not exceed n_mel_filters")
-        if self.fft_size is not None and self.fft_size < 1:
-            raise ValueError(f"fft_size must be null or >= 1, got {self.fft_size}")
-        if not math.isfinite(self.pre_emphasis):
-            raise ValueError(f"pre_emphasis must be a finite number, got {self.pre_emphasis}")
-        if not 0 < self.log_floor < math.inf:
-            raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor}")
+        if self.fft_size is not None and not 1 <= self.fft_size <= MAX_FFT_SIZE:
+            raise ValueError(f"fft_size must be null or in [1, {MAX_FFT_SIZE}], "
+                             f"got {self.fft_size}")
+        if not 0 <= self.pre_emphasis <= 1:
+            raise ValueError(f"pre_emphasis must be a number in [0, 1], got {self.pre_emphasis}")
+        if not 0 < self.log_floor <= 1:
+            raise ValueError(f"log_floor must be a number in (0, 1], got {self.log_floor}")
 
     def frame_samples(self, rate_hz: float) -> int:
         return int(round(self.frame_length_s * rate_hz))
@@ -132,17 +137,29 @@ def pre_emphasize(samples: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def frame_signal(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Read-only (frame_count, frame) view of `samples`, one row per frame."""
-    if samples.size < frame:
-        return np.empty((0, frame), dtype=samples.dtype)
-    return sliding_window_view(samples, frame)[::hop]
+def frame_signal(samples: np.ndarray, frame: int, hop: int = 1) -> np.ndarray:
+    """Read-only (frame_count, frame) view of 1-D `samples`, one row per frame.
+
+    Row i starts at sample i * hop. A signal shorter than one frame has
+    no rows. The speech framing and the detector's windows share it.
+    """
+    step = samples.strides[0]
+    return as_strided(samples, (frame_count(samples.size, frame, hop), frame),
+                      (hop * step, step), writeable=False)
 
 
 def filterbank_energies(frames: np.ndarray, fb: np.ndarray, fft_size: int) -> np.ndarray:
-    """Mel filter energies of Hamming-windowed frames (rows)."""
-    windowed = frames * _hamming_window(frames.shape[1])
-    power = np.abs(rfft(windowed, n=fft_size, axis=1)) ** 2
+    """Mel filter energies of Hamming-windowed frames (rows).
+
+    The windowed frames are written into a zeroed (frames, fft_size)
+    block, so `rfft` transforms it as it stands: the zero padding, or
+    the first `fft_size` columns, that `rfft(..., n=fft_size)` would cut.
+    """
+    n_frames, frame = frames.shape
+    width = min(frame, fft_size)
+    block = np.zeros((n_frames, fft_size))
+    np.multiply(frames[:, :width], _hamming_window(frame)[:width], out=block[:, :width])
+    power = np.abs(rfft(block, axis=1)) ** 2
     return power @ fb.T
 
 

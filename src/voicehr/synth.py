@@ -5,6 +5,10 @@ tilt is steered, closed-loop, until its measured feature distance lands
 on a drawn target, a heart rate planted on the cell's linear law, and an
 ECG built from a QRS-like template at that rate. The planted values are
 written to a ledger CSV that downstream tests use as the oracle.
+
+Every random draw is made first; each take is then rendered on its own,
+from its draws and its subject's voice alone, so takes may be rendered
+in any order and in either of two processes.
 """
 
 from __future__ import annotations
@@ -145,8 +149,8 @@ class SubjectVoice:
 
 
 # One slot: the generator renders every take of a voice at one (rate,
-# length) and renders its subjects one after another. A voice is keyed
-# by identity (eq=False).
+# length), and each process renders its takes subject by subject. A
+# voice is keyed by identity (eq=False).
 @functools.lru_cache(maxsize=1)
 def _harmonic_basis(voice: SubjectVoice, rate_hz: float, n: int) -> np.ndarray:
     """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
@@ -345,31 +349,36 @@ def _plan_corpus(rng: np.random.Generator, spec: SynthSpec) -> list[_SubjectPlan
     return plans
 
 
-def _render_subject(plan: _SubjectPlan, spec: SynthSpec, outdir: Path):
-    """Solve, synthesise and write one subject's takes; (entries, ledger rows)."""
-    voice = plan.voice
+# One slot, like the basis: a process renders a voice's takes one after
+# another, so it measures the voice's g = 0 reference and calibrates its
+# targeter once. Keyed by the voice's identity and the spec.
+@functools.lru_cache(maxsize=1)
+def _voice_targeter(voice: SubjectVoice, spec: SynthSpec) -> FdTargeter:
+    """The voice's `FdTargeter`, steering against its g = 0 utterance."""
     reference_clip = synth_utterance(voice, 0.0, spec.audio_rate_hz, spec.utterance_s)
     reference = utterance_embedding(mfcc(reference_clip, spec.feature))
-    targeter = FdTargeter(voice, reference, spec)
-    entries, ledger = [], []
-    for emotion, take, target_fd, sign, noise, u in plan.takes:
-        beta0, beta1 = plan.lines[emotion]
-        stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
-        try:
-            fd, clip = targeter.solve(target_fd, sign)
-        except ConvergenceFailureError as exc:
-            raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
-        hr = beta0 + beta1 * fd + noise
-        hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
-        phase = 0.0 + (60.0 / hr) * u
-        ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
-        audio_rel = f"audio/{stem}.wav"
-        ecg_rel = f"ecg/{stem}.csv"
-        write_audio(clip, outdir / audio_rel)
-        write_ecg(ecg, outdir / ecg_rel)
-        entries.append(ManifestEntry(plan.subject_id, emotion, take, audio_rel, ecg_rel))
-        ledger.append(PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr))
-    return entries, ledger
+    return FdTargeter(voice, reference, spec)
+
+
+def _render_take(job: tuple[_SubjectPlan, tuple], spec: SynthSpec, outdir: Path):
+    """Solve, synthesise and write one `(plan, take)`; (entry, ledger row)."""
+    plan, (emotion, take, target_fd, sign, noise, u) = job
+    beta0, beta1 = plan.lines[emotion]
+    stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
+    try:
+        fd, clip = _voice_targeter(plan.voice, spec).solve(target_fd, sign)
+    except ConvergenceFailureError as exc:
+        raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
+    hr = beta0 + beta1 * fd + noise
+    hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
+    phase = 0.0 + (60.0 / hr) * u
+    ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
+    audio_rel = f"audio/{stem}.wav"
+    ecg_rel = f"ecg/{stem}.csv"
+    write_audio(clip, outdir / audio_rel)
+    write_ecg(ecg, outdir / ecg_rel)
+    return (ManifestEntry(plan.subject_id, emotion, take, audio_rel, ecg_rel),
+            PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr))
 
 
 def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[PlantedTake]]:
@@ -377,17 +386,18 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
 
     Returns the manifest path and the planted-ground-truth ledger.
     Fully deterministic for a fixed spec. All draws are made first; the
-    subjects are then rendered independently, in a second process too
-    when the corpus is large (see `_parallel.map_jobs`).
+    takes are then rendered independently, in a second process too when
+    the corpus is large (see `_parallel.map_jobs`).
     """
     outdir = Path(outdir)
     (outdir / "audio").mkdir(parents=True, exist_ok=True)
     (outdir / "ecg").mkdir(parents=True, exist_ok=True)
     plans = _plan_corpus(np.random.default_rng(spec.seed), spec)
-    rendered = map_jobs(functools.partial(_render_subject, spec=spec, outdir=outdir),
-                        plans, n_takes=sum(len(plan.takes) for plan in plans))
-    entries = [entry for subject_entries, _ in rendered for entry in subject_entries]
-    ledger = [row for _, subject_ledger in rendered for row in subject_ledger]
+    jobs = [(plan, take) for plan in plans for take in plan.takes]
+    rendered = map_jobs(functools.partial(_render_take, spec=spec, outdir=outdir),
+                        jobs, n_takes=len(jobs))
+    entries = [entry for entry, _ in rendered]
+    ledger = [row for _, row in rendered]
     manifest_path = outdir / "manifest.csv"
     write_manifest(entries, manifest_path)
     write_ledger(ledger, outdir / "ledger.csv")

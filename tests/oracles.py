@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def dft_filter_energies(frames, fb, fft_size):
@@ -23,6 +24,13 @@ def frame_signal_fancy(samples, frame, hop):
     t = 0 if samples.size < frame else 1 + (samples.size - frame) // hop
     idx = np.arange(frame)[None, :] + hop * np.arange(t)[:, None]
     return samples[idx]
+
+
+def frame_signal_sliding_window(samples, width, hop):
+    """numpy's `sliding_window_view(samples, width)[::hop]`; no rows when `samples` is shorter."""
+    if samples.size < width:
+        return np.empty((0, width), dtype=samples.dtype)
+    return sliding_window_view(samples, width)[::hop]
 
 
 def mfcc_fancy_framing(clip, config):
@@ -162,6 +170,13 @@ def refine_peaks_loop(power, peaks, half):
         hi = min(power.size, p + half + 1)
         refined[i] = lo + int(np.argmax(power[lo:hi]))
     return refined
+
+
+def mean_rate_per_interval(rr):
+    """Mean of `heart_rate_1500` called on each RR interval as a float."""
+    from voicehr.ecg_hr import heart_rate_1500
+
+    return float(np.mean([heart_rate_1500(float(r)) for r in rr]))
 
 
 def threshold_candidates_median_filter(env, fraction, width, floor):

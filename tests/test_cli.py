@@ -130,9 +130,12 @@ class TestMalformedConfig:
         ('{"tree": {"max_depth": -3}}', "tree"),
         ('{"feature": {"n_cepstra": 0}}', "feature"),
         ('{"feature": {"fft_size": -1}}', "feature"),
+        ('{"feature": {"fft_size": 1099511627776}}', "feature"),
         ('{"feature": {"pre_emphasis": NaN}}', "feature"),
+        ('{"feature": {"pre_emphasis": 1e300}}', "feature"),
         ('{"feature": {"frame_length_s": Infinity}}', "feature"),
         ('{"feature": {"log_floor": Infinity}}', "feature"),
+        ('{"feature": {"log_floor": 1e300}}', "feature"),
         ('{"split": {"seed": -1}}', "split"),
         ('{"holdout": {"seed": -1}}', "holdout"),
         ('{"seed": -1}', None),
@@ -144,7 +147,8 @@ class TestMalformedConfig:
             "nan_hr_min", "negative_hr_max", "inverted_window", "infinite_hr_max",
             "nan_test_fraction", "test_fraction_above_one", "zero_test_fraction",
             "zero_min_leaf", "negative_max_depth", "zero_cepstra", "negative_fft_size",
-            "nan_pre_emphasis", "infinite_frame_length", "infinite_log_floor",
+            "huge_fft_size", "nan_pre_emphasis", "huge_pre_emphasis", "infinite_frame_length",
+            "infinite_log_floor", "huge_log_floor",
             "negative_split_seed", "negative_holdout_seed", "negative_seed"])
     def test_exit_code(self, workspace, tmp_path, capsys, verb, text, key):
         _, corpus, features = workspace
@@ -617,6 +621,8 @@ class TestExitClass:
         (_bad_spec({"audio_rate_hz": float("nan")}), EXIT_VALIDATION, "audio_rate_hz must be"),
         (_bad_spec({"utterance_s": 0}), EXIT_VALIDATION, "utterance_s must be"),
         (_bad_spec({"feature": {"fft_size": -1}}), EXIT_VALIDATION, "feature: fft_size must be"),
+        (_bad_spec({"feature": {"fft_size": 2 ** 40}}), EXIT_VALIDATION,
+         "feature: fft_size must be"),
         (_bad_spec({"noise_std_bpm": float("nan")}), EXIT_VALIDATION, "noise_std_bpm must be"),
         (_bad_spec({"feature": {"n_cepstra": 0}}), EXIT_VALIDATION,
          "feature: n_cepstra must be"),
@@ -624,6 +630,10 @@ class TestExitClass:
          "feature: n_cepstra must be"),
         (_bad_spec({"feature": {"pre_emphasis": float("nan")}}), EXIT_VALIDATION,
          "feature: pre_emphasis must be"),
+        (_bad_spec({"feature": {"pre_emphasis": 1e300}}), EXIT_VALIDATION,
+         "feature: pre_emphasis must be"),
+        (_bad_spec({"feature": {"log_floor": 1e300}}), EXIT_VALIDATION,
+         "feature: log_floor must be"),
         (_bad_spec({"ecg_duration_s": float("inf")}), EXIT_VALIDATION,
          "ecg_duration_s must be"),
         (_bad_spec({"feature": {"frame_length_s": float("inf")}}), EXIT_VALIDATION,
@@ -639,7 +649,8 @@ class TestExitClass:
         (_infinite_embedding, EXIT_DATA, "a feature value is not finite"),
     ], ids=["ecg_shorter_than_filter_padding", "ecg_nan_rate", "ecg_timestamped", "fd_nan",
             "zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_fft_size",
-            "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
+            "huge_fft_size", "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
+            "huge_pre_emphasis", "huge_log_floor",
             "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
             "no_audio_sample", "audio_too_long", "ecg_too_many_beats",
             "header_quote_left_open", "path_with_line_break", "infinite_embedding"])

@@ -6,6 +6,7 @@ from scipy import signal
 
 from oracles import (
     band_pass_filtfilt_fresh,
+    mean_rate_per_interval,
     refine_peaks_loop,
     refractory_select_numpy,
     threshold_candidates_median_filter,
@@ -13,6 +14,7 @@ from oracles import (
 from voicehr.ecg_hr import (
     PeakConfig,
     _band_pass,
+    _central_difference,
     _envelope,
     _threshold_candidates,
     band_pass_filtfilt,
@@ -226,6 +228,15 @@ class TestThresholdCandidates:
             env, 0.5, width, floor).tobytes()
 
 
+class TestCentralDifference:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(16, 5000), exponent=st.floats(-300.0, 9.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_np_gradient(self, n, exponent, seed):
+        x = np.random.default_rng(seed).normal(0.0, 1.0, n) * 10.0 ** exponent
+        assert _central_difference(x).tobytes() == np.gradient(x).tobytes()
+
+
 class TestHeartRate1500:
     def test_twenty_small_squares(self):
         assert heart_rate_1500(0.8) == pytest.approx(75.0)
@@ -248,6 +259,14 @@ class TestHeartRate1500:
             heart_rate_1500(0.0)
         with pytest.raises(NonPositiveIntervalError):
             heart_rate_1500(-0.5)
+        with pytest.raises(NonPositiveIntervalError):
+            heart_rate_1500(np.array([0.8, 0.0, 0.9]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rr=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=300))
+    def test_array_mean_matches_per_interval_calls(self, rr):
+        rr = np.asarray(rr)
+        assert float(np.mean(heart_rate_1500(rr))) == mean_rate_per_interval(rr)
 
 
 class TestExtractHeartRate:

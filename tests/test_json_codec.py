@@ -25,7 +25,7 @@ from voicehr.pipeline import (
 )
 from voicehr.regression import LinearModel, load_model, save_model
 from voicehr.signal_io import decode_json, read_json, write_json
-from voicehr.speech_features import FeatureConfig
+from voicehr.speech_features import MAX_FFT_SIZE, FeatureConfig
 from voicehr.synth import MAX_ECG_BEATS, MAX_TAKE_SAMPLES, PLANTED_BPM_RANGE, SynthSpec
 
 DATA = Path(__file__).parent / "data"
@@ -57,7 +57,6 @@ def round_trip(tmp_path, value):
 # NaN aside (it equals nothing), every double: -0.0, subnormals, the extremes, infinities
 FLOATS = st.floats(allow_nan=False)
 # the values each record's checks accept, down to subnormals and the largest double
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FINITE_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -68,7 +67,8 @@ FEATURE_CONFIGS = st.builds(
         n_cepstra=min(filters_cepstra), n_mel_filters=max(filters_cepstra), **kw),
     hop_frame=st.tuples(FINITE_POSITIVE, FINITE_POSITIVE),
     filters_cepstra=st.tuples(st.integers(min_value=1), st.integers(min_value=1)),
-    pre_emphasis=FINITE, fft_size=st.none() | st.integers(min_value=1), log_floor=FINITE_POSITIVE)
+    pre_emphasis=st.floats(0.0, 1.0), fft_size=st.none() | st.integers(1, MAX_FFT_SIZE),
+    log_floor=st.floats(0.0, 1.0, exclude_min=True))
 
 
 # the shortest duration that a finite rate can fill with one sample, with room to round
@@ -297,18 +297,28 @@ class TestDecode:
          "feature: require 0 < hop <= frame length, both finite, got 0.01, inf"),
         ({"feature": {"n_cepstra": 0}}, "feature: n_cepstra must be >= 1, got 0"),
         ({"feature": {"n_cepstra": -3}}, "feature: n_cepstra must be >= 1, got -3"),
-        ({"feature": {"fft_size": -1}}, "feature: fft_size must be null or >= 1, got -1"),
-        ({"feature": {"fft_size": 0}}, "feature: fft_size must be null or >= 1, got 0"),
+        ({"feature": {"fft_size": -1}}, "feature: fft_size must be null or in [1, 65536], got -1"),
+        ({"feature": {"fft_size": 0}}, "feature: fft_size must be null or in [1, 65536], got 0"),
+        ({"feature": {"fft_size": 2 ** 40}},
+         "feature: fft_size must be null or in [1, 65536], got 1099511627776"),
         ({"feature": {"pre_emphasis": float("nan")}},
-         "feature: pre_emphasis must be a finite number, got nan"),
+         "feature: pre_emphasis must be a number in [0, 1], got nan"),
+        ({"feature": {"pre_emphasis": 1e300}},
+         "feature: pre_emphasis must be a number in [0, 1], got 1e+300"),
+        ({"feature": {"pre_emphasis": -0.5}},
+         "feature: pre_emphasis must be a number in [0, 1], got -0.5"),
         ({"feature": {"log_floor": float("inf")}},
-         "feature: log_floor must be a finite number > 0, got inf"),
+         "feature: log_floor must be a number in (0, 1], got inf"),
+        ({"feature": {"log_floor": 1e300}},
+         "feature: log_floor must be a number in (0, 1], got 1e+300"),
     ], ids=["zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_ecg_rate",
             "infinite_ecg_duration", "nan_noise", "negative_noise", "zero_iterations",
             "negative_seed", "no_audio_sample", "no_ecg_sample", "audio_too_long",
             "ecg_too_long", "ecg_too_many_beats", "utterance_shorter_than_frame",
             "infinite_frame_length", "zero_cepstra", "negative_cepstra",
-            "negative_fft_size", "zero_fft_size", "nan_pre_emphasis", "infinite_log_floor"])
+            "negative_fft_size", "zero_fft_size", "huge_fft_size", "nan_pre_emphasis",
+            "huge_pre_emphasis", "negative_pre_emphasis", "infinite_log_floor",
+            "huge_log_floor"])
     def test_synth_spec_rules(self, payload, message):
         with pytest.raises(CorruptJsonError) as caught:
             decode_json(payload, SynthSpec, "spec.json")

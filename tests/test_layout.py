@@ -2,7 +2,7 @@
 
 Every file format the pipeline reads or writes goes through the codecs
 in `signal_io`, so it alone imports the standard library's format
-modules.
+modules. Every strided window is cut by one framing helper.
 """
 
 import ast
@@ -31,6 +31,13 @@ def imported_modules(path: Path) -> set[str]:
 def test_only_signal_io_imports_format_modules(path):
     allowed = FORMAT_MODULES if path.name == "signal_io.py" else set()
     assert imported_modules(path) & FORMAT_MODULES <= allowed
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_frames_come_from_frame_signal(path):
+    # `speech_features.frame_signal` cuts every strided window: numpy's
+    # `sliding_window_view` costs more than twice as much a call
+    assert "sliding_window_view" not in path.read_text(encoding="utf-8")
 
 
 def test_signal_io_is_where_the_formats_are():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import frame_signal_fancy, mfcc_fancy_framing
+from oracles import frame_signal_fancy, frame_signal_sliding_window, mfcc_fancy_framing
 from voicehr.errors import (
     ClipTooShortError,
     DimensionMismatchError,
@@ -125,16 +125,22 @@ class TestFrameCount:
 
 
 class TestFraming:
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 700), frame=st.integers(1, 400), hop=st.integers(1, 400),
-           seed=st.integers(0, 2**32 - 1))
-    def test_windows_match_fancy_index(self, n, frame, hop, seed):
-        samples = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), frame=st.integers(1, 600), hop=st.integers(1, 400),
+           stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, frame=6, hop=1, stride=1, seed=0)
+    def test_windows_match_fancy_index(self, n, frame, hop, stride, seed):
+        # strided inputs too, and inputs shorter than one frame, which have no rows
+        samples = np.random.default_rng(seed).normal(0.0, 1.0, n * stride)[::stride]
         frames = frame_signal(samples, frame, hop)
-        expected = frame_signal_fancy(samples, frame, hop)
-        assert frames.shape == expected.shape == (frame_count(n, frame, hop), frame)
-        assert frames.dtype == expected.dtype
-        assert frames.tobytes() == expected.tobytes()
+        for expected in (frame_signal_fancy(samples, frame, hop),
+                         frame_signal_sliding_window(samples, frame, hop)):
+            assert frames.shape == expected.shape == (frame_count(n, frame, hop), frame)
+            assert frames.dtype == expected.dtype
+            assert frames.tobytes() == expected.tobytes()
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frames[...] = 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(560, 6000), rate=st.sampled_from([8000.0, 16000.0, 22050.0]),

@@ -1,4 +1,6 @@
 import filecmp
+import multiprocessing
+import os
 import re
 import struct
 from pathlib import Path
@@ -9,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import generate_corpus_single_loop, synth_ecg_loop, synth_utterance_formula
+from test_parallel import _wait_for
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest, read_json, write_json
 from voicehr import _parallel
 from voicehr.synth import (
     SynthSpec,
     _harmonic_basis,
+    _render_take,
+    _voice_targeter,
     generate_synthetic_corpus,
     load_ledger,
     synth_ecg,
@@ -24,6 +29,17 @@ from voicehr.synth import (
 
 TINY = dict(n_subjects=1, takes_per_emotion=4, noise_std_bpm=0.0,
             ecg_duration_s=4.0)
+
+
+def _render_take_on_both_sides(job, spec, outdir):
+    """`_render_take`, once this process and the other have each claimed a take."""
+    markers = outdir.parent / "markers"
+    mine, theirs = "caller", "child"
+    if multiprocessing.parent_process() is not None:
+        mine, theirs = theirs, mine
+    (markers / mine).touch()
+    _wait_for(markers / theirs)
+    return _render_take(job, spec, outdir)
 
 
 class TestSynthSpec:
@@ -168,6 +184,15 @@ class TestSubjectVoice:
         generate_synthetic_corpus(spec, tmp_path)
         assert _harmonic_basis.cache_info().misses == 2
 
+    def test_one_targeter_per_subject(self, tmp_path):
+        # in-process the takes render in order, so each voice's reference
+        # and calibration grid are made once
+        spec = SynthSpec(**dict(TINY, n_subjects=3))
+        assert spec.n_subjects * 3 * spec.takes_per_emotion < _parallel.MIN_SHARED_TAKES
+        _voice_targeter.cache_clear()
+        generate_synthetic_corpus(spec, tmp_path)
+        assert _voice_targeter.cache_info().misses == 3
+
 
 class TestPlanThenRender:
     @pytest.mark.parametrize("noise_std_bpm", [0.0, 2.5])
@@ -181,6 +206,24 @@ class TestPlanThenRender:
         assert len(files) == 2 + 2 * len(ledger)
         for rel in files:
             assert (tmp_path / "plan" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
+
+    def test_takes_shared_with_a_child_match_single_loop_generator(self, tmp_path, monkeypatch):
+        # 45 one-take jobs: the child renders from the head and the caller
+        # from the tail, so at like speeds they meet inside the middle
+        # subject, and both processes calibrate its voice
+        monkeypatch.setattr(_parallel, "MIN_SHARED_TAKES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr("voicehr.synth._render_take", _render_take_on_both_sides)
+        (tmp_path / "markers").mkdir()
+        spec = SynthSpec(n_subjects=3, takes_per_emotion=5, seed=2024)
+        _, ledger = generate_synthetic_corpus(spec, tmp_path / "shared")
+        assert {p.name for p in (tmp_path / "markers").iterdir()} == {"caller", "child"}
+        assert ledger == generate_corpus_single_loop(spec, tmp_path / "loop")
+        files = sorted(p.relative_to(tmp_path / "loop")
+                       for p in (tmp_path / "loop").rglob("*") if p.is_file())
+        assert len(files) == 2 + 2 * len(ledger) == 2 + 2 * 45
+        for rel in files:
+            assert (tmp_path / "shared" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 63 - 1), hr=st.floats(35.0, 215.0))
