@@ -10,9 +10,9 @@ for 1-NN.
 Training sorts each feature once, stably, for all trees; a pure node is a
 leaf, any other node scans every feature in one `best_split_scan` call and
 its children keep their rows in that order. Each model's `predict` labels
-every row of a 2-D array. The trainers and `classification_accuracy` take
-a list of LabeledVector or a `VectorSet`, so a set used several times is
-stacked once.
+every row of a 2-D array. The trainers, `split` and
+`classification_accuracy` take a `VectorSet`, one subject's vectors
+stacked once as an (n, d) array with a label per row.
 """
 
 from __future__ import annotations
@@ -27,47 +27,28 @@ from .errors import (
     SingleClassError,
     TooFewExamplesError,
 )
-from .signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel
+from .signal_io import EMOTION_ORDER, VALUE_LIMIT
 
 GNB_VARIANCE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledVector:
-    """One feature vector and its emotion.
-
-    `features` may be a read-only view that shares its buffer with other
-    vectors (`read_embeddings_csv` gives such rows); treat it as read-only.
-    """
-
-    features: np.ndarray
-    label: EmotionLabel
-    subject_id: str = ""
-
-
-@dataclass(frozen=True, eq=False)
 class VectorSet:
-    """Labeled vectors stacked once: `features` is (n, d) float64, `labels` in row order."""
+    """Labeled feature vectors: `features` is (n, d) float64, `labels` in row order.
+
+    Each value must be finite with magnitude below `VALUE_LIMIT`.
+    """
 
     features: np.ndarray
     labels: tuple
 
+    def __post_init__(self):
+        if not (np.abs(self.features) < VALUE_LIMIT).all():
+            raise InvalidSignalError(f"a feature value is not finite or is {VALUE_LIMIT:g} "
+                                     "or more in magnitude")
+
     def __len__(self) -> int:
         return len(self.labels)
-
-
-def stack_vectors(data) -> VectorSet:
-    """`data`, a list of LabeledVector or a VectorSet, as a VectorSet.
-
-    Each value must be finite with magnitude below `VALUE_LIMIT`.
-    """
-    if isinstance(data, VectorSet):
-        return data
-    features = np.array([d.features for d in data], dtype=np.float64)
-    if not (np.abs(features) < VALUE_LIMIT).all():
-        raise InvalidSignalError(f"a feature value is not finite or is {VALUE_LIMIT:g} "
-                                 "or more in magnitude")
-    return VectorSet(features, tuple(d.label for d in data))
 
 
 @dataclass(frozen=True)
@@ -193,9 +174,8 @@ class CvrModel:
         return [self.classes[i] for i in np.argmax(scores, axis=0)]
 
 
-def train_cvr(data, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
+def train_cvr(data: VectorSet, tree_config: TreeConfig = TreeConfig()) -> CvrModel:
     """One-vs-rest regression trees over 0/1 class indicators."""
-    data = stack_vectors(data)
     classes = _check_training(data.labels, min_per_class=5)
     X, labels = data.features, data.labels
     rows = np.arange(X.shape[0])
@@ -227,9 +207,8 @@ class GnbModel:
         return [self.classes[i] for i in best]
 
 
-def train_gnb(data) -> GnbModel:
+def train_gnb(data: VectorSet) -> GnbModel:
     """Per-class Gaussian likelihoods with class priors."""
-    data = stack_vectors(data)
     classes = _check_training(data.labels, min_per_class=2)
     X, labels = data.features, data.labels
     means, variances, priors = [], [], []
@@ -263,15 +242,14 @@ class KnnModel:
         return [self.train_labels[i] for i in np.argmin(dist, axis=1)]
 
 
-def train_knn(data) -> KnnModel:
-    data = stack_vectors(data)
+def train_knn(data: VectorSet) -> KnnModel:
     classes = _check_training(data.labels, min_per_class=1)
     return KnnModel(classes=tuple(classes), train_x=data.features, train_labels=data.labels)
 
 
 # --- evaluation ---
 
-def split(data, spec: SplitSpec):
+def split(data: VectorSet, spec: SplitSpec) -> tuple[VectorSet, VectorSet]:
     """Seeded stratified train/test split.
 
     Each label stratum is shuffled independently and cut at
@@ -279,26 +257,22 @@ def split(data, spec: SplitSpec):
     original dataset order.
     """
     rng = np.random.default_rng(spec.seed)
-    train_idx, test_idx = [], []
+    in_train = np.zeros(len(data), dtype=bool)
     for c in EMOTION_ORDER:
-        stratum = [i for i, d in enumerate(data) if d.label == c]
-        if not stratum:
+        stratum = np.flatnonzero([label == c for label in data.labels])
+        if not stratum.size:
             continue
-        perm = rng.permutation(len(stratum))
-        n_train = int(np.floor(spec.train_fraction * len(stratum) + 0.5))
-        n_train = min(max(n_train, 1 if len(stratum) > 1 else 0), len(stratum))
-        chosen = {stratum[p] for p in perm[:n_train]}
-        train_idx.extend(sorted(chosen))
-        test_idx.extend(sorted(set(stratum) - chosen))
-    train_idx.sort()
-    test_idx.sort()
-    return [data[i] for i in train_idx], [data[i] for i in test_idx]
+        perm = rng.permutation(stratum.size)
+        n_train = int(np.floor(spec.train_fraction * stratum.size + 0.5))
+        n_train = min(max(n_train, 1 if stratum.size > 1 else 0), stratum.size)
+        in_train[stratum[perm[:n_train]]] = True
+    return tuple(VectorSet(data.features[rows], tuple(data.labels[i] for i in rows.tolist()))
+                 for rows in (np.flatnonzero(in_train), np.flatnonzero(~in_train)))
 
 
-def classification_accuracy(model, test) -> float:
+def classification_accuracy(model, test: VectorSet) -> float:
     """Percent of correctly labeled test vectors."""
     if not len(test):
         raise EmptyTestSetError("empty test set")
-    test = stack_vectors(test)
     correct = sum(1 for got, lab in zip(model.predict(test.features), test.labels) if got == lab)
     return 100.0 * correct / len(test)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import map_jobs
-from .classify import LabeledVector
+from .classify import VectorSet
 from .ecg_hr import PeakConfig, extract_heart_rate
 from .errors import named
 from .regression import Observation
@@ -72,8 +72,10 @@ def extract_observations(manifest: DatasetManifest,
     the manifest is large (see `_parallel.map_jobs`). The reference
     embedding per subject is then the mean over its neutral takes (all
     of them; the evaluation holdout happens downstream), or over every
-    take when a subject has no neutral recordings. With `cepstra_dir`,
-    every take's cepstra matrix is written there too.
+    take when a subject has no neutral recordings. A subject's
+    `VectorSet` has a row per take, in manifest order: its embedding,
+    then its feature distance. With `cepstra_dir`, every take's cepstra
+    matrix is written there too.
     """
     if cepstra_dir is not None:
         Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
@@ -91,19 +93,16 @@ def extract_observations(manifest: DatasetManifest,
     references = {subject_id: subject_reference(neutral.get(subject_id) or every[subject_id])
                   for subject_id in manifest.subjects()}
 
-    observations = []
-    vectors_by_subject: dict[str, list[LabeledVector]] = {}
+    observations, rows, labels = [], {}, {}
     for entry, (emb, hr) in zip(entries, per_take):
-        fd = feature_distance(emb, references[entry.subject_id],
-                              reference_id=entry.subject_id)
+        fd = feature_distance(emb, references[entry.subject_id])
         observations.append(Observation(
-            subject_id=entry.subject_id, emotion=entry.emotion,
-            feature_distance=fd.value, heart_rate_bpm=hr.bpm,
-            take_index=entry.take_index))
-        vectors_by_subject.setdefault(entry.subject_id, []).append(LabeledVector(
-            features=np.append(emb.mean_cepstra, fd.value),
-            label=entry.emotion, subject_id=entry.subject_id))
-    return observations, vectors_by_subject
+            subject_id=entry.subject_id, emotion=entry.emotion, feature_distance=fd,
+            heart_rate_bpm=hr.bpm, take_index=entry.take_index))
+        rows.setdefault(entry.subject_id, []).append(np.append(emb, fd))
+        labels.setdefault(entry.subject_id, []).append(entry.emotion)
+    return observations, {subject_id: VectorSet(np.array(vectors), tuple(labels[subject_id]))
+                          for subject_id, vectors in rows.items()}
 
 
 def write_features_csv(observations, path) -> None:
@@ -133,20 +132,22 @@ class _EmbeddingRow:  # not frozen: a frozen record costs twice as much to build
 
 def write_embeddings_csv(vectors_by_subject, path, n_cepstra: int) -> None:
     write_table(path, embeddings_header(n_cepstra),
-                ([subject_id, vec.label, *vec.features]
+                ([subject_id, label, *features]
                  for subject_id in sorted(vectors_by_subject)
-                 for vec in vectors_by_subject[subject_id]))
+                 for features, label in zip(vectors_by_subject[subject_id].features.tolist(),
+                                            vectors_by_subject[subject_id].labels)))
 
 
-def read_embeddings_csv(path) -> dict[str, list[LabeledVector]]:
-    """The vectors of an embeddings CSV by subject, in file order.
+def read_embeddings_csv(path) -> dict[str, VectorSet]:
+    """The vectors of an embeddings CSV as one `VectorSet` per subject, in file order.
 
-    Each vector's `features` is a read-only view of a block that the
-    rows of one `read_table` batch share, so writing to one raises
-    instead of changing its neighbours.
+    A feature value that is not finite or is `VALUE_LIMIT` or more in
+    magnitude raises InvalidSignalError naming `path`.
     """
-    vectors_by_subject: dict[str, list[LabeledVector]] = {}
+    rows, labels = {}, {}
     for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
-        vectors_by_subject.setdefault(row.subject_id, []).append(
-            LabeledVector(row.features, row.emotion, row.subject_id))
-    return vectors_by_subject
+        rows.setdefault(row.subject_id, []).append(row.features)
+        labels.setdefault(row.subject_id, []).append(row.emotion)
+    with named(path):
+        return {subject_id: VectorSet(np.array(vectors), tuple(labels[subject_id]))
+                for subject_id, vectors in rows.items()}

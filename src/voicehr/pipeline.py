@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify
-from .classify import LabeledVector, SplitSpec, TreeConfig
+from .classify import SplitSpec, TreeConfig, VectorSet
 from .ecg_hr import PeakConfig
 from .errors import (
     CellTooSmallError,
@@ -276,18 +276,19 @@ def _train_algo(algo: str, train, tree_config: TreeConfig):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def classifier_matrix(vectors_by_subject: dict[str, list[LabeledVector]],
+def classifier_matrix(vectors_by_subject: dict[str, VectorSet],
                       config: PipelineConfig, algorithms=ALGORITHMS):
     """Per-subject accuracy of each algorithm under the stratified split.
 
     Returns (matrix, subjects) with matrix[algo][subject] in percent.
-    Each subject's train and test sets are stacked once for every algorithm.
+    NothingToEvaluateError is raised when there is no subject.
     """
+    if not vectors_by_subject:
+        raise NothingToEvaluateError("the embeddings hold no subject to classify")
     subjects = sorted(vectors_by_subject)
     matrix: dict[str, dict[str, float]] = {a: {} for a in algorithms}
     for sid in subjects:
-        train, test = map(classify.stack_vectors,
-                          classify.split(vectors_by_subject[sid], config.split))
+        train, test = classify.split(vectors_by_subject[sid], config.split)
         for algo in algorithms:
             model = _train_algo(algo, train, config.tree)
             matrix[algo][sid] = classify.classification_accuracy(model, test)
@@ -315,8 +316,6 @@ def build_report(observations, vectors_by_subject, config: PipelineConfig,
     """
     observations_source, vectors_source = sources
     with named(vectors_source):
-        if not vectors_by_subject:
-            raise NothingToEvaluateError("the embeddings hold no subject to classify")
         matrix, _ = classifier_matrix(vectors_by_subject, config)
     averages = {a: float(np.mean(list(per_subj.values())))
                 for a, per_subj in matrix.items()}

@@ -71,22 +71,10 @@ class CepstraMatrix:
     """T x n_cepstra matrix of per-frame cepstral coefficients."""
 
     frames: np.ndarray
-    config: FeatureConfig
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class UtteranceEmbedding:
-    mean_cepstra: np.ndarray
-
-
-@dataclass(frozen=True)
-class FeatureDistance:
-    value: float
-    reference_id: str = ""
 
 
 def hz_to_mel(f):
@@ -178,25 +166,22 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> CepstraMat
     energies = filterbank_energies(frames, fb, fft_size)
     log_energies = np.log(np.maximum(energies, config.log_floor))
     cepstra = dct(log_energies, type=2, norm="ortho", axis=1)[:, : config.n_cepstra]
-    return CepstraMatrix(frames=cepstra, config=config)
+    return CepstraMatrix(cepstra)
 
 
-def utterance_embedding(cepstra: CepstraMatrix) -> UtteranceEmbedding:
-    """Frame-mean cepstral vector of one utterance."""
-    return UtteranceEmbedding(mean_cepstra=cepstra.frames.mean(axis=0))
+def utterance_embedding(cepstra: CepstraMatrix) -> np.ndarray:
+    """Frame-mean cepstral vector of one utterance, float64."""
+    return cepstra.frames.mean(axis=0)
 
 
-def feature_distance(embedding: UtteranceEmbedding, reference: UtteranceEmbedding,
-                     reference_id: str = "") -> FeatureDistance:
+def feature_distance(embedding: np.ndarray, reference: np.ndarray) -> float:
     """Euclidean distance between an embedding and a reference embedding."""
-    a = embedding.mean_cepstra
-    b = reference.mean_cepstra
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"embedding dims {a.shape} vs {b.shape}")
-    return FeatureDistance(value=float(np.linalg.norm(a - b)), reference_id=reference_id)
+    if embedding.shape != reference.shape:
+        raise DimensionMismatchError(f"embedding dims {embedding.shape} vs {reference.shape}")
+    return float(np.linalg.norm(embedding - reference))
 
 
-def subject_reference(embeddings: list[UtteranceEmbedding]) -> UtteranceEmbedding:
+def subject_reference(embeddings: list[np.ndarray]) -> np.ndarray:
     """Mean embedding over a subject's enrollment takes.
 
     Callers pass the neutral-emotion embeddings when any exist, otherwise
@@ -204,8 +189,6 @@ def subject_reference(embeddings: list[UtteranceEmbedding]) -> UtteranceEmbeddin
     """
     if not embeddings:
         raise EmptyEnrollmentError("no embeddings to enroll")
-    lengths = {e.mean_cepstra.size for e in embeddings}
-    if len(lengths) != 1:
+    if len({e.size for e in embeddings}) != 1:
         raise DimensionMismatchError("enrollment embeddings differ in length")
-    stacked = np.stack([e.mean_cepstra for e in embeddings])
-    return UtteranceEmbedding(mean_cepstra=stacked.mean(axis=0))
+    return np.stack(embeddings).mean(axis=0)

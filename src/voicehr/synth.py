@@ -38,6 +38,7 @@ from .signal_io import (
 from .speech_features import (
     FeatureConfig,
     feature_distance,
+    frame_count,
     mfcc,
     utterance_embedding,
 )
@@ -64,6 +65,10 @@ PLANTED_BPM_RANGE = (35.0, 215.0)
 # and an ECG record at most this many beats at the fastest planted rate.
 MAX_TAKE_SAMPLES = 2 ** 20
 MAX_ECG_BEATS = 2 ** 16
+# An utterance's frames times the FFT size, the size of the block each
+# `mfcc` transforms: 32 MiB of float64. The default feature config at
+# MAX_TAKE_SAMPLES makes 6552 * 512 = 3354624.
+MAX_FRAME_BLOCK = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,8 @@ class SynthSpec:
                                        f"got {getattr(self, name)}")
         # each take's sample counts round to at least one and stay within
         # MAX_TAKE_SAMPLES, the ECG's beats within MAX_ECG_BEATS, and the
-        # utterance holds one analysis frame
+        # utterance holds one analysis frame and at most MAX_FRAME_BLOCK
+        # frames x FFT size
         for name, rate in (("utterance_s", "audio_rate_hz"), ("ecg_duration_s", "ecg_rate_hz")):
             seconds, hz = getattr(self, name), getattr(self, rate)
             if seconds * hz < 1:
@@ -110,6 +116,13 @@ class SynthSpec:
         if self.utterance_s < self.feature.frame_length_s:
             raise SpecInvalidError(f"utterance_s must hold one feature frame of "
                                    f"{self.feature.frame_length_s} s, got {self.utterance_s}")
+        rate, feature = self.audio_rate_hz, self.feature
+        frames = frame_count(int(round(self.utterance_s * rate)), feature.frame_samples(rate),
+                             feature.hop_samples(rate))
+        fft_size = feature.resolve_fft_size(rate)
+        if frames * fft_size > MAX_FRAME_BLOCK:
+            raise SpecInvalidError(f"utterance_s must hold at most {MAX_FRAME_BLOCK} frames x "
+                                   f"FFT size with this feature config, got {frames} x {fft_size}")
         if not 0 < self.fd_tolerance < 1:
             raise SpecInvalidError("fd_tolerance must be in (0, 1)")
         if self.max_fd_iterations < 1:
@@ -196,8 +209,8 @@ class FdTargeter:
 
     def _measure(self, g: float) -> tuple[float, AudioClip]:
         clip = synth_utterance(self.voice, g, self.spec.audio_rate_hz, self.spec.utterance_s)
-        emb = utterance_embedding(mfcc(clip, self.spec.feature))
-        return feature_distance(emb, self.reference).value, clip
+        return feature_distance(utterance_embedding(mfcc(clip, self.spec.feature)),
+                                self.reference), clip
 
     def _grid(self, sign: float):
         if sign not in self._grids:

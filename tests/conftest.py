@@ -23,17 +23,23 @@ def small_corpus_extracted(small_corpus):
     return observations, vectors_by_subject, ledger
 
 
+def vector_set(features, labels):
+    """A `VectorSet` of the feature rows `features` (vectors or lists) and their labels."""
+    from voicehr.classify import VectorSet
+
+    return VectorSet(np.array(features, dtype=np.float64), tuple(labels))
+
+
 @pytest.fixture(scope="session")
 def blob_vectors():
     """Three well-separated 2-feature blobs, 100 per class."""
-    from voicehr.classify import LabeledVector
     from voicehr.signal_io import EMOTION_ORDER
 
     rng = np.random.default_rng(42)
     centers = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    data = []
+    features, labels = [], []
     for label, center in zip(EMOTION_ORDER, centers):
         for _ in range(100):
-            data.append(LabeledVector(
-                features=center + rng.normal(0.0, 0.1, 2), label=label))
-    return data
+            features.append(center + rng.normal(0.0, 0.1, 2))
+            labels.append(label)
+    return vector_set(features, labels)

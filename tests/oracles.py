@@ -392,25 +392,26 @@ def write_embeddings_loop(vectors_by_subject, path, n_cepstra):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for subject_id in sorted(vectors_by_subject):
-            for vec in vectors_by_subject[subject_id]:
-                w.writerow([subject_id, vec.label.value]
-                           + [repr(float(v)) for v in vec.features])
+            vectors = vectors_by_subject[subject_id]
+            for features, label in zip(vectors.features, vectors.labels):
+                w.writerow([subject_id, label.value] + [repr(float(v)) for v in features])
 
 
 def read_embeddings_loop(path):
-    from voicehr.classify import LabeledVector
+    """One `VectorSet` per subject of the rows that a csv.reader loop parses."""
+    from voicehr.classify import VectorSet
     from voicehr.signal_io import EmotionLabel
 
-    vectors_by_subject = {}
+    rows = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
             features = np.asarray([float(v) for v in row[2:]])
-            vectors_by_subject.setdefault(row[0], []).append(LabeledVector(
-                features=features, label=EmotionLabel.parse(row[1]),
-                subject_id=row[0]))
-    return vectors_by_subject
+            rows.setdefault(row[0], []).append((features, EmotionLabel.parse(row[1])))
+    return {subject_id: VectorSet(np.array([f for f, _ in vectors]),
+                                  tuple(label for _, label in vectors))
+            for subject_id, vectors in rows.items()}
 
 
 # The classifiers as they were before the shared presort and batched
@@ -445,8 +446,8 @@ def cvr_trees_loop(data, config):
     """(classes, trees) of one-vs-rest trees built by `build_tree_loop`."""
     from voicehr.signal_io import EMOTION_ORDER
 
-    X = np.stack([d.features for d in data]).astype(np.float64)
-    labels = [d.label for d in data]
+    X = data.features.astype(np.float64)
+    labels = list(data.labels)
     classes = tuple(c for c in EMOTION_ORDER if c in labels)
     trees = tuple(build_tree_loop(X, np.asarray([1.0 if lab == c else 0.0 for lab in labels]),
                                   0, config) for c in classes)
@@ -481,6 +482,26 @@ def knn_predict_one(model, x):
     return model.train_labels[np.argsort(dist, kind="stable")[0]]
 
 
+def split_loop(labels, spec):
+    """(train rows, test rows) of the split as it was over a list of vectors:
+    each stratum a list of positions, cut through a set of chosen ones."""
+    from voicehr.signal_io import EMOTION_ORDER
+
+    rng = np.random.default_rng(spec.seed)
+    train_idx, test_idx = [], []
+    for c in EMOTION_ORDER:
+        stratum = [i for i, label in enumerate(labels) if label == c]
+        if not stratum:
+            continue
+        perm = rng.permutation(len(stratum))
+        n_train = int(np.floor(spec.train_fraction * len(stratum) + 0.5))
+        n_train = min(max(n_train, 1 if len(stratum) > 1 else 0), len(stratum))
+        chosen = {stratum[p] for p in perm[:n_train]}
+        train_idx.extend(sorted(chosen))
+        test_idx.extend(sorted(set(stratum) - chosen))
+    return sorted(train_idx), sorted(test_idx)
+
+
 def classifier_matrix_loop(vectors_by_subject, config):
     """algo -> subject -> accuracy of the per-vector models, as `classifier_matrix` lays it out."""
     from voicehr.classify import CvrModel, split, train_gnb, train_knn
@@ -495,6 +516,7 @@ def classifier_matrix_loop(vectors_by_subject, config):
         train, test = split(vectors_by_subject[sid], config.split)
         for algo, (train_fn, predict_one) in predictors.items():
             model = train_fn(train)
-            correct = sum(1 for d in test if predict_one(model, d.features) == d.label)
+            correct = sum(1 for x, label in zip(test.features, test.labels)
+                          if predict_one(model, x) == label)
             matrix[algo][sid] = 100.0 * correct / len(test)
     return matrix

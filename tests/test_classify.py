@@ -3,23 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import vector_set
 from oracles import (
     cvr_predict_one,
     cvr_trees_loop,
     gnb_log_likelihood_one,
     gnb_predict_one,
     knn_predict_one,
+    split_loop,
     split_scan_loop,
 )
 from voicehr import classify
 from voicehr.classify import (
-    LabeledVector,
     SplitSpec,
     TreeConfig,
     best_split_scan,
     classification_accuracy,
     split,
-    stack_vectors,
     train_cvr,
     train_gnb,
     train_knn,
@@ -33,19 +33,25 @@ from voicehr.errors import (
 from voicehr.signal_io import EMOTION_ORDER, EmotionLabel
 
 
-def make_data(features, labels):
-    return [LabeledVector(features=np.asarray(f, dtype=float), label=lab)
-            for f, lab in zip(features, labels)]
+def shuffled(data, rng):
+    """`data` with its rows in the order `rng.shuffle` gives a list of them."""
+    order = list(range(len(data)))
+    rng.shuffle(order)
+    return vector_set(data.features[order], [data.labels[i] for i in order])
+
+
+def scaled(data, factor):
+    return vector_set(data.features * factor, data.labels)
 
 
 class TestTrainCvr:
     def test_single_class(self):
-        data = make_data([[i, 0] for i in range(10)], [EmotionLabel.JOY] * 10)
+        data = vector_set([[i, 0] for i in range(10)], [EmotionLabel.JOY] * 10)
         with pytest.raises(SingleClassError):
             train_cvr(data)
 
     def test_too_few_per_class(self):
-        data = make_data([[i, 0] for i in range(8)],
+        data = vector_set([[i, 0] for i in range(8)],
                          [EmotionLabel.JOY] * 5 + [EmotionLabel.ANGER] * 3)
         with pytest.raises(TooFewExamplesError):
             train_cvr(data)
@@ -66,7 +72,7 @@ class TestTrainCvr:
             features.append([rng.uniform(0.5, 2.0), rng.normal()])
             labels.append(EmotionLabel.NEUTRAL if rng.random() < 0.5
                           else EmotionLabel.ANGER)
-        model = train_cvr(make_data(features, labels))
+        model = train_cvr(vector_set(features, labels))
         joy_tree = model.trees[model.classes.index(EmotionLabel.JOY)]
         assert joy_tree["feature"] == 0
         assert -0.5 < joy_tree["threshold"] < 0.5
@@ -85,20 +91,15 @@ class TestTrainCvr:
             walk(tree)
 
     def test_permutation_invariance(self, blob_vectors):
-        rng = np.random.default_rng(7)
-        shuffled = list(blob_vectors)
-        rng.shuffle(shuffled)
         a = train_cvr(blob_vectors)
-        b = train_cvr(shuffled)
-        probes = np.stack([v.features for v in blob_vectors[::7]])
+        b = train_cvr(shuffled(blob_vectors, np.random.default_rng(7)))
+        probes = blob_vectors.features[::7]
         assert a.predict(probes) == b.predict(probes)
 
     def test_monotone_scaling_invariance(self, blob_vectors):
         model = train_cvr(blob_vectors)
-        scaled = [LabeledVector(features=v.features * 4.0, label=v.label)
-                  for v in blob_vectors]
-        scaled_model = train_cvr(scaled)
-        probes = np.stack([v.features for v in blob_vectors[::5]])
+        scaled_model = train_cvr(scaled(blob_vectors, 4.0))
+        probes = blob_vectors.features[::5]
         assert model.predict(probes) == scaled_model.predict(probes * 4.0)
 
     def test_pure_node_is_a_leaf_without_a_scan(self, monkeypatch):
@@ -108,7 +109,7 @@ class TestTrainCvr:
         labels = [c for c in EMOTION_ORDER for _ in range(12)]
         rng = np.random.default_rng(29)
         features = np.array([[float(lab == c) for c in EMOTION_ORDER] for lab in labels])
-        data = make_data(features + 0.1 * rng.random(features.shape), labels)
+        data = vector_set(features + 0.1 * rng.random(features.shape), labels)
         calls = []
 
         def counted(*args):
@@ -128,7 +129,7 @@ class TestTrainGnb:
         features = ([[rng.normal(-3.0, 1.0)] for _ in range(400)]
                     + [[rng.normal(3.0, 1.0)] for _ in range(400)])
         labels = [EmotionLabel.JOY] * 400 + [EmotionLabel.ANGER] * 400
-        model = train_gnb(make_data(features, labels))
+        model = train_gnb(vector_set(features, labels))
         xs = np.linspace(-1.0, 1.0, 2001)
         predictions = model.predict(xs[:, None])
         flips = [x for x, a, b in zip(xs[1:], predictions, predictions[1:]) if a != b]
@@ -141,11 +142,9 @@ class TestTrainGnb:
         assert classification_accuracy(model, test) >= 95.0
 
     def test_permutation_invariance(self, blob_vectors):
-        rng = np.random.default_rng(7)
-        shuffled = list(blob_vectors)
-        rng.shuffle(shuffled)
-        a, b = train_gnb(blob_vectors), train_gnb(shuffled)
-        probes = np.stack([v.features for v in blob_vectors[::7]])
+        a = train_gnb(blob_vectors)
+        b = train_gnb(shuffled(blob_vectors, np.random.default_rng(7)))
+        probes = blob_vectors.features[::7]
         assert a.predict(probes) == b.predict(probes)
 
 
@@ -161,71 +160,86 @@ class TestTrainKnn:
 
     def test_scaling_invariance(self, blob_vectors):
         model = train_knn(blob_vectors)
-        scaled = [LabeledVector(features=v.features * 2.5, label=v.label)
-                  for v in blob_vectors]
-        scaled_model = train_knn(scaled)
-        probes = np.stack([v.features for v in blob_vectors[::5]])
+        scaled_model = train_knn(scaled(blob_vectors, 2.5))
+        probes = blob_vectors.features[::5]
         assert model.predict(probes) == scaled_model.predict(probes * 2.5)
 
 
 class TestSplit:
     def test_stratified_counts(self):
-        data = make_data([[i] for i in range(90)],
+        data = vector_set([[i] for i in range(90)],
                          [EMOTION_ORDER[i % 3] for i in range(90)])
         train, test = split(data, SplitSpec(train_fraction=0.66, seed=1))
         assert len(train) == 60
         assert len(test) == 30
         for c in EMOTION_ORDER:
-            assert sum(1 for d in train if d.label == c) == 20
-            assert sum(1 for d in test if d.label == c) == 10
+            assert train.labels.count(c) == 20
+            assert test.labels.count(c) == 10
 
     def test_determinism(self):
-        data = make_data([[i] for i in range(50)],
+        data = vector_set([[i] for i in range(50)],
                          [EMOTION_ORDER[i % 3] for i in range(50)])
         a = split(data, SplitSpec(seed=9))
         b = split(data, SplitSpec(seed=9))
-        assert [id(v) for v in a[0]] == [id(v) for v in b[0]]
-        assert [id(v) for v in a[1]] == [id(v) for v in b[1]]
+        # each row's feature is its index
+        for got, again in zip(a, b):
+            assert got.features.tobytes() == again.features.tobytes()
+            assert got.labels == again.labels
 
     def test_fuzzed_partition_invariants(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
             n = int(rng.integers(3, 60))
             labels = [EMOTION_ORDER[int(rng.integers(0, 3))] for _ in range(n)]
-            data = make_data([[float(i)] for i in range(n)], labels)
+            data = vector_set([[float(i)] for i in range(n)], labels)
             spec = SplitSpec(train_fraction=float(rng.uniform(0.2, 0.9)),
                              seed=int(rng.integers(0, 1000)))
             train, test = split(data, spec)
             assert len(train) + len(test) == n
-            assert {id(v) for v in train}.isdisjoint({id(v) for v in test})
+            # each row's feature is its index
+            assert set(train.features[:, 0]).isdisjoint(test.features[:, 0])
             for c in EMOTION_ORDER:
-                stratum = sum(1 for d in data if d.label == c)
+                stratum = data.labels.count(c)
                 if stratum == 0:
                     continue
-                got = sum(1 for d in train if d.label == c)
+                got = train.labels.count(c)
                 target = spec.train_fraction * stratum
                 assert abs(got - target) <= 1.0
+
+    def test_matches_list_split_oracle(self):
+        """Index arrays cut the rows that the per-vector split draws, in order."""
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            labels = [EMOTION_ORDER[int(rng.integers(0, 3))] for _ in range(n)]
+            data = vector_set(rng.normal(size=(n, 3)), labels)
+            spec = SplitSpec(train_fraction=float(rng.uniform(0.05, 0.95)),
+                             seed=int(rng.integers(0, 1000)))
+            for got, rows in zip(split(data, spec), split_loop(data.labels, spec)):
+                assert got.features.tobytes() == data.features[rows].tobytes()
+                assert got.features.shape == (len(rows), 3)
+                assert got.labels == tuple(data.labels[i] for i in rows)
 
 
 class TestClassificationAccuracy:
     def test_empty_test_set(self, blob_vectors):
         model = train_knn(blob_vectors)
         with pytest.raises(EmptyTestSetError):
-            classification_accuracy(model, [])
+            classification_accuracy(model, vector_set(np.empty((0, 2)), []))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e9, 3.2e250])
     def test_feature_value_out_of_range(self, blob_vectors, value):
-        bad = LabeledVector(np.array([0.5, value]), EMOTION_ORDER[0])
-        edge = LabeledVector(np.array([0.5, -999999999.999999]), EMOTION_ORDER[0])
-        assert stack_vectors([edge]).features.shape == (1, 2)
-        for train in (train_cvr, train_gnb, train_knn):
-            with pytest.raises(InvalidSignalError, match="^a feature value is not finite or "
-                               "is 1e[+]09 or more in magnitude$"):
-                train(blob_vectors + [bad])
+        # a set with such a value cannot be made, so no trainer sees one
+        edge = vector_set([[0.5, -999999999.999999]], EMOTION_ORDER[:1])
+        assert edge.features.shape == (1, 2)
+        with pytest.raises(InvalidSignalError, match="^a feature value is not finite or "
+                           "is 1e[+]09 or more in magnitude$"):
+            vector_set([*blob_vectors.features, [0.5, value]],
+                       [*blob_vectors.labels, EMOTION_ORDER[0]])
 
     def test_random_labels_near_chance(self):
         rng = np.random.default_rng(67)
-        data = make_data(rng.normal(size=(1000, 3)).tolist(),
+        data = vector_set(rng.normal(size=(1000, 3)).tolist(),
                          [EMOTION_ORDER[int(rng.integers(0, 3))] for _ in range(1000)])
         train, test = split(data, SplitSpec(seed=2))
         model = train_gnb(train)
@@ -290,7 +304,7 @@ def labeled_sets(draw):
         else:
             columns.append(rng.normal(size=rows))
     X = np.column_stack(columns)
-    return make_data(X[:len(labels)], labels), X
+    return vector_set(X[:len(labels)], labels), X
 
 
 class TestAgainstPerVectorOracle:
@@ -322,7 +336,8 @@ class TestAgainstPerVectorOracle:
         train, probes = case
         copies = data.draw(st.lists(st.tuples(st.integers(0, len(train) - 1),
                                               st.sampled_from(EMOTION_ORDER)), max_size=12))
-        train = train + [LabeledVector(train[i].features, label) for i, label in copies]
+        train = vector_set([*train.features, *(train.features[i] for i, _ in copies)],
+                           [*train.labels, *(label for _, label in copies)])
         model = train_knn(train)
         assert model.predict(probes) == [knn_predict_one(model, x) for x in probes]
 

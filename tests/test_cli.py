@@ -416,6 +416,16 @@ class TestReport:
         source = tmp_path / "features_embeddings.csv" if emptied == "embeddings" else copy
         assert capsys.readouterr().err == f"error: {source}: {message}\n"
 
+    def test_classify_names_empty_embeddings(self, workspace, tmp_path, capsys):
+        _, _, features = workspace
+        copy = _write_lines(tmp_path / "features.csv", features.read_text().splitlines())
+        header = features.with_name("features_embeddings.csv").read_text().splitlines()[:1]
+        empty = _write_lines(tmp_path / "features_embeddings.csv", header)
+        assert main(["classify", "--features", str(copy)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {empty}: the embeddings hold no subject to classify\n"
+
 
 # Edits that break a copied table; lines[2] is the file's line 3.
 def _drop_last_field(lines):
@@ -644,6 +654,8 @@ class TestExitClass:
          "utterance_s must hold at most 1048576 samples"),
         (_bad_spec({"ecg_rate_hz": 1e-6, "ecg_duration_s": 1e12}), EXIT_VALIDATION,
          "ecg_duration_s must hold at most 65536 beats"),
+        (_bad_spec({"utterance_s": 60, "feature": {"hop_length_s": 1e-6}}), EXIT_VALIDATION,
+         "utterance_s must hold at most 4194304 frames x FFT size"),
         (_header_quote_left_open, EXIT_DATA, "field larger than field limit"),
         (_path_with_line_break, EXIT_DATA, "referenced file missing: "),
         (_infinite_embedding, EXIT_DATA, "a feature value is not finite"),
@@ -652,7 +664,7 @@ class TestExitClass:
             "huge_fft_size", "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
             "huge_pre_emphasis", "huge_log_floor",
             "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
-            "no_audio_sample", "audio_too_long", "ecg_too_many_beats",
+            "no_audio_sample", "audio_too_long", "ecg_too_many_beats", "frame_block_too_large",
             "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
     def test_fault_exits_in_its_class(self, workspace, tmp_path, capsys, build, code, text):
         argv, named = build(workspace, tmp_path)

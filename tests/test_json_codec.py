@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from voicehr.classify import SplitSpec, TreeConfig
@@ -25,8 +25,14 @@ from voicehr.pipeline import (
 )
 from voicehr.regression import LinearModel, load_model, save_model
 from voicehr.signal_io import decode_json, read_json, write_json
-from voicehr.speech_features import MAX_FFT_SIZE, FeatureConfig
-from voicehr.synth import MAX_ECG_BEATS, MAX_TAKE_SAMPLES, PLANTED_BPM_RANGE, SynthSpec
+from voicehr.speech_features import MAX_FFT_SIZE, FeatureConfig, frame_count
+from voicehr.synth import (
+    MAX_ECG_BEATS,
+    MAX_FRAME_BLOCK,
+    MAX_TAKE_SAMPLES,
+    PLANTED_BPM_RANGE,
+    SynthSpec,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,15 +90,20 @@ def rates_for(seconds):
 
 @st.composite
 def synth_specs(draw):
-    """Specs whose utterance holds one feature frame, whose takes hold from
-    one to MAX_TAKE_SAMPLES samples and whose ECG holds at most MAX_ECG_BEATS beats."""
+    """Specs whose utterance holds one feature frame and at most
+    MAX_FRAME_BLOCK frames x FFT size, whose takes hold from one to
+    MAX_TAKE_SAMPLES samples and whose ECG holds at most MAX_ECG_BEATS beats."""
     feature = draw(FEATURE_CONFIGS)
     utterance_s = draw(st.floats(max(feature.frame_length_s, SHORTEST_S), allow_infinity=False))
+    audio_rate_hz = draw(rates_for(utterance_s))
+    frames = frame_count(int(round(utterance_s * audio_rate_hz)),
+                         feature.frame_samples(audio_rate_hz), feature.hop_samples(audio_rate_hz))
+    assume(frames * feature.resolve_fft_size(audio_rate_hz) <= MAX_FRAME_BLOCK)
     ecg_duration_s = draw(st.floats(SHORTEST_S, MAX_ECG_BEATS * 60 / PLANTED_BPM_RANGE[1]))
     return draw(st.builds(
         SynthSpec, n_subjects=st.integers(min_value=1), takes_per_emotion=st.integers(min_value=1),
         seed=SEEDS, noise_std_bpm=FINITE_NON_NEGATIVE, homogeneous=st.booleans(),
-        audio_rate_hz=rates_for(utterance_s), utterance_s=st.just(utterance_s),
+        audio_rate_hz=st.just(audio_rate_hz), utterance_s=st.just(utterance_s),
         ecg_rate_hz=rates_for(ecg_duration_s), ecg_duration_s=st.just(ecg_duration_s),
         fd_tolerance=OPEN_UNIT, max_fd_iterations=st.integers(min_value=1),
         feature=st.just(feature)))
@@ -130,6 +141,7 @@ class TestRoundTrip:
     @given(spec=synth_specs())
     @example(spec=SynthSpec())
     @example(spec=SynthSpec(feature=FeatureConfig(fft_size=1024)))
+    @example(spec=SynthSpec(utterance_s=MAX_TAKE_SAMPLES / 16000.0))
     def test_synth_spec(self, tmp_path, spec):
         assert bits(round_trip(tmp_path, spec)) == bits(spec)
 
@@ -293,6 +305,9 @@ class TestDecode:
         ({"ecg_rate_hz": 1e-6, "ecg_duration_s": 1e12},
          "ecg_duration_s must hold at most 65536 beats at 215 bpm, got 1000000000000.0 s"),
         ({"utterance_s": 0.02}, "utterance_s must hold one feature frame of 0.025 s, got 0.02"),
+        ({"utterance_s": 60.0, "feature": {"hop_length_s": 1e-6}},
+         "utterance_s must hold at most 4194304 frames x FFT size with this feature config, "
+         "got 959601 x 512"),
         ({"feature": {"frame_length_s": float("inf")}},
          "feature: require 0 < hop <= frame length, both finite, got 0.01, inf"),
         ({"feature": {"n_cepstra": 0}}, "feature: n_cepstra must be >= 1, got 0"),
@@ -315,7 +330,7 @@ class TestDecode:
             "infinite_ecg_duration", "nan_noise", "negative_noise", "zero_iterations",
             "negative_seed", "no_audio_sample", "no_ecg_sample", "audio_too_long",
             "ecg_too_long", "ecg_too_many_beats", "utterance_shorter_than_frame",
-            "infinite_frame_length", "zero_cepstra", "negative_cepstra",
+            "frame_block_too_large", "infinite_frame_length", "zero_cepstra", "negative_cepstra",
             "negative_fft_size", "zero_fft_size", "huge_fft_size", "nan_pre_emphasis",
             "huge_pre_emphasis", "negative_pre_emphasis", "infinite_log_floor",
             "huge_log_floor"])
@@ -323,6 +338,16 @@ class TestDecode:
         with pytest.raises(CorruptJsonError) as caught:
             decode_json(payload, SynthSpec, "spec.json")
         assert str(caught.value) == f"spec.json: {message}"
+
+    def test_frame_block_bound_is_inclusive(self):
+        # 400-sample frames every 160 samples with 1024-point FFTs: 4096
+        # frames fill MAX_FRAME_BLOCK, and one more hop adds a frame
+        assert 4096 * 1024 == MAX_FRAME_BLOCK
+        fits = {"utterance_s": (400 + 4095 * 160) / 16000.0, "feature": {"fft_size": 1024}}
+        assert decode_json(fits, SynthSpec, "spec.json").utterance_s == fits["utterance_s"]
+        with pytest.raises(CorruptJsonError, match="got 4097 x 1024$"):
+            decode_json({**fits, "utterance_s": (400 + 4096 * 160) / 16000.0}, SynthSpec,
+                        "spec.json")
 
     @pytest.mark.parametrize("payload, message", [
         ({"seed": -1}, "seed must be >= 0, got -1"),

@@ -6,6 +6,8 @@ modules. Every strided window is cut by one framing helper.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,13 @@ def test_frames_come_from_frame_signal(path):
 
 def test_signal_io_is_where_the_formats_are():
     assert imported_modules(PACKAGE / "signal_io.py") >= FORMAT_MODULES
+
+
+def test_package_root_imports_no_module():
+    # a bare `import voicehr`, in a fresh interpreter, loads no submodule,
+    # and so neither numpy nor scipy
+    code = ("import sys, voicehr; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('voicehr.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent).stdout
+    assert out == "[]\n"

@@ -7,7 +7,7 @@ import pytest
 
 from make_outputs_sha256 import SPEC as GATE_SPEC
 from oracles import classifier_matrix_loop
-from voicehr.classify import LabeledVector, SplitSpec
+from voicehr.classify import SplitSpec, VectorSet
 from voicehr.errors import CorruptJsonError, OutOfRangeError, SubjectMismatchError
 from voicehr.pipeline import (
     CellScore,
@@ -361,11 +361,11 @@ def noisy_gate_vectors(tmp_path_factory):
     classifier scores 100 % on split seed 0 (it scores 100 % without noise)."""
     manifest_path, _ = generate_synthetic_corpus(GATE_SPEC, tmp_path_factory.mktemp("gate"))
     _, vectors_by_subject = extract_observations(load_manifest(manifest_path))
-    spread = np.stack([v.features for vs in vectors_by_subject.values() for v in vs]).std(axis=0)
+    spread = np.concatenate([vs.features for vs in vectors_by_subject.values()]).std(axis=0)
     for scale in 0.05 * 2.0 ** np.arange(8):
         rng = np.random.default_rng(11)
-        noisy = {sid: [LabeledVector(v.features + scale * spread * rng.normal(size=spread.size),
-                                     v.label, v.subject_id) for v in vs]
+        noisy = {sid: VectorSet(vs.features + scale * spread * rng.normal(size=vs.features.shape),
+                                vs.labels)
                  for sid, vs in vectors_by_subject.items()}
         matrix, _ = classifier_matrix(noisy, PipelineConfig())
         if all(acc < 100.0 for row in matrix.values() for acc in row.values()):

@@ -13,7 +13,6 @@ from voicehr.signal_io import AudioClip
 from voicehr.speech_features import (
     CepstraMatrix,
     FeatureConfig,
-    UtteranceEmbedding,
     _hamming_window,
     feature_distance,
     filterbank_energies,
@@ -160,13 +159,13 @@ class TestFraming:
 class TestEmbeddingAndDistance:
     def test_single_frame_identity(self):
         frame = np.arange(13.0)
-        cepstra = CepstraMatrix(frames=frame[None, :], config=CONFIG)
-        np.testing.assert_array_equal(utterance_embedding(cepstra).mean_cepstra, frame)
+        cepstra = CepstraMatrix(frames=frame[None, :])
+        np.testing.assert_array_equal(utterance_embedding(cepstra), frame)
 
     def test_symmetric_frames_cancel(self):
         v = np.random.default_rng(1).normal(size=13)
-        cepstra = CepstraMatrix(frames=np.stack([v, -v]), config=CONFIG)
-        np.testing.assert_allclose(utterance_embedding(cepstra).mean_cepstra,
+        cepstra = CepstraMatrix(frames=np.stack([v, -v]))
+        np.testing.assert_allclose(utterance_embedding(cepstra),
                                    np.zeros(13), atol=1e-15)
 
     def test_mean_matches_summation_oracle(self):
@@ -174,66 +173,73 @@ class TestEmbeddingAndDistance:
         frames = rng.normal(size=(98, 13))
         expected = np.array([sum(frames[t, j] for t in range(98)) / 98.0
                              for j in range(13)])
-        got = utterance_embedding(CepstraMatrix(frames=frames, config=CONFIG))
-        np.testing.assert_allclose(got.mean_cepstra, expected, atol=1e-12)
+        got = utterance_embedding(CepstraMatrix(frames=frames))
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_embedding_of_a_clip_is_a_float64_vector(self):
+        got = utterance_embedding(mfcc(AudioClip(np.sin(np.arange(4000.0)), 16000.0), CONFIG))
+        assert got.dtype == np.float64 and got.shape == (CONFIG.n_cepstra,)
 
     def test_distance_identity(self):
-        e = UtteranceEmbedding(np.arange(13.0))
-        assert feature_distance(e, e).value == 0.0
+        e = np.arange(13.0)
+        assert feature_distance(e, e) == 0.0
 
     def test_three_four_five(self):
         a = np.zeros(13)
         b = np.zeros(13)
         b[0], b[1] = 3.0, 4.0
-        assert feature_distance(UtteranceEmbedding(a), UtteranceEmbedding(b)).value == 5.0
+        got = feature_distance(a, b)
+        assert type(got) is float and got == 5.0
 
     def test_distance_matches_summation_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = rng.normal(size=13), rng.normal(size=13)
             expected = np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-            got = feature_distance(UtteranceEmbedding(a), UtteranceEmbedding(b)).value
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert feature_distance(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            feature_distance(UtteranceEmbedding(np.zeros(13)),
-                             UtteranceEmbedding(np.zeros(12)))
+            feature_distance(np.zeros(13), np.zeros(12))
 
     def test_metric_properties(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            a, b, c = (UtteranceEmbedding(rng.normal(size=13)) for _ in range(3))
-            d_ab = feature_distance(a, b).value
-            d_ba = feature_distance(b, a).value
-            d_ac = feature_distance(a, c).value
-            d_cb = feature_distance(c, b).value
+            a, b, c = (rng.normal(size=13) for _ in range(3))
+            d_ab = feature_distance(a, b)
+            d_ba = feature_distance(b, a)
+            d_ac = feature_distance(a, c)
+            d_cb = feature_distance(c, b)
             assert d_ab == pytest.approx(d_ba, abs=1e-12)
             assert d_ab <= d_ac + d_cb + 1e-12
-        e = UtteranceEmbedding(rng.normal(size=13))
-        assert feature_distance(e, UtteranceEmbedding(e.mean_cepstra.copy())).value < 1e-12
+        e = rng.normal(size=13)
+        assert feature_distance(e, e.copy()) < 1e-12
 
 
 class TestSubjectReference:
     def test_single_embedding(self):
-        e = UtteranceEmbedding(np.arange(13.0))
-        np.testing.assert_array_equal(subject_reference([e]).mean_cepstra, e.mean_cepstra)
+        e = np.arange(13.0)
+        np.testing.assert_array_equal(subject_reference([e]), e)
 
     def test_opposite_pair_cancels(self):
         v = np.random.default_rng(5).normal(size=13)
-        ref = subject_reference([UtteranceEmbedding(v), UtteranceEmbedding(-v)])
-        np.testing.assert_allclose(ref.mean_cepstra, np.zeros(13), atol=1e-15)
+        ref = subject_reference([v, -v])
+        np.testing.assert_allclose(ref, np.zeros(13), atol=1e-15)
 
     def test_mean_of_many(self):
         rng = np.random.default_rng(6)
         vecs = [rng.normal(size=13) for _ in range(90)]
         expected = np.array([sum(v[j] for v in vecs) / 90.0 for j in range(13)])
-        ref = subject_reference([UtteranceEmbedding(v) for v in vecs])
-        np.testing.assert_allclose(ref.mean_cepstra, expected, atol=1e-12)
+        ref = subject_reference(vecs)
+        np.testing.assert_allclose(ref, expected, atol=1e-12)
 
     def test_empty(self):
         with pytest.raises(EmptyEnrollmentError):
             subject_reference([])
+
+    def test_lengths_differ(self):
+        with pytest.raises(DimensionMismatchError, match="^enrollment embeddings differ"):
+            subject_reference([np.zeros(13), np.zeros(12)])
 
 
 class TestPreEmphasis:

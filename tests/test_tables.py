@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import vector_set
 from oracles import (
     load_ledger_loop,
     load_manifest_loop,
@@ -23,8 +24,12 @@ from oracles import (
     write_ledger_loop,
     write_manifest_loop,
 )
-from voicehr.classify import LabeledVector
-from voicehr.errors import CorruptHeaderError, CorruptRowError, UnknownEmotionError
+from voicehr.errors import (
+    CorruptHeaderError,
+    CorruptRowError,
+    InvalidSignalError,
+    UnknownEmotionError,
+)
 from voicehr.extract import (
     read_embeddings_csv,
     read_features_csv,
@@ -35,6 +40,7 @@ from voicehr.regression import Observation
 from voicehr.signal_io import (
     _BATCH_ROWS,
     EMOTION_ORDER,
+    VALUE_LIMIT,
     EmotionLabel,
     ManifestEntry,
     load_manifest,
@@ -48,6 +54,10 @@ FUNCTION_TMP_PATH = settings(suppress_health_check=[HealthCheck.function_scoped_
 
 EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# A feature vector holds values below VALUE_LIMIT in magnitude, down to subnormals
+FEATURE_VALUES = st.one_of(
+    st.floats(-VALUE_LIMIT, VALUE_LIMIT, exclude_min=True, exclude_max=True),
+    st.sampled_from([-0.0, 5e-324, -999999999.999999, 999999999.9999999]))
 EMOTIONS = st.sampled_from(list(EmotionLabel))
 # Surrogates cannot be encoded as UTF-8.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
@@ -68,9 +78,15 @@ def _record_bits(record):
 def _embeddings(n_cepstra):
     """vectors_by_subject with `n_cepstra` cepstra and the fd per vector."""
     width = n_cepstra + 1
-    return st.dictionaries(TEXT, st.lists(st.builds(
-        LabeledVector, st.lists(FLOATS, min_size=width, max_size=width).map(np.array),
-        EMOTIONS), max_size=4), max_size=4)
+    rows = st.lists(st.tuples(st.lists(FEATURE_VALUES, min_size=width, max_size=width),
+                              EMOTIONS), max_size=4)
+    return st.dictionaries(TEXT, rows.map(lambda rows: vector_set(
+        [features for features, _ in rows], [label for _, label in rows])), max_size=4)
+
+
+def _vector_bits(vectors):
+    """(bits, label) of each vector of a `VectorSet`, in row order."""
+    return [(_bits(features), label) for features, label in zip(vectors.features, vectors.labels)]
 
 
 def _same_bytes(tmp_path, texts):
@@ -130,9 +146,9 @@ class TestMatchesLoops:
     @FUNCTION_TMP_PATH
     @given(table=st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), _embeddings(n))))
     @example(table=(2, {
-        "s02": [LabeledVector(np.array([-0.0, 5e-324, math.nan]), EmotionLabel.JOY, "s02")],
-        "s01": [LabeledVector(np.array([1.7976931348623157e308, math.inf, -math.inf]),
-                              EmotionLabel.ANGER, "s01")]}))
+        "s02": vector_set([[-0.0, 5e-324, -999999999.999999]], [EmotionLabel.JOY]),
+        "s01": vector_set([[999999999.9999999, 2.2250738585072014e-308, -1e-300]],
+                          [EmotionLabel.ANGER])}))
     def test_embeddings(self, tmp_path, table):
         n_cepstra, vectors = table
         write_embeddings_csv(vectors, tmp_path / "codec.csv", n_cepstra)
@@ -144,11 +160,11 @@ class TestMatchesLoops:
         expected = read_embeddings_loop(tmp_path / "codec.csv")
         assert list(got) == list(expected)
         for subject_id, vecs in expected.items():
-            assert [(_bits(v.features), v.label, v.subject_id) for v in got[subject_id]] \
-                == [(_bits(v.features), v.label, v.subject_id) for v in vecs]
+            assert _vector_bits(got[subject_id]) == _vector_bits(vecs)
 
     @pytest.mark.parametrize("cell", [" 1.5", "1.5\t", "1_000", "+.5", "Infinity", "-NaN",
-                                      "1e400", "5e-324", "\u0661\u0662", "0x10", "abc", ""])
+                                      "1e400", "5e-324", "\u0661\u0662", "0x10", "abc", "",
+                                      "1e9", "-1e9", "3.2e250", "-999999999.999999"])
     def test_hand_written_embedding_cells(self, tmp_path, cell):
         path = tmp_path / "emb.csv"
         path.write_text(f"subject_id,emotion,c0,fd\ns01, Joy ,{cell},2.0\n", encoding="utf-8")
@@ -158,8 +174,11 @@ class TestMatchesLoops:
             with pytest.raises(CorruptRowError, match=re.escape(f"{path}:2: {exc}")):
                 read_embeddings_csv(path)
             return
-        assert _bits(read_embeddings_csv(path)["s01"][0].features) \
-            == _bits(expected["s01"][0].features)
+        except InvalidSignalError as exc:  # a value that is not finite or too large
+            with pytest.raises(InvalidSignalError, match=f"^{re.escape(f'{path}: {exc}')}$"):
+                read_embeddings_csv(path)
+            return
+        assert _bits(read_embeddings_csv(path)["s01"].features) == _bits(expected["s01"].features)
 
     @FUNCTION_TMP_PATH
     @given(rows=st.lists(st.tuples(TEXT, EMOTIONS, st.integers(-2, 3),
@@ -322,15 +341,15 @@ class TestAcrossBatches:
         assert len(read_features_csv(path)) == n
 
         rng = np.random.default_rng(n)
-        vectors = {f"s{j}": [LabeledVector(rng.normal(size=4), EMOTION_ORDER[i % 3], f"s{j}")
-                             for i in range(n // 3 + j)] for j in range(3)}
+        vectors = {f"s{j}": vector_set([rng.normal(size=4) for i in range(n // 3 + j)],
+                                       [EMOTION_ORDER[i % 3] for i in range(n // 3 + j)])
+                   for j in range(3)}
         write_embeddings_csv(vectors, tmp_path / "emb.csv", 3)
         got, expected = (read(tmp_path / "emb.csv")
                          for read in (read_embeddings_csv, read_embeddings_loop))
         assert list(got) == list(expected)
         for subject_id, vecs in expected.items():
-            assert [(_bits(v.features), v.label, v.subject_id) for v in got[subject_id]] \
-                == [(_bits(v.features), v.label, v.subject_id) for v in vecs]
+            assert _vector_bits(got[subject_id]) == _vector_bits(vecs)
 
     @pytest.mark.parametrize("at", [_BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1,
                                     2 * _BATCH_ROWS])
@@ -350,14 +369,14 @@ class TestAcrossBatches:
             read_features_csv(path)
 
         # the embeddings row at `at` is the first of subject "b\n"
-        vectors = {sid: [LabeledVector(np.array([0.5 * i, 2.0]), EMOTION_ORDER[i % 3], sid)
-                         for i in range(size)] for sid, size in (("a", at), ("b\n", n - at))}
+        vectors = {sid: vector_set([[0.5 * i, 2.0] for i in range(size)],
+                                   [EMOTION_ORDER[i % 3] for i in range(size)])
+                   for sid, size in (("a", at), ("b\n", n - at))}
         write_embeddings_csv(vectors, tmp_path / "emb.csv", 1)
         got, expected = (read(tmp_path / "emb.csv")
                          for read in (read_embeddings_csv, read_embeddings_loop))
-        assert {sid: [(_bits(v.features), v.label) for v in vecs] for sid, vecs in got.items()} \
-            == {sid: [(_bits(v.features), v.label) for v in vecs]
-                for sid, vecs in expected.items()}
+        assert {sid: _vector_bits(vecs) for sid, vecs in got.items()} \
+            == {sid: _vector_bits(vecs) for sid, vecs in expected.items()}
 
     @pytest.mark.parametrize("where", [(_BATCH_ROWS + 3, _BATCH_ROWS + 10),
                                        (_BATCH_ROWS - 2, _BATCH_ROWS + 2)],
@@ -401,16 +420,21 @@ class TestAcrossBatches:
         write_embeddings_csv({}, path, 2)
         assert read_embeddings_csv(path) == read_embeddings_loop(path) == {}
 
-    def test_rows_share_a_read_only_block(self, tmp_path):
-        vectors = {"s01": [LabeledVector(np.array([1.0 * i, -1.0]), EmotionLabel.JOY, "s01")
-                           for i in range(3)]}
-        write_embeddings_csv(vectors, tmp_path / "emb.csv", 1)
-        first, second, _ = read_embeddings_csv(tmp_path / "emb.csv")["s01"]
-        assert first.features.base is second.features.base is not None
-        assert not first.features.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            first.features[0] = 9.0
-        assert second.features.tolist() == [1.0, -1.0]
+    def test_rows_of_a_subject_are_one_block(self, tmp_path):
+        # rows of two subjects interleave across a batch boundary
+        n = _BATCH_ROWS + 9
+        path = tmp_path / "emb.csv"
+        path.write_text("subject_id,emotion,c0,fd\n" + "".join(
+            f"s0{i % 2},joy,{1.0 * i},-1.0\n" for i in range(n)), encoding="utf-8")
+        got = read_embeddings_csv(path)
+        assert list(got) == ["s00", "s01"]
+        for parity, vectors in enumerate(got.values()):
+            assert vectors.features.shape == (len(range(parity, n, 2)), 2)
+            assert vectors.features.flags.c_contiguous
+            assert vectors.features[:, 0].tolist() == [1.0 * i for i in range(parity, n, 2)]
+            assert vectors.labels == (EmotionLabel.JOY,) * len(range(parity, n, 2))
+        got["s00"].features[0, 0] = 9.0  # its own block, shared with no other subject
+        assert got["s01"].features[0].tolist() == [1.0, -1.0]
 
 
 class TestWriteTable:
