@@ -1,16 +1,16 @@
 """Share a job list between the calling process and one forked child.
 
-`map_jobs(fn, jobs, n_takes)` returns `[fn(job) for job in jobs]`. When
-the work is big enough to pay back a child's start-up and the process
-may use two CPUs, one child started with the "fork" method shares it:
+`map_jobs(fn, jobs)` returns `[fn(job) for job in jobs]`. When there
+are enough jobs to pay back a child's start-up and the process may use
+two CPUs, one child started with the "fork" method shares them:
 the caller takes jobs from the tail of the list and the child takes them
 from the head. Both claim jobs under one shared lock, so neither idles
 while the other still has jobs left. Every job runs once at most. When
 jobs raise, the exception of the first failing job in job order is
 raised, as the in-process run raises it. Where the platform has no
 "fork", every job runs in the calling process. In both `synth` and
-`extract` a job is one take, so the two processes finish at most one
-take apart.
+`extract` a job is one take, so `MIN_SHARED_TAKES` counts jobs, and the
+two processes finish at most one take apart.
 
 The child inherits the imported modules, `fn` and the jobs, so neither
 needs to pickle; only the results it sends back do. `fn` must be a pure
@@ -70,10 +70,10 @@ def _child_main(fn, jobs, cursor, sender) -> None:
     sender.close()
 
 
-def map_jobs(fn, jobs, n_takes: int) -> list:
+def map_jobs(fn, jobs) -> list:
     """`[fn(job) for job in jobs]`, shared with one child when it pays."""
     jobs = list(jobs)
-    if (n_takes < MIN_SHARED_TAKES or len(jobs) < 2
+    if (len(jobs) < max(2, MIN_SHARED_TAKES)
             or len(os.sched_getaffinity(0)) < 2
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(job) for job in jobs]

@@ -12,7 +12,8 @@ leaf, any other node scans every feature in one `best_split_scan` call and
 its children keep their rows in that order. Each model's `predict` labels
 every row of a 2-D array. The trainers, `split` and
 `classification_accuracy` take a `VectorSet`, one subject's vectors
-stacked once as an (n, d) array with a label per row.
+stacked once as an (n, d) array with a label per row; the embeddings
+CSV holds one row per vector.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SplitSpec, TreeConfig
 from .errors import (
     EmptyTestSetError,
     InvalidSignalError,
     SingleClassError,
     TooFewExamplesError,
+    named,
 )
-from .signal_io import EMOTION_ORDER, VALUE_LIMIT
+from .signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel, read_table, write_table
 
 GNB_VARIANCE_FLOOR = 1e-9
 
@@ -51,27 +54,38 @@ class VectorSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.66
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+def embeddings_header(n_cepstra: int) -> list[str]:
+    return ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int = 6
-    min_leaf: int = 5
+@dataclass
+class _EmbeddingRow:  # not frozen: a frozen record costs twice as much to build per row
+    subject_id: str
+    emotion: EmotionLabel
+    features: np.ndarray  # the c0.. columns, then fd
 
-    def __post_init__(self):
-        if self.max_depth < 0 or self.min_leaf < 1:
-            raise ValueError("require max_depth >= 0 and min_leaf >= 1, got "
-                             f"{self.max_depth}, {self.min_leaf}")
+
+def write_embeddings_csv(vectors_by_subject, path, n_cepstra: int) -> None:
+    write_table(path, embeddings_header(n_cepstra),
+                ([subject_id, label, *features]
+                 for subject_id in sorted(vectors_by_subject)
+                 for features, label in zip(vectors_by_subject[subject_id].features.tolist(),
+                                            vectors_by_subject[subject_id].labels)))
+
+
+def read_embeddings_csv(path) -> dict[str, VectorSet]:
+    """The vectors of an embeddings CSV as one `VectorSet` per subject, in file order.
+
+    A feature value that is not finite or is `VALUE_LIMIT` or more in
+    magnitude raises InvalidSignalError naming `path`.
+    """
+    rows, labels = {}, {}
+    for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
+        rows.setdefault(row.subject_id, []).append(row.features)
+        labels.setdefault(row.subject_id, []).append(row.emotion)
+    with named(path):
+        return {subject_id: VectorSet(np.array(vectors), tuple(labels[subject_id]))
+                for subject_id, vectors in rows.items()}
 
 
 def _classes_present(labels):

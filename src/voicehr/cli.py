@@ -15,17 +15,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, synth
+from .classify import read_embeddings_csv, write_embeddings_csv
+from .config import HoldoutSpec, PipelineConfig
 from .errors import MissingFileError, SpecInvalidError, VoicehrError, named
-from .extract import (
-    embeddings_csv_path,
-    extract_observations,
-    read_embeddings_csv,
-    read_features_csv,
-    write_embeddings_csv,
-    write_features_csv,
-)
-from .pipeline import HoldoutSpec, PipelineConfig
-from .regression import load_model, predict, save_model
+from .extract import extract_observations, write_features_csv
+from .regression import load_model, predict, read_features_csv, save_model
 from .signal_io import load_manifest, read_json, write_table
 
 EXIT_OK = 0
@@ -41,6 +35,12 @@ def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     return PipelineConfig.from_dict(read_json(path, dict), path)
+
+
+def embeddings_csv_path(features_path) -> Path:
+    """Sibling file carrying the embedding vectors next to features CSV."""
+    p = Path(features_path)
+    return p.with_name(p.stem + "_embeddings.csv")
 
 
 def _read_embeddings(features_path) -> dict:

@@ -9,12 +9,12 @@ the band-passed signal so indices line up with the R waves themselves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, signal
 
+from .config import PeakConfig
 from .errors import (
     InsufficientPeaksError,
     NonPositiveIntervalError,
@@ -29,28 +29,6 @@ SMALL_SQUARE_S = 0.04
 
 # filtfilt's padding at each end: three lengths of the order-2 band-pass's 5 coefficients
 _PADLEN = 15
-
-
-@dataclass(frozen=True)
-class PeakConfig:
-    band_low_hz: float = 5.0
-    band_high_hz: float = 15.0
-    integration_window_s: float = 0.150
-    refractory_s: float = 0.2
-    threshold_fraction: float = 0.5
-    median_window_s: float = 2.0
-    min_signal_s: float = 2.0
-
-    def __post_init__(self):
-        if not (0 < self.band_low_hz < self.band_high_hz < math.inf):
-            raise ValueError("require 0 < band_low_hz < band_high_hz, both finite, got "
-                             f"{self.band_low_hz}, {self.band_high_hz}")
-        for name in ("integration_window_s", "median_window_s", "min_signal_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)}")
-        for name in ("refractory_s", "threshold_fraction"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,8 @@ class EmptySignalError(VoicehrError):
 
 
 class InvalidSignalError(VoicehrError):
-    """Signal has a non-finite sample or a bad sample rate, or a feature vector a bad value."""
+    """Signal has a non-finite sample or a bad sample rate, a clip more frames than one
+    `mfcc` block holds, or a feature vector a bad value."""
 
 
 class CorruptRowError(VoicehrError):

@@ -9,7 +9,6 @@ the classification feature vectors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -17,28 +16,19 @@ import numpy as np
 
 from ._parallel import map_jobs
 from .classify import VectorSet
-from .ecg_hr import PeakConfig, extract_heart_rate
+from .config import FeatureConfig, PeakConfig
+from .ecg_hr import extract_heart_rate
 from .errors import named
-from .regression import Observation
+from .regression import FEATURES_HEADER, Observation
 from .signal_io import (
     DatasetManifest,
     EmotionLabel,
     ManifestEntry,
     load_audio,
     load_ecg,
-    read_table,
     write_table,
 )
-from .speech_features import (
-    FeatureConfig,
-    feature_distance,
-    mfcc,
-    subject_reference,
-    utterance_embedding,
-)
-
-FEATURES_HEADER = ["subject_id", "emotion", "take_index",
-                   "feature_distance", "heart_rate_bpm"]
+from .speech_features import feature_distance, mfcc, subject_reference, utterance_embedding
 
 
 def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureConfig(),
@@ -82,7 +72,7 @@ def extract_observations(manifest: DatasetManifest,
     entries = manifest.entries
     per_take = map_jobs(functools.partial(extract_take, feature_config=feature_config,
                                           peak_config=peak_config, cepstra_dir=cepstra_dir),
-                        entries, n_takes=len(entries))
+                        entries)
     # each subject's neutral takes and all its takes, in entry order: the
     # order the reference mean adds them in
     neutral, every = {}, {}
@@ -107,47 +97,3 @@ def extract_observations(manifest: DatasetManifest,
 
 def write_features_csv(observations, path) -> None:
     write_table(path, FEATURES_HEADER, map(attrgetter(*FEATURES_HEADER), observations))
-
-
-def read_features_csv(path) -> list[Observation]:
-    return read_table(path, Observation, FEATURES_HEADER)
-
-
-def embeddings_csv_path(features_path) -> Path:
-    """Sibling file carrying the embedding vectors next to features CSV."""
-    p = Path(features_path)
-    return p.with_name(p.stem + "_embeddings.csv")
-
-
-def embeddings_header(n_cepstra: int) -> list[str]:
-    return ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
-
-
-@dataclass
-class _EmbeddingRow:  # not frozen: a frozen record costs twice as much to build per row
-    subject_id: str
-    emotion: EmotionLabel
-    features: np.ndarray  # the c0.. columns, then fd
-
-
-def write_embeddings_csv(vectors_by_subject, path, n_cepstra: int) -> None:
-    write_table(path, embeddings_header(n_cepstra),
-                ([subject_id, label, *features]
-                 for subject_id in sorted(vectors_by_subject)
-                 for features, label in zip(vectors_by_subject[subject_id].features.tolist(),
-                                            vectors_by_subject[subject_id].labels)))
-
-
-def read_embeddings_csv(path) -> dict[str, VectorSet]:
-    """The vectors of an embeddings CSV as one `VectorSet` per subject, in file order.
-
-    A feature value that is not finite or is `VALUE_LIMIT` or more in
-    magnitude raises InvalidSignalError naming `path`.
-    """
-    rows, labels = {}, {}
-    for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
-        rows.setdefault(row.subject_id, []).append(row.features)
-        labels.setdefault(row.subject_id, []).append(row.emotion)
-    with named(path):
-        return {subject_id: VectorSet(np.array(vectors), tuple(labels[subject_id]))
-                for subject_id, vectors in rows.items()}

@@ -11,15 +11,15 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 
 from . import classify
-from .classify import SplitSpec, TreeConfig, VectorSet
-from .ecg_hr import PeakConfig
+from .classify import VectorSet
+from .config import FilterWindow, HoldoutSpec, PipelineConfig, TreeConfig
 from .errors import (
     CellTooSmallError,
     NothingToEvaluateError,
@@ -28,23 +28,8 @@ from .errors import (
     SubjectTooSmallError,
     named,
 )
-from .regression import (
-    LinearModel,
-    Observation,
-    fit_ols,
-    predict,
-    relative_error,
-)
-from .signal_io import (
-    EMOTION_ORDER,
-    VALUE_LIMIT,
-    EmotionLabel,
-    decode_json,
-    read_json,
-    write_json,
-    write_table,
-)
-from .speech_features import FeatureConfig
+from .regression import LinearModel, fit_ols, predict, relative_error
+from .signal_io import EMOTION_ORDER, VALUE_LIMIT, decode_json, read_json, write_json, write_table
 
 ALGORITHMS = ("cvr", "gnb", "knn")
 
@@ -53,56 +38,6 @@ ALGORITHMS = ("cvr", "gnb", "knn")
 BENCHMARK_MODEL = LinearModel(
     beta0_hat=97.031, beta1_hat=0.091, n=0, s_xx=0.0, s_xy=0.0,
     residual_std=0.0, subject_id="s01", emotion="joy")
-
-
-@dataclass(frozen=True)
-class FilterWindow:
-    hr_min_bpm: float = 30.0
-    hr_max_bpm: float = 220.0
-
-    def __post_init__(self):
-        if not 0 <= self.hr_min_bpm <= self.hr_max_bpm < math.inf:
-            raise ValueError("require 0 <= hr_min_bpm <= hr_max_bpm, both finite, got "
-                             f"{self.hr_min_bpm}, {self.hr_max_bpm}")
-
-
-@dataclass(frozen=True)
-class HoldoutSpec:
-    test_fraction: float = 0.2
-    seed: int = 0
-    in_sample: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.test_fraction < 1:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    feature: FeatureConfig = field(default_factory=FeatureConfig)
-    peak: PeakConfig = field(default_factory=PeakConfig)
-    split: SplitSpec = field(default_factory=SplitSpec)
-    tree: TreeConfig = field(default_factory=TreeConfig)
-    filter_window: FilterWindow = field(default_factory=FilterWindow)
-    holdout: HoldoutSpec = field(default_factory=HoldoutSpec)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def from_dict(cls, d, source="config") -> "PipelineConfig":
-        """The config of a parsed JSON object, decoded as `decode_json` does.
-
-        `split.seed` and `holdout.seed` default to the top-level `seed`.
-        """
-        config = decode_json(d, cls, source)
-        return replace(config, **{name: replace(getattr(config, name), seed=config.seed)
-                                  for name in ("split", "holdout")
-                                  if "seed" not in d.get(name, {})})
 
 
 def filter_observations(rows, window: FilterWindow = FilterWindow()):

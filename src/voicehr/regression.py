@@ -1,8 +1,9 @@
 """Simple linear regression and the descriptive statistics around it.
 
-Covers least-squares fitting of heart rate on feature distance, sample
-mean/variance/standard deviation, relative-error scoring, and
-the 68-95-99.7 normal-coverage check.
+Covers the observation rows and their features CSV, least-squares
+fitting of heart rate on feature distance, sample mean/variance/standard
+deviation, relative-error scoring, and the 68-95-99.7 normal-coverage
+check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     NonPositiveMeasuredError,
     TooFewPointsError,
 )
-from .signal_io import EmotionLabel, read_json, write_json
+from .signal_io import EmotionLabel, read_json, read_table, write_json
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,14 @@ class Observation:
     feature_distance: float
     heart_rate_bpm: float
     take_index: int = 0
+
+
+FEATURES_HEADER = ["subject_id", "emotion", "take_index",
+                   "feature_distance", "heart_rate_bpm"]
+
+
+def read_features_csv(path) -> list[Observation]:
+    return read_table(path, Observation, FEATURES_HEADER)
 
 
 @dataclass(frozen=True)

@@ -10,60 +10,25 @@ reference embedding built from neutral takes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct, rfft
 
-from .errors import ClipTooShortError, DimensionMismatchError, EmptyEnrollmentError
+from .config import FeatureConfig
+from .errors import (
+    ClipTooShortError,
+    DimensionMismatchError,
+    EmptyEnrollmentError,
+    InvalidSignalError,
+)
 from .signal_io import AudioClip
 
-# Largest `fft_size` a config may set: a frame block of 2**16 columns is
-# 512 KiB a frame, and the default size at 16 kHz is 512.
-MAX_FFT_SIZE = 2 ** 16
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    frame_length_s: float = 0.025
-    hop_length_s: float = 0.010
-    pre_emphasis: float = 0.97
-    n_mel_filters: int = 26
-    n_cepstra: int = 13
-    fft_size: int | None = None  # default: smallest power of two >= frame samples
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.hop_length_s <= self.frame_length_s < math.inf:
-            raise ValueError("require 0 < hop <= frame length, both finite, got "
-                             f"{self.hop_length_s}, {self.frame_length_s}")
-        if self.n_cepstra < 1:
-            raise ValueError(f"n_cepstra must be >= 1, got {self.n_cepstra}")
-        if self.n_cepstra > self.n_mel_filters:
-            raise ValueError("n_cepstra must not exceed n_mel_filters")
-        if self.fft_size is not None and not 1 <= self.fft_size <= MAX_FFT_SIZE:
-            raise ValueError(f"fft_size must be null or in [1, {MAX_FFT_SIZE}], "
-                             f"got {self.fft_size}")
-        if not 0 <= self.pre_emphasis <= 1:
-            raise ValueError(f"pre_emphasis must be a number in [0, 1], got {self.pre_emphasis}")
-        if not 0 < self.log_floor <= 1:
-            raise ValueError(f"log_floor must be a number in (0, 1], got {self.log_floor}")
-
-    def frame_samples(self, rate_hz: float) -> int:
-        return int(round(self.frame_length_s * rate_hz))
-
-    def hop_samples(self, rate_hz: float) -> int:
-        return max(1, int(round(self.hop_length_s * rate_hz)))
-
-    def resolve_fft_size(self, rate_hz: float) -> int:
-        if self.fft_size is not None:
-            return self.fft_size
-        n = 1
-        while n < self.frame_samples(rate_hz):
-            n *= 2
-        return n
+# An utterance's frames times the FFT size, the size of the block each
+# `mfcc` transforms: 32 MiB of float64. The default feature config at
+# 16 kHz reaches it at 8192 frames, 81.9 s of audio.
+MAX_FRAME_BLOCK = 2 ** 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +84,12 @@ def frame_count(n_samples: int, frame: int, hop: int) -> int:
     return 1 + (n_samples - frame) // hop
 
 
+def frame_block(n_samples: int, rate_hz: float, config: FeatureConfig) -> tuple[int, int]:
+    """(frames, FFT size) of the block `mfcc` transforms for `n_samples` at `rate_hz`."""
+    return (frame_count(n_samples, config.frame_samples(rate_hz), config.hop_samples(rate_hz)),
+            config.resolve_fft_size(rate_hz))
+
+
 def pre_emphasize(samples: np.ndarray, alpha: float) -> np.ndarray:
     out = np.copy(samples)
     out[1:] -= alpha * samples[:-1]
@@ -159,11 +130,14 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> CepstraMat
     if clip.samples.size < frame:
         raise ClipTooShortError(
             f"clip of {clip.samples.size} samples shorter than one {frame}-sample frame")
-    fft_size = config.resolve_fft_size(rate)
+    frames, fft_size = frame_block(clip.samples.size, rate, config)
+    if frames * fft_size > MAX_FRAME_BLOCK:
+        raise InvalidSignalError(
+            f"clip of {clip.samples.size} samples must make at most {MAX_FRAME_BLOCK} frames x "
+            f"FFT size with this feature config, got {frames} x {fft_size}")
     emphasized = pre_emphasize(clip.samples, config.pre_emphasis)
-    frames = frame_signal(emphasized, frame, hop)
     fb = mel_filterbank(config.n_mel_filters, fft_size, rate)
-    energies = filterbank_energies(frames, fb, fft_size)
+    energies = filterbank_energies(frame_signal(emphasized, frame, hop), fb, fft_size)
     log_energies = np.log(np.maximum(energies, config.log_floor))
     cepstra = dct(log_energies, type=2, norm="ortho", axis=1)[:, : config.n_cepstra]
     return CepstraMatrix(cepstra)

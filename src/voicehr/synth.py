@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import map_jobs
+from .config import FeatureConfig
 from .errors import ConvergenceFailureError, SpecInvalidError
 from .signal_io import (
     EMOTION_ORDER,
@@ -36,9 +37,9 @@ from .signal_io import (
     write_table,
 )
 from .speech_features import (
-    FeatureConfig,
+    MAX_FRAME_BLOCK,
     feature_distance,
-    frame_count,
+    frame_block,
     mfcc,
     utterance_embedding,
 )
@@ -65,10 +66,6 @@ PLANTED_BPM_RANGE = (35.0, 215.0)
 # and an ECG record at most this many beats at the fastest planted rate.
 MAX_TAKE_SAMPLES = 2 ** 20
 MAX_ECG_BEATS = 2 ** 16
-# An utterance's frames times the FFT size, the size of the block each
-# `mfcc` transforms: 32 MiB of float64. The default feature config at
-# MAX_TAKE_SAMPLES makes 6552 * 512 = 3354624.
-MAX_FRAME_BLOCK = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -116,10 +113,8 @@ class SynthSpec:
         if self.utterance_s < self.feature.frame_length_s:
             raise SpecInvalidError(f"utterance_s must hold one feature frame of "
                                    f"{self.feature.frame_length_s} s, got {self.utterance_s}")
-        rate, feature = self.audio_rate_hz, self.feature
-        frames = frame_count(int(round(self.utterance_s * rate)), feature.frame_samples(rate),
-                             feature.hop_samples(rate))
-        fft_size = feature.resolve_fft_size(rate)
+        frames, fft_size = frame_block(int(round(self.utterance_s * self.audio_rate_hz)),
+                                       self.audio_rate_hz, self.feature)
         if frames * fft_size > MAX_FRAME_BLOCK:
             raise SpecInvalidError(f"utterance_s must hold at most {MAX_FRAME_BLOCK} frames x "
                                    f"FFT size with this feature config, got {frames} x {fft_size}")
@@ -407,8 +402,7 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
     (outdir / "ecg").mkdir(parents=True, exist_ok=True)
     plans = _plan_corpus(np.random.default_rng(spec.seed), spec)
     jobs = [(plan, take) for plan in plans for take in plan.takes]
-    rendered = map_jobs(functools.partial(_render_take, spec=spec, outdir=outdir),
-                        jobs, n_takes=len(jobs))
+    rendered = map_jobs(functools.partial(_render_take, spec=spec, outdir=outdir), jobs)
     entries = [entry for entry, _ in rendered]
     ledger = [row for _, row in rendered]
     manifest_path = outdir / "manifest.csv"

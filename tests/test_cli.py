@@ -19,7 +19,7 @@ from voicehr.cli import (
     EXIT_VALIDATION,
     main,
 )
-from voicehr.extract import read_embeddings_csv
+from voicehr.classify import read_embeddings_csv
 
 
 # A model file as the store wrote it before it kept s_xx and s_xy
@@ -579,6 +579,28 @@ def _bad_spec(payload):
     return build
 
 
+def _long_wav(n_samples):
+    """A case: extract, under a 1-sample hop, of one take whose WAV holds `n_samples` zeros.
+
+    Frames of 400 samples, each a 512-point FFT, make n - 399 frames:
+    8591 samples fill the frame block and 8592 pass it.
+    """
+    def build(workspace, tmp_path):
+        from voicehr.signal_io import AudioClip, write_audio
+
+        _, corpus, _ = workspace
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        wav = broken.resolve() / "audio" / "s01_joy_000.wav"
+        write_audio(AudioClip(np.zeros(n_samples), 16000.0), wav)
+        rows = (broken / "manifest.csv").read_text().splitlines()
+        _write_lines(broken / "manifest.csv", [rows[0], rows[1]])
+        (tmp_path / "config.json").write_text('{"feature": {"hop_length_s": 1e-6}}')
+        return ["extract", "--manifest", str(broken / "manifest.csv"), "--config",
+                str(tmp_path / "config.json"), "--out", str(tmp_path / "f.csv")], str(wav)
+    return build
+
+
 def _fd_nan(workspace, tmp_path):
     from voicehr.regression import LinearModel, save_model
 
@@ -656,6 +678,8 @@ class TestExitClass:
          "ecg_duration_s must hold at most 65536 beats"),
         (_bad_spec({"utterance_s": 60, "feature": {"hop_length_s": 1e-6}}), EXIT_VALIDATION,
          "utterance_s must hold at most 4194304 frames x FFT size"),
+        (_long_wav(8592), EXIT_DATA, "clip of 8592 samples must make at most 4194304 frames "
+         "x FFT size with this feature config, got 8193 x 512"),
         (_header_quote_left_open, EXIT_DATA, "field larger than field limit"),
         (_path_with_line_break, EXIT_DATA, "referenced file missing: "),
         (_infinite_embedding, EXIT_DATA, "a feature value is not finite"),
@@ -665,7 +689,7 @@ class TestExitClass:
             "huge_pre_emphasis", "huge_log_floor",
             "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
             "no_audio_sample", "audio_too_long", "ecg_too_many_beats", "frame_block_too_large",
-            "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
+            "wav_past_frame_block", "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
     def test_fault_exits_in_its_class(self, workspace, tmp_path, capsys, build, code, text):
         argv, named = build(workspace, tmp_path)
         assert main(argv) == code
@@ -677,6 +701,11 @@ class TestExitClass:
             assert err.startswith(f"error: {named}: {text}" if named != "--fd"
                                   else f"error: --fd {text}")
         assert not (tmp_path / "c").exists()
+
+    def test_wav_at_the_frame_block_bound_extracts(self, workspace, tmp_path, capsys):
+        argv, _ = _long_wav(8591)(workspace, tmp_path)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_stray_value_error_is_a_traceback(self, tmp_path, monkeypatch):
         from voicehr.regression import LinearModel, save_model

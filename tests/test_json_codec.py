@@ -10,29 +10,22 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from voicehr.classify import SplitSpec, TreeConfig
-from voicehr.ecg_hr import PeakConfig
-from voicehr.errors import CorruptJsonError, CorruptModelError
-from voicehr.pipeline import (
-    CellScore,
-    ComparisonRow,
-    EvaluationReport,
+from voicehr.config import (
+    MAX_FFT_SIZE,
+    FeatureConfig,
     FilterWindow,
     HoldoutSpec,
+    PeakConfig,
     PipelineConfig,
-    load_report,
-    render_report,
+    SplitSpec,
+    TreeConfig,
 )
+from voicehr.errors import CorruptJsonError, CorruptModelError
+from voicehr.pipeline import CellScore, ComparisonRow, EvaluationReport, load_report, render_report
 from voicehr.regression import LinearModel, load_model, save_model
 from voicehr.signal_io import decode_json, read_json, write_json
-from voicehr.speech_features import MAX_FFT_SIZE, FeatureConfig, frame_count
-from voicehr.synth import (
-    MAX_ECG_BEATS,
-    MAX_FRAME_BLOCK,
-    MAX_TAKE_SAMPLES,
-    PLANTED_BPM_RANGE,
-    SynthSpec,
-)
+from voicehr.speech_features import MAX_FRAME_BLOCK, frame_count
+from voicehr.synth import MAX_ECG_BEATS, MAX_TAKE_SAMPLES, PLANTED_BPM_RANGE, SynthSpec
 
 DATA = Path(__file__).parent / "data"
 

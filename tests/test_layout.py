@@ -1,11 +1,17 @@
-"""Layout of the package: which modules may import what.
+"""Layout of the package: which modules may import what, and what is used.
 
 Every file format the pipeline reads or writes goes through the codecs
 in `signal_io`, so it alone imports the standard library's format
-modules. Every strided window is cut by one framing helper.
+modules. Only the signal front end, `speech_features` and `ecg_hr`,
+imports scipy, so the config, the models and the report load without
+it. Every strided window is cut by one framing helper. Two rules stand
+in for a linter: a module uses every name it imports, and every name a
+module defines at its top level is referenced in the source, the tests
+or the benchmark.
 """
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +21,21 @@ import pytest
 import voicehr
 
 PACKAGE = Path(voicehr.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 FORMAT_MODULES = {"json", "csv", "wave"}
+FRONT_END = {"ecg_hr.py", "speech_features.py"}
+# the trees whose code may reference a name of the package
+REFERENCING = [PACKAGE.parent, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "perfbench"]
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def imported_modules(path: Path) -> set[str]:
     """Top-level names of the modules `path` imports, at any depth of its code."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -29,17 +43,73 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_only_signal_io_imports_format_modules(path):
     allowed = FORMAT_MODULES if path.name == "signal_io.py" else set()
     assert imported_modules(path) & FORMAT_MODULES <= allowed
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_frames_come_from_frame_signal(path):
     # `speech_features.frame_signal` cuts every strided window: numpy's
     # `sliding_window_view` costs more than twice as much a call
     assert "sliding_window_view" not in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_front_end_imports_scipy(path):
+    allowed = {"scipy"} if path.name in FRONT_END else set()
+    assert imported_modules(path) & {"scipy"} <= allowed
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """The names the imports of `tree` bind, at any depth; `__future__` binds none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound_names(tree) - used) == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+@functools.cache
+def referenced_names() -> frozenset[str]:
+    """Every name loaded, read as an attribute or imported anywhere in REFERENCING."""
+    names = set()
+    for path in (path for root in REFERENCING for path in root.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_top_level_name_is_referenced(path):
+    assert sorted(top_level_names(parse(path)) - referenced_names()) == []
 
 
 def test_signal_io_is_where_the_formats_are():
@@ -51,6 +121,18 @@ def test_package_root_imports_no_module():
     # and so neither numpy nor scipy
     code = ("import sys, voicehr; print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('voicehr.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent).stdout
+    assert out == "[]\n"
+
+
+def test_report_side_loads_no_front_end():
+    # the config, the models, the classifiers and the report, in a fresh
+    # interpreter, load neither scipy nor a module that reads signals
+    front_end = ("voicehr.ecg_hr", "voicehr.speech_features", "voicehr.extract", "voicehr.synth")
+    code = ("import sys, voicehr.config, voicehr.regression, voicehr.classify, voicehr.pipeline;"
+            " print(sorted(m for m in sys.modules"
+            f" if m.split('.')[0] == 'scipy' or m in {front_end}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent).stdout
     assert out == "[]\n"

@@ -77,7 +77,7 @@ class TestMapJobs:
         # cursor; a lost update would skip a job or run one twice, and a
         # second run of a job raises
         jobs = [(i, tmp_path, False) for i in range(2000)]
-        results = map_jobs(square_job, jobs, n_takes=len(jobs))
+        results = map_jobs(square_job, jobs)
         assert [value for value, _ in results] == [i * i for i in range(2000)]
         pids = {pid for _, pid in results}
         assert os.getpid() in pids and len(pids) == 2
@@ -86,28 +86,28 @@ class TestMapJobs:
     def test_first_failing_job_in_order_is_raised(self, shared, tmp_path):
         jobs = [(i, tmp_path, True) for i in range(6)]
         with pytest.raises(ValueError, match=r"^job 1 failed$"):
-            map_jobs(square_job, jobs, n_takes=6)
+            map_jobs(square_job, jobs)
         assert multiprocessing.active_children() == []
 
     def test_in_process_run_raises_the_same(self, tmp_path):
         (tmp_path / "child_ran").touch()  # no child runs, so the caller must not wait
         jobs = [(i, tmp_path, True) for i in range(6)]
         with pytest.raises(ValueError, match=r"^job 1 failed$"):
-            map_jobs(square_job, jobs, n_takes=6)
+            map_jobs(square_job, jobs)
 
     def test_wait_for_the_child_times_out(self, shared, monkeypatch, tmp_path):
         monkeypatch.setattr(_parallel, "WAIT_S", 0.5)
         jobs = [(0, tmp_path / "child_ran"), (1, tmp_path / "child_ran")]
         t0 = time.monotonic()
         with pytest.raises(TimeoutError):
-            map_jobs(stuck_job, jobs, n_takes=2)
+            map_jobs(stuck_job, jobs)
         assert time.monotonic() - t0 < 30
         assert multiprocessing.active_children() == []
 
     def test_child_that_dies_is_an_error(self, shared, tmp_path):
         jobs = [(0, tmp_path / "child_ran"), (1, tmp_path / "child_ran")]
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            map_jobs(dying_job, jobs, n_takes=2)
+            map_jobs(dying_job, jobs)
         assert multiprocessing.active_children() == []
 
     def test_closure_runs_in_the_child(self, shared, tmp_path):
@@ -119,16 +119,17 @@ class TestMapJobs:
 
         with pytest.raises((pickle.PicklingError, AttributeError)):
             pickle.dumps(shifted_square)  # so a spawned child could not run it
-        results = map_jobs(shifted_square, range(4), n_takes=4)
+        results = map_jobs(shifted_square, range(4))
         assert [value for value, _ in results] == [i * i + offset for i in range(4)]
         assert len({pid for _, pid in results}) == 2
         assert multiprocessing.active_children() == []
 
     def test_without_fork_runs_in_process(self, shared, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert map_jobs(pid_job, range(3), n_takes=3) == [os.getpid()] * 3
+        assert map_jobs(pid_job, range(3)) == [os.getpid()] * 3
 
-    @pytest.mark.parametrize("cpus, n_takes", [({0}, 10**6), ({0, 1}, 1)])
-    def test_one_cpu_or_small_input_runs_in_process(self, monkeypatch, cpus, n_takes):
+    @pytest.mark.parametrize("cpus, min_shared", [({0}, 0), ({0, 1}, 4)])
+    def test_one_cpu_or_small_input_runs_in_process(self, monkeypatch, cpus, min_shared):
+        monkeypatch.setattr(_parallel, "MIN_SHARED_TAKES", min_shared)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert map_jobs(pid_job, range(3), n_takes=n_takes) == [os.getpid()] * 3
+        assert map_jobs(pid_job, range(3)) == [os.getpid()] * 3

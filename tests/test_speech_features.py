@@ -8,14 +8,17 @@ from voicehr.errors import (
     ClipTooShortError,
     DimensionMismatchError,
     EmptyEnrollmentError,
+    InvalidSignalError,
 )
 from voicehr.signal_io import AudioClip
 from voicehr.speech_features import (
+    MAX_FRAME_BLOCK,
     CepstraMatrix,
     FeatureConfig,
     _hamming_window,
     feature_distance,
     filterbank_energies,
+    frame_block,
     frame_count,
     frame_signal,
     mel_filterbank,
@@ -75,6 +78,21 @@ class TestMfcc:
     def test_clip_too_short(self):
         with pytest.raises(ClipTooShortError):
             mfcc(AudioClip(np.ones(10), 16000.0), CONFIG)
+
+    def test_frame_block_bound_is_inclusive(self):
+        # a 1-sample hop makes n - 399 frames of 400 samples, each a
+        # 512-point FFT: 8591 samples fill MAX_FRAME_BLOCK
+        config = FeatureConfig(hop_length_s=1e-6)
+        assert frame_block(8591, 16000.0, config) == (8192, 512)
+        assert 8192 * 512 == MAX_FRAME_BLOCK
+        assert mfcc(AudioClip(np.zeros(8591), 16000.0), config).n_frames == 8192
+
+    def test_clip_past_the_frame_block_bound(self):
+        config = FeatureConfig(hop_length_s=1e-6)
+        with pytest.raises(InvalidSignalError) as caught:
+            mfcc(AudioClip(np.zeros(8592), 16000.0), config)
+        assert str(caught.value) == ("clip of 8592 samples must make at most 4194304 frames x "
+                                     "FFT size with this feature config, got 8193 x 512")
 
     def test_amplitude_scaling_shifts_only_c0(self):
         rng = np.random.default_rng(7)

@@ -30,13 +30,9 @@ from voicehr.errors import (
     InvalidSignalError,
     UnknownEmotionError,
 )
-from voicehr.extract import (
-    read_embeddings_csv,
-    read_features_csv,
-    write_embeddings_csv,
-    write_features_csv,
-)
-from voicehr.regression import Observation
+from voicehr.classify import read_embeddings_csv, write_embeddings_csv
+from voicehr.extract import write_features_csv
+from voicehr.regression import Observation, read_features_csv
 from voicehr.signal_io import (
     _BATCH_ROWS,
     EMOTION_ORDER,
