@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import map_jobs
+from ._parallel import Stages, map_jobs
 from .classify import VectorSet
 from .config import FeatureConfig, PeakConfig
 from .ecg_hr import extract_heart_rate
@@ -31,25 +31,35 @@ from .signal_io import (
 from .speech_features import feature_distance, mfcc, subject_reference, utterance_embedding
 
 
-def extract_take(entry: ManifestEntry, feature_config: FeatureConfig = FeatureConfig(),
-                 peak_config: PeakConfig = PeakConfig(), cepstra_dir=None):
-    """(embedding, heart rate) of one take.
+def _extract_slice(entries: list[ManifestEntry], feature_config: FeatureConfig = FeatureConfig(),
+                   peak_config: PeakConfig = PeakConfig(), cepstra_dir=None):
+    """(embedding, heart rate) of each take of a slice.
 
-    With `cepstra_dir`, the take's cepstra matrix is also written there
-    as `<subject>_<emotion>_<take>.csv`. An error of `mfcc` or of the
+    Stage by stage across the slice: every WAV is loaded and embedded,
+    then every ECG is loaded and its peaks detected. With `cepstra_dir`,
+    each take's cepstra matrix is also written there as
+    `<subject>_<emotion>_<take>.csv`. An error of `mfcc` or of the
     detector names the WAV or ECG file it came from, as the loaders'
     errors do.
     """
-    clip = load_audio(entry.audio_path)
-    with named(entry.audio_path):
-        cepstra = mfcc(clip, feature_config)
-    if cepstra_dir is not None:
-        name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
-        np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
-    embedding = utterance_embedding(cepstra)
-    record = load_ecg(entry.ecg_path)
-    with named(entry.ecg_path):
-        return embedding, extract_heart_rate(record, peak_config)
+    def embed(entry):
+        clip = load_audio(entry.audio_path)
+        with named(entry.audio_path):
+            cepstra = mfcc(clip, feature_config)
+        if cepstra_dir is not None:
+            name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
+            np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
+        return utterance_embedding(cepstra)
+
+    def heart_rate(entry):
+        record = load_ecg(entry.ecg_path)
+        with named(entry.ecg_path):
+            return extract_heart_rate(record, peak_config)
+
+    stages = Stages()
+    embeddings = stages.map(embed, entries)
+    heart_rates = stages.map(heart_rate, entries)
+    return stages.result(list(zip(embeddings, heart_rates)))
 
 
 def extract_observations(manifest: DatasetManifest,
@@ -58,11 +68,12 @@ def extract_observations(manifest: DatasetManifest,
                          cepstra_dir=None):
     """Compute (observations, vectors_by_subject) for a whole manifest.
 
-    Each take goes through `extract_take`, in a second process too when
-    the manifest is large (see `_parallel.map_jobs`). The reference
-    embedding per subject is then the mean over its neutral takes (all
-    of them; the evaluation holdout happens downstream), or over every
-    take when a subject has no neutral recordings. A subject's
+    The takes go through `_extract_slice` in slices of consecutive takes,
+    in a second process too when the manifest is large (see
+    `_parallel.map_jobs`). The reference embedding per subject is then
+    the mean over its neutral takes (all of them; the evaluation holdout
+    happens downstream), or over every take when a subject has no
+    neutral recordings. A subject's
     `VectorSet` has a row per take, in manifest order: its embedding,
     then its feature distance. With `cepstra_dir`, every take's cepstra
     matrix is written there too.
@@ -70,7 +81,7 @@ def extract_observations(manifest: DatasetManifest,
     if cepstra_dir is not None:
         Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
     entries = manifest.entries
-    per_take = map_jobs(functools.partial(extract_take, feature_config=feature_config,
+    per_take = map_jobs(functools.partial(_extract_slice, feature_config=feature_config,
                                           peak_config=peak_config, cepstra_dir=cepstra_dir),
                         entries)
     # each subject's neutral takes and all its takes, in entry order: the

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import map_jobs
+from ._parallel import TAKES_PER_JOB, Stages, map_jobs
 from .config import FeatureConfig
 from .errors import ConvergenceFailureError, SpecInvalidError
 from .signal_io import (
@@ -66,6 +66,11 @@ PLANTED_BPM_RANGE = (35.0, 215.0)
 # and an ECG record at most this many beats at the fastest planted rate.
 MAX_TAKE_SAMPLES = 2 ** 20
 MAX_ECG_BEATS = 2 ** 16
+# A synth slice holds its takes' clips and ECGs until it writes them, so
+# it holds at most this many samples (8 MiB of float64), or one take: 32
+# default takes of 8400 samples fit, and a take of MAX_TAKE_SAMPLES clip
+# and ECG samples runs alone.
+SLICE_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,11 @@ class SubjectVoice:
 
 
 # One slot: the generator renders every take of a voice at one (rate,
-# length), and each process renders its takes subject by subject. A
-# voice is keyed by identity (eq=False).
+# length), and each process renders its takes in slices of consecutive
+# takes. The caller claims slices from the tail, so after a slice that
+# straddles two subjects it rebuilds the first voice's basis; a second slot
+# saved that and read no faster on the full corpus. A voice is keyed by
+# identity (eq=False).
 @functools.lru_cache(maxsize=1)
 def _harmonic_basis(voice: SubjectVoice, rate_hz: float, n: int) -> np.ndarray:
     """Read-only (N_HARMONICS, n) matrix of sin(2π f0 k t + φ_k)."""
@@ -357,9 +365,9 @@ def _plan_corpus(rng: np.random.Generator, spec: SynthSpec) -> list[_SubjectPlan
     return plans
 
 
-# One slot, like the basis: a process renders a voice's takes one after
-# another, so it measures the voice's g = 0 reference and calibrates its
-# targeter once. Keyed by the voice's identity and the spec.
+# One slot, like the basis: a process renders a voice's takes in a run
+# of slices, so it measures the voice's g = 0 reference and calibrates its
+# targeter about once. Keyed by the voice's identity and the spec.
 @functools.lru_cache(maxsize=1)
 def _voice_targeter(voice: SubjectVoice, spec: SynthSpec) -> FdTargeter:
     """The voice's `FdTargeter`, steering against its g = 0 utterance."""
@@ -368,25 +376,41 @@ def _voice_targeter(voice: SubjectVoice, spec: SynthSpec) -> FdTargeter:
     return FdTargeter(voice, reference, spec)
 
 
-def _render_take(job: tuple[_SubjectPlan, tuple], spec: SynthSpec, outdir: Path):
-    """Solve, synthesise and write one `(plan, take)`; (entry, ledger row)."""
-    plan, (emotion, take, target_fd, sign, noise, u) = job
-    beta0, beta1 = plan.lines[emotion]
-    stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
-    try:
-        fd, clip = _voice_targeter(plan.voice, spec).solve(target_fd, sign)
-    except ConvergenceFailureError as exc:
-        raise ConvergenceFailureError(f"take {stem}: {exc}") from exc
-    hr = beta0 + beta1 * fd + noise
-    hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
-    phase = 0.0 + (60.0 / hr) * u
-    ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
-    audio_rel = f"audio/{stem}.wav"
-    ecg_rel = f"ecg/{stem}.csv"
-    write_audio(clip, outdir / audio_rel)
-    write_ecg(ecg, outdir / ecg_rel)
-    return (ManifestEntry(plan.subject_id, emotion, take, audio_rel, ecg_rel),
-            PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr))
+def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdir: Path):
+    """Solve, synthesise and write a slice of `(plan, take)`; (entry, ledger row) each.
+
+    Stage by stage across the slice: every fd target, then every ECG,
+    then every WAV, then every ECG file.
+    """
+    def solve(job):
+        plan, (emotion, take, target_fd, sign, _, _) = job
+        try:
+            return _voice_targeter(plan.voice, spec).solve(target_fd, sign)
+        except ConvergenceFailureError as exc:
+            raise ConvergenceFailureError(
+                f"take {plan.subject_id}_{emotion.value}_{take:03d}: {exc}") from exc
+
+    def plant(job, solved):
+        plan, (emotion, take, _, _, noise, u) = job
+        beta0, beta1 = plan.lines[emotion]
+        fd = solved[0]
+        hr = beta0 + beta1 * fd + noise
+        hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
+        phase = 0.0 + (60.0 / hr) * u
+        ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
+        stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
+        entry = ManifestEntry(plan.subject_id, emotion, take, f"audio/{stem}.wav",
+                              f"ecg/{stem}.csv")
+        return entry, PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr), ecg
+
+    stages = Stages()
+    solved = stages.map(solve, jobs)
+    planted = stages.map(plant, jobs, solved)
+    stages.map(write_audio, [clip for _, clip in solved],
+               [outdir / entry.audio_path for entry, _, _ in planted])
+    stages.map(write_ecg, [ecg for _, _, ecg in planted],
+               [outdir / entry.ecg_path for entry, _, _ in planted])
+    return stages.result([(entry, row) for entry, row, _ in planted])
 
 
 def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[PlantedTake]]:
@@ -394,15 +418,19 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
 
     Returns the manifest path and the planted-ground-truth ledger.
     Fully deterministic for a fixed spec. All draws are made first; the
-    takes are then rendered independently, in a second process too when
-    the corpus is large (see `_parallel.map_jobs`).
+    takes are then rendered independently, in slices of consecutive takes
+    and in a second process too when the corpus is large (see
+    `_parallel.map_jobs`).
     """
     outdir = Path(outdir)
     (outdir / "audio").mkdir(parents=True, exist_ok=True)
     (outdir / "ecg").mkdir(parents=True, exist_ok=True)
     plans = _plan_corpus(np.random.default_rng(spec.seed), spec)
     jobs = [(plan, take) for plan in plans for take in plan.takes]
-    rendered = map_jobs(functools.partial(_render_take, spec=spec, outdir=outdir), jobs)
+    take_samples = (round(spec.utterance_s * spec.audio_rate_hz)
+                    + round(spec.ecg_duration_s * spec.ecg_rate_hz))
+    rendered = map_jobs(functools.partial(_render_slice, spec=spec, outdir=outdir), jobs,
+                        takes_per_job=max(1, min(TAKES_PER_JOB, SLICE_SAMPLES // take_samples)))
     entries = [entry for entry, _ in rendered]
     ledger = [row for _, row in rendered]
     manifest_path = outdir / "manifest.csv"

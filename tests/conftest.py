@@ -1,9 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
+from voicehr import _parallel
 from voicehr.extract import extract_observations
 from voicehr.signal_io import load_manifest
 from voicehr.synth import SynthSpec, generate_synthetic_corpus
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """Share every take list with a child, whatever the host's CPU count."""
+    monkeypatch.setattr(_parallel, "MIN_SHARED_TAKES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture(scope="session")

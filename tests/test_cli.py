@@ -265,7 +265,7 @@ class TestExtract:
 
     def test_named_error_pickles_as_its_class(self, workspace, tmp_path):
         from voicehr.errors import NoPeaksFoundError
-        from voicehr.extract import extract_take
+        from voicehr.extract import _extract_slice
         from voicehr.signal_io import load_manifest
 
         _, corpus, _ = workspace
@@ -273,7 +273,7 @@ class TestExtract:
         ecg = tmp_path / "flat.csv"
         _blank_ecg(ecg)
         with pytest.raises(NoPeaksFoundError) as raised:
-            extract_take(dataclasses.replace(entry, ecg_path=str(ecg)))
+            _extract_slice([dataclasses.replace(entry, ecg_path=str(ecg))])
         copy = pickle.loads(pickle.dumps(raised.value))
         assert type(copy) is NoPeaksFoundError
         assert str(copy) == str(raised.value) == f"{ecg}: flat signal: empty envelope"

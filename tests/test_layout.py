@@ -13,6 +13,7 @@ or the benchmark.
 import ast
 import functools
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -62,22 +63,55 @@ def test_only_the_front_end_imports_scipy(path):
     assert imported_modules(path) & {"scipy"} <= allowed
 
 
-def bound_names(tree: ast.Module) -> set[str]:
-    """The names the imports of `tree` bind, at any depth; `__future__` binds none."""
-    names = set()
+def global_reads(table: symtable.SymbolTable) -> set[str]:
+    """Names that the scope `table`, or a scope inside it, reads as a module global."""
+    names = {symbol.get_name() for symbol in table.get_symbols()
+             if symbol.is_referenced() and (table.get_type() == "module" or symbol.is_global())}
+    for child in table.get_children():
+        names |= global_reads(child)
+    return names
+
+
+def annotation_names(tree: ast.Module) -> set[str]:
+    """Names inside annotations, which `from __future__ import annotations` hides from symtable."""
+    annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names.update(alias.asname or alias.name for alias in node.names)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    return {node.id for annotation in annotations if annotation is not None
+            for node in ast.walk(annotation) if isinstance(node, ast.Name)}
+
+
+def unused_imports(table: symtable.SymbolTable, used_globals: set[str]) -> set[str]:
+    """Names imported in `table` or a scope inside it that nothing reads.
+
+    A module-level import is read when some scope reads its name as a
+    global, so a local of the same name elsewhere does not count; an
+    import inside a function, when that function reads it.
+    """
+    names = set()
+    for symbol in table.get_symbols():
+        name = symbol.get_name()
+        used = name in used_globals if table.get_type() == "module" else symbol.is_referenced()
+        if symbol.is_imported() and not used:
+            names.add(name)
+    for child in table.get_children():
+        names |= unused_imports(child, used_globals)
     return names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
-    tree = parse(path)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(bound_names(tree) - used) == []
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, str(path))
+    table = symtable.symtable(source, str(path), "exec")
+    future = {alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+              for alias in node.names}
+    used = global_reads(table) | annotation_names(tree) | future
+    assert sorted(unused_imports(table, used)) == []
 
 
 def top_level_names(tree: ast.Module) -> set[str]:

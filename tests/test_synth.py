@@ -18,7 +18,7 @@ from voicehr import _parallel
 from voicehr.synth import (
     SynthSpec,
     _harmonic_basis,
-    _render_take,
+    _render_slice,
     _voice_targeter,
     generate_synthetic_corpus,
     load_ledger,
@@ -31,15 +31,18 @@ TINY = dict(n_subjects=1, takes_per_emotion=4, noise_std_bpm=0.0,
             ecg_duration_s=4.0)
 
 
-def _render_take_on_both_sides(job, spec, outdir):
-    """`_render_take`, once this process and the other have each claimed a take."""
+def _render_slice_on_both_sides(jobs, spec, outdir):
+    """`_render_slice`, once this process and the other have each claimed a slice.
+
+    Each side's marker lists the subject of every take in its slice.
+    """
     markers = outdir.parent / "markers"
     mine, theirs = "caller", "child"
     if multiprocessing.parent_process() is not None:
         mine, theirs = theirs, mine
-    (markers / mine).touch()
+    (markers / mine).write_text(" ".join(plan.subject_id for plan, _ in jobs))
     _wait_for(markers / theirs)
-    return _render_take(job, spec, outdir)
+    return _render_slice(jobs, spec, outdir)
 
 
 class TestSynthSpec:
@@ -208,16 +211,18 @@ class TestPlanThenRender:
             assert (tmp_path / "plan" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
 
     def test_takes_shared_with_a_child_match_single_loop_generator(self, tmp_path, monkeypatch):
-        # 45 one-take jobs: the child renders from the head and the caller
-        # from the tail, so at like speeds they meet inside the middle
-        # subject, and both processes calibrate its voice
+        # 45 takes make a slice of 32 and one of 13: the child renders the
+        # first, which straddles both subject boundaries, and the caller
+        # the second, so both processes calibrate the last subject's voice
         monkeypatch.setattr(_parallel, "MIN_SHARED_TAKES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr("voicehr.synth._render_take", _render_take_on_both_sides)
+        monkeypatch.setattr("voicehr.synth._render_slice", _render_slice_on_both_sides)
         (tmp_path / "markers").mkdir()
         spec = SynthSpec(n_subjects=3, takes_per_emotion=5, seed=2024)
         _, ledger = generate_synthetic_corpus(spec, tmp_path / "shared")
-        assert {p.name for p in (tmp_path / "markers").iterdir()} == {"caller", "child"}
+        subjects = {p.name: p.read_text().split() for p in (tmp_path / "markers").iterdir()}
+        assert subjects == {"child": ["s01"] * 15 + ["s02"] * 15 + ["s03"] * 2,
+                            "caller": ["s03"] * 13}
         assert ledger == generate_corpus_single_loop(spec, tmp_path / "loop")
         files = sorted(p.relative_to(tmp_path / "loop")
                        for p in (tmp_path / "loop").rglob("*") if p.is_file())
