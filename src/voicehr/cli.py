@@ -76,10 +76,10 @@ def cmd_fit(args) -> int:
     """The in-sample regression experiment; its models go into the store."""
     config = _load_config(args.config)
     observations = read_features_csv(args.features)
-    kept, rejected = pipeline.filter_observations(observations, config.filter_window)
     experiment = (pipeline.run_experiment_separate if args.mode == "separate"
                   else pipeline.run_experiment_combined)
     with named(args.features):
+        kept, rejected = pipeline.kept_observations(observations, config.filter_window)
         _, models, skipped = experiment(kept, replace(config, holdout=HoldoutSpec(in_sample=True)))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -132,20 +132,9 @@ class EmptyTestSetError(VoicehrError):
 
 # --- pipeline ---
 
-class CellTooSmallError(VoicehrError):
-    """A (subject, emotion) cell has too few observations to fit."""
-
-
-class SubjectTooSmallError(VoicehrError):
-    """A subject has too few pooled observations to fit."""
-
-
 class NothingToEvaluateError(VoicehrError):
-    """No observation survived the filter, or no subject has vectors to classify."""
-
-
-class SubjectMismatchError(VoicehrError):
-    """Experiment outputs cover different subject sets."""
+    """No observation survived the filter, no cell has the rows a fit needs, or no
+    subject has vectors to classify."""
 
 
 class OutOfRangeError(VoicehrError):

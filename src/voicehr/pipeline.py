@@ -19,19 +19,21 @@ import numpy as np
 
 from . import classify
 from .classify import VectorSet
-from .config import FilterWindow, HoldoutSpec, PipelineConfig, TreeConfig
-from .errors import (
-    CellTooSmallError,
-    NothingToEvaluateError,
-    OutOfRangeError,
-    SubjectMismatchError,
-    SubjectTooSmallError,
-    named,
-)
+from .config import FilterWindow, HoldoutSpec, PipelineConfig
+from .errors import NothingToEvaluateError, OutOfRangeError, named
 from .regression import LinearModel, fit_ols, predict, relative_error
 from .signal_io import EMOTION_ORDER, VALUE_LIMIT, decode_json, read_json, write_json, write_table
 
-ALGORITHMS = ("cvr", "gnb", "knn")
+# name -> trainer(train, tree_config); each looks its `classify` function
+# up at call time, so a wrapper patched onto that name sees the call
+ALGORITHMS = {
+    "cvr": lambda train, tree_config: classify.train_cvr(train, tree_config),
+    "gnb": lambda train, tree_config: classify.train_gnb(train),
+    "knn": lambda train, tree_config: classify.train_knn(train),
+}
+
+# the fewest rows of a cell that a fit and its holdout split need
+MIN_CELL_ROWS = 4
 
 # Reference model echoed by the report renderer; its coefficients come
 # from the published study this pipeline benchmarks against.
@@ -54,6 +56,18 @@ def filter_observations(rows, window: FilterWindow = FilterWindow()):
             rejected.append((obs, "fd_too_large"))
         else:
             kept.append(obs)
+    return kept, rejected
+
+
+def kept_observations(rows, window: FilterWindow):
+    """(kept, rejected) as `filter_observations` splits them; NothingToEvaluateError,
+    with the rejected count per reason, when no row is kept."""
+    kept, rejected = filter_observations(rows, window)
+    if not kept:
+        counts = Counter(reason for _, reason in rejected)
+        detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
+        raise NothingToEvaluateError("no observation survived the filter: " + (
+            f"all {len(rejected)} rejected ({detail})" if rejected else "there are none"))
     return kept, rejected
 
 
@@ -86,8 +100,6 @@ def _holdout_split(observations, holdout: HoldoutSpec, salt: str):
 
 
 def _score_cell(observations, holdout: HoldoutSpec, subject_id: str, tag: str):
-    if len(observations) < 4:
-        raise CellTooSmallError(f"{subject_id}/{tag}: {len(observations)} observations")
     train, test = _holdout_split(observations, holdout, f"{subject_id}/{tag}")
     model = fit_ols(
         [(o.feature_distance, o.heart_rate_bpm) for o in train],
@@ -119,33 +131,35 @@ def _cells(observations, mode: str):
 
 
 def _run_experiment(observations, config: PipelineConfig, mode: str):
+    """The one rule for a cell: fewer than MIN_CELL_ROWS rows is skipped.
+
+    Returns (scores, models, skipped), skipped holding (subject, tag,
+    reason) triples. NothingToEvaluateError is raised when no cell is
+    left to fit.
+    """
     scores, models, skipped = [], [], []
     for subject_id, tag, rows in _cells(observations, mode):
-        try:
-            model, score = _score_cell(rows, config.holdout, subject_id, tag)
-        except CellTooSmallError as exc:
-            skipped.append((subject_id, tag, str(exc)))
+        if len(rows) < MIN_CELL_ROWS:
+            skipped.append((subject_id, tag, f"{subject_id}/{tag}: {len(rows)} observations"))
             continue
+        model, score = _score_cell(rows, config.holdout, subject_id, tag)
         models.append(model)
         scores.append(score)
+    if not scores:
+        raise NothingToEvaluateError(
+            f"no {mode} cell has the {MIN_CELL_ROWS} observations a fit needs: "
+            f"{len(skipped)} skipped")
     return scores, models, skipped
 
 
 def run_experiment_separate(observations, config: PipelineConfig):
-    """Per-(subject, emotion) regression scores; unfittable cells are listed.
-
-    Returns (scores, models, skipped) where skipped holds
-    (subject, emotion, reason) triples.
-    """
+    """Per-(subject, emotion) regression scores; see `_run_experiment`."""
     return _run_experiment(observations, config, "separate")
 
 
 def run_experiment_combined(observations, config: PipelineConfig):
     """Per-subject regression scores with all three emotions pooled."""
-    scores, models, skipped = _run_experiment(observations, config, "combined")
-    if not scores and skipped:
-        raise SubjectTooSmallError("no subject had enough pooled observations")
-    return scores, models, skipped
+    return _run_experiment(observations, config, "combined")
 
 
 @dataclass(frozen=True)
@@ -168,16 +182,17 @@ def _errors_by_subject(separate_scores) -> dict[str, dict[str, float]]:
 
 
 def compare_experiments(separate_scores, combined_scores) -> list[ComparisonRow]:
-    """Per-subject combined vs separate errors, flagging separate-better."""
+    """Per-subject combined vs separate errors, flagging separate-better.
+
+    Only a subject with a combined score and all three separate scores
+    is compared.
+    """
     sep_by_subject = _errors_by_subject(separate_scores)
     comb_by_subject = {s.subject_id: s.relative_error_pct for s in combined_scores}
     complete = {sid for sid, cells in sep_by_subject.items()
                 if len(cells) == len(EMOTION_ORDER)}
-    if complete != set(comb_by_subject):
-        raise SubjectMismatchError(
-            f"separate covers {sorted(complete)}, combined covers {sorted(comb_by_subject)}")
     rows = []
-    for sid in sorted(complete):
+    for sid in sorted(complete & comb_by_subject.keys()):
         cells = sep_by_subject[sid]
         average = float(np.mean([cells[e.value] for e in EMOTION_ORDER]))
         rows.append(ComparisonRow(
@@ -201,16 +216,6 @@ def general_model_score(prediction_accuracy_pct: float,
     return prediction_accuracy_pct * classification_accuracy_pct / 100.0
 
 
-def _train_algo(algo: str, train, tree_config: TreeConfig):
-    if algo == "cvr":
-        return classify.train_cvr(train, tree_config)
-    if algo == "gnb":
-        return classify.train_gnb(train)
-    if algo == "knn":
-        return classify.train_knn(train)
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 def classifier_matrix(vectors_by_subject: dict[str, VectorSet],
                       config: PipelineConfig, algorithms=ALGORITHMS):
     """Per-subject accuracy of each algorithm under the stratified split.
@@ -225,7 +230,7 @@ def classifier_matrix(vectors_by_subject: dict[str, VectorSet],
     for sid in subjects:
         train, test = classify.split(vectors_by_subject[sid], config.split)
         for algo in algorithms:
-            model = _train_algo(algo, train, config.tree)
+            model = ALGORITHMS[algo](train, config.tree)
             matrix[algo][sid] = classify.classification_accuracy(model, test)
     return matrix, subjects
 
@@ -246,8 +251,9 @@ def build_report(observations, vectors_by_subject, config: PipelineConfig,
 
     An error is prefixed with the name of the input it comes from:
     `sources[0]` for the observations, `sources[1]` for the vectors.
-    NothingToEvaluateError is raised when there are no vectors, and, with
-    the rejected count per reason, when no observation survives the filter.
+    NothingToEvaluateError is raised when there are no vectors, when no
+    observation survives the filter and when an experiment has no cell
+    left to fit.
     """
     observations_source, vectors_source = sources
     with named(vectors_source):
@@ -256,12 +262,7 @@ def build_report(observations, vectors_by_subject, config: PipelineConfig,
                 for a, per_subj in matrix.items()}
     # a classification accuracy lies in [0, 100]; a prediction accuracy need not
     with named(observations_source):
-        kept, rejected = filter_observations(observations, config.filter_window)
-        if not kept:
-            counts = Counter(reason for _, reason in rejected)
-            detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
-            raise NothingToEvaluateError("no observation survived the filter: " + (
-                f"all {len(rejected)} rejected ({detail})" if rejected else "there are none"))
+        kept, _ = kept_observations(observations, config.filter_window)
         sep_scores, _, _ = run_experiment_separate(kept, config)
         comb_scores, _, _ = run_experiment_combined(kept, config)
         comparison = compare_experiments(sep_scores, comb_scores)

@@ -5,6 +5,7 @@ import os
 import pickle
 import shutil
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from voicehr.cli import (
     main,
 )
 from voicehr.classify import read_embeddings_csv
+from voicehr.signal_io import EMOTION_ORDER
 
 
 # A model file as the store wrote it before it kept s_xx and s_xy
@@ -324,6 +326,15 @@ class TestFit:
         assert len(list(store.glob("*.json"))) == 5
         assert "1 cells skipped" in capsys.readouterr().out
 
+    def test_no_row_left_by_the_filter_is_named(self, workspace, tmp_path, capsys):
+        _, _, features = workspace
+        header, *rows = features.read_text().splitlines()
+        copy = _write_lines(tmp_path / "features.csv",
+                            [header] + [row.rsplit(",", 1)[0] + ",500.0" for row in rows])
+        assert main(["fit", "--features", str(copy), "--out", str(tmp_path / "m")]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {copy}: no observation survived the "
+                                           "filter: all 72 rejected (hr_out_of_range: 72)\n")
+
 
 class TestClassify:
     def test_matrix_csv(self, workspace, tmp_path):
@@ -425,6 +436,67 @@ class TestReport:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {empty}: the embeddings hold no subject to classify\n"
+
+
+@pytest.fixture(scope="module")
+def two_subjects(tmp_path_factory):
+    """The features and embeddings CSVs of 2 subjects × 3 emotions × 8 takes."""
+    root = tmp_path_factory.mktemp("cells")
+    spec_path = root / "spec.json"
+    spec_path.write_text(json.dumps({"n_subjects": 2, "takes_per_emotion": 8, "seed": 2024}))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(root / "corpus")]) == EXIT_OK
+    assert main(["extract", "--manifest", str(root / "corpus" / "manifest.csv"),
+                 "--out", str(root / "features.csv")]) == EXIT_OK
+    return root / "features.csv"
+
+
+def _cut_cells(features, tmp_path, rows_left):
+    """A copy of `features`, beside a copy of its embeddings, that keeps the first
+    `rows_left[(subject, emotion)]` rows of each cell the dict names."""
+    header, *rows = features.read_text().splitlines()
+    seen = Counter()
+    kept = []
+    for row in rows:
+        cell = tuple(row.split(",")[:2])
+        seen[cell] += 1
+        if seen[cell] <= rows_left.get(cell, len(rows)):
+            kept.append(row)
+    shutil.copy(features.with_name("features_embeddings.csv"),
+                tmp_path / "features_embeddings.csv")
+    return _write_lines(tmp_path / "features.csv", [header] + kept)
+
+
+class TestCellRule:
+    """A cell under 4 rows is skipped; no cell left to fit is a data error."""
+
+    def test_report_skips_one_small_cell(self, two_subjects, tmp_path):
+        features = _cut_cells(two_subjects, tmp_path, {("s01", "neutral"): 3})
+        out = tmp_path / "r"
+        assert main(["report", "--features", str(features), "--out", str(out)]) == EXIT_OK
+        table1 = [line.split(",") for line in
+                  (out / "table1_separate.csv").read_text().splitlines()[1:]]
+        # s01's neutral_err and neutral_acc, and no other value
+        assert [(row[0], i) for row in table1 for i, value in enumerate(row)
+                if value == "NaN"] == [("s01", 2), ("s01", 5)]
+        table2 = (out / "table2_combined.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in table2] == ["s02"]
+
+    @pytest.mark.parametrize("verb, rows_left, message", [
+        (["fit", "--mode", "separate"], 3, "no separate cell has the 4 observations a fit "
+         "needs: 6 skipped"),
+        # 3 rows a subject
+        (["fit", "--mode", "combined"], 1, "no combined cell has the 4 observations a fit "
+         "needs: 2 skipped"),
+        (["report"], 3, "no separate cell has the 4 observations a fit needs: 6 skipped"),
+    ], ids=["fit-separate", "fit-combined", "report"])
+    def test_no_cell_left_is_a_data_error(self, two_subjects, tmp_path, capsys,
+                                          verb, rows_left, message):
+        features = _cut_cells(two_subjects, tmp_path, {
+            (sid, e.value): rows_left for sid in ("s01", "s02") for e in EMOTION_ORDER})
+        out = tmp_path / "out"
+        assert main(verb + ["--features", str(features), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {features}: {message}\n")
+        assert not out.exists()
 
 
 # Edits that break a copied table; lines[2] is the file's line 3.
@@ -722,7 +794,7 @@ class TestExitClass:
     def test_every_error_type_keeps_its_class(self):
         types = [value for value in vars(errors).values()
                  if isinstance(value, type) and issubclass(value, errors.VoicehrError)]
-        assert len(types) == 31
+        assert len(types) == 28
         special = {errors.ConvergenceFailureError: EXIT_CONVERGENCE,
                    errors.SpecInvalidError: EXIT_VALIDATION,
                    errors.CorruptJsonError: EXIT_VALIDATION}

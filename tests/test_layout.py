@@ -7,7 +7,8 @@ imports scipy, so the config, the models and the report load without
 it. Every strided window is cut by one framing helper. Two rules stand
 in for a linter: a module uses every name it imports, and every name a
 module defines at its top level is referenced in the source, the tests
-or the benchmark.
+or the benchmark. A third asks that every error class is raised in the
+package itself.
 """
 
 import ast
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import voicehr
+from voicehr import errors
 
 PACKAGE = Path(voicehr.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -170,3 +172,23 @@ def test_report_side_loads_no_front_end():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent).stdout
     assert out == "[]\n"
+
+
+def raised_names() -> set[str]:
+    """The names that a `raise` statement in the package raises, called or bare."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(raised, ast.Name):
+                    names.add(raised.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # the referenced rule also counts the tests, so an error class that
+    # only a test names would pass it
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.VoicehrError)}
+    assert sorted(classes - {"VoicehrError"} - raised_names()) == []

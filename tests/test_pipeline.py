@@ -8,7 +8,7 @@ import pytest
 from make_outputs_sha256 import SPEC as GATE_SPEC
 from oracles import classifier_matrix_loop
 from voicehr.classify import SplitSpec, VectorSet
-from voicehr.errors import CorruptJsonError, OutOfRangeError, SubjectMismatchError
+from voicehr.errors import CorruptJsonError, NothingToEvaluateError, OutOfRangeError
 from voicehr.pipeline import (
     CellScore,
     FilterWindow,
@@ -122,11 +122,22 @@ class TestRunExperiments:
     def test_small_cells_are_skipped(self):
         rows = make_observations({("s01", EmotionLabel.JOY): (80, 0.3, 2, 20)},
                                  3, 0.0, seed=6)
-        scores, _, skipped = run_experiment_separate(rows, PipelineConfig())
-        assert not scores
-        # the undersized joy cell and the two empty cells are all reported
-        assert [(s, e) for s, e, _ in skipped] == [
-            ("s01", "joy"), ("s01", "neutral"), ("s01", "anger")]
+        # the undersized joy cell and the two empty cells leave no cell to fit
+        with pytest.raises(NothingToEvaluateError, match="^no separate cell has the 4 "
+                           "observations a fit needs: 3 skipped$"):
+            run_experiment_separate(rows, PipelineConfig())
+        with pytest.raises(NothingToEvaluateError, match="^no combined cell has the 4 "
+                           "observations a fit needs: 1 skipped$"):
+            run_experiment_combined(rows, PipelineConfig())
+
+    def test_small_cell_is_listed_beside_the_fitted_ones(self):
+        rows = [o for o in make_observations(line_grid(["s01", "s02"]), 6, 0.0, seed=6)
+                if (o.subject_id, o.emotion) != ("s01", EmotionLabel.NEUTRAL) or o.take_index < 3]
+        scores, models, skipped = run_experiment_separate(rows, PipelineConfig())
+        assert len(scores) == len(models) == 5
+        assert skipped == [("s01", "neutral", "s01/neutral: 3 observations")]
+        scores, models, skipped = run_experiment_combined(rows, PipelineConfig())
+        assert len(scores) == len(models) == 2 and not skipped
 
     def test_in_sample_holdout(self):
         rows = make_observations(line_grid(["s01"]), 10, 1.0, seed=7)
@@ -177,10 +188,13 @@ class TestCompareExperiments:
         assert not compare_experiments(sep, comb)[0].separate_better
 
     def test_subject_mismatch(self):
-        sep = [self.cell("s01", e.value, 5.0) for e in EMOTION_ORDER]
-        comb = [self.cell("s01", "combined", 2.0), self.cell("s02", "combined", 2.0)]
-        with pytest.raises(SubjectMismatchError):
-            compare_experiments(sep, comb)
+        # s02 has no separate score and s03 lacks its anger score; s04 has
+        # no combined score: only s01 has all four
+        sep = [self.cell(sid, e.value, 5.0) for sid in ("s01", "s03", "s04")
+               for e in EMOTION_ORDER if (sid, e) != ("s03", EmotionLabel.ANGER)]
+        comb = [self.cell(sid, "combined", 2.0) for sid in ("s01", "s02", "s03")]
+        assert [r.subject_id for r in compare_experiments(sep, comb)] == ["s01"]
+        assert compare_experiments(sep, comb[1:]) == []
 
     def test_rows_sorted_by_subject(self):
         sep = [self.cell(sid, e.value, 5.0)
