@@ -20,7 +20,13 @@ import numpy as np
 from . import classify
 from .classify import VectorSet
 from .config import FilterWindow, HoldoutSpec, PipelineConfig
-from .errors import NothingToEvaluateError, OutOfRangeError, named
+from .errors import (
+    NothingToEvaluateError,
+    OutOfRangeError,
+    SingleClassError,
+    TooFewExamplesError,
+    named,
+)
 from .regression import LinearModel, fit_ols, predict, relative_error
 from .signal_io import EMOTION_ORDER, VALUE_LIMIT, decode_json, read_json, write_json, write_table
 
@@ -220,19 +226,34 @@ def classifier_matrix(vectors_by_subject: dict[str, VectorSet],
                       config: PipelineConfig, algorithms=ALGORITHMS):
     """Per-subject accuracy of each algorithm under the stratified split.
 
-    Returns (matrix, subjects) with matrix[algo][subject] in percent.
-    NothingToEvaluateError is raised when there is no subject.
+    The one rule for a subject: one whose training split cannot train
+    every algorithm of `algorithms` (too few examples of a class, or a
+    single class) is skipped. Returns (matrix, subjects, skipped) with
+    matrix[algo][subject] in percent for each subject left, and skipped
+    holding (subject, reason) pairs. NothingToEvaluateError is raised
+    when no subject is left.
     """
     if not vectors_by_subject:
         raise NothingToEvaluateError("the embeddings hold no subject to classify")
-    subjects = sorted(vectors_by_subject)
     matrix: dict[str, dict[str, float]] = {a: {} for a in algorithms}
-    for sid in subjects:
+    subjects, skipped = [], []
+    for sid in sorted(vectors_by_subject):
         train, test = classify.split(vectors_by_subject[sid], config.split)
-        for algo in algorithms:
-            model = ALGORITHMS[algo](train, config.tree)
+        models = {}
+        try:
+            for algo in algorithms:
+                models[algo] = ALGORITHMS[algo](train, config.tree)
+        except (TooFewExamplesError, SingleClassError) as exc:
+            skipped.append((sid, f"{sid}/{algo}: {exc}"))
+            continue
+        subjects.append(sid)
+        for algo, model in models.items():
             matrix[algo][sid] = classify.classification_accuracy(model, test)
-    return matrix, subjects
+    if not subjects:
+        raise NothingToEvaluateError(
+            f"no subject has the examples every classifier needs: {len(skipped)} skipped "
+            f"({skipped[0][1]})")
+    return matrix, subjects, skipped
 
 
 @dataclass
@@ -257,7 +278,7 @@ def build_report(observations, vectors_by_subject, config: PipelineConfig,
     """
     observations_source, vectors_source = sources
     with named(vectors_source):
-        matrix, _ = classifier_matrix(vectors_by_subject, config)
+        matrix, _, _ = classifier_matrix(vectors_by_subject, config)
     averages = {a: float(np.mean(list(per_subj.values())))
                 for a, per_subj in matrix.items()}
     # a classification accuracy lies in [0, 100]; a prediction accuracy need not

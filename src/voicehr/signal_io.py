@@ -72,13 +72,13 @@ class _Signal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    source_id: str = ""
+    source_id: str = ""  # the file read, named in errors as `Path` formats it
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         kind = type(self).__name__
         if self.source_id:
-            kind = f"{kind} {self.source_id}"
+            kind = f"{kind} {Path(self.source_id)}"
         if not 0 < self.sample_rate_hz < math.inf:
             raise InvalidSignalError(f"{kind}: sample_rate_hz must be a finite number > 0, "
                                      f"got {self.sample_rate_hz}")
@@ -102,11 +102,22 @@ class EcgRecord(_Signal):
     """Single-lead ECG voltages in millivolts."""
 
 
+# A take's file is opened by its str path: a `Path` per file would add each of its
+# parts to the interpreter's intern table, which never shrinks. Errors still name
+# the file as `Path` formats it.
+def _open_bytes(path: str):
+    """`open(path, "rb")`; an OSError names the file as `Path(path)` formats it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(Path(path))) from None
+
+
 def load_audio(path: str | Path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file and rescale samples to [-1, 1]."""
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        with wave.open(str(path), "rb") as wav:
+        with _open_bytes(path) as fh, wave.open(fh, "rb") as wav:
             n_channels = wav.getnchannels()
             samp_width = wav.getsampwidth()
             comp_type = wav.getcomptype()
@@ -116,23 +127,24 @@ def load_audio(path: str | Path) -> AudioClip:
     except (wave.Error, EOFError) as exc:
         # EOFError carries no message
         reason = str(exc) or "file ends inside the WAV header"
-        raise CorruptHeaderError(f"{path}: {reason}") from exc
+        raise CorruptHeaderError(f"{Path(path)}: {reason}") from exc
     except RuntimeError:  # wave's seek past the end of the chunk it reads in
         raise CorruptHeaderError(
-            f"{path}: a chunk size runs past the end of the RIFF chunk") from None
+            f"{Path(path)}: a chunk size runs past the end of the RIFF chunk") from None
     if comp_type != "NONE":
-        raise UnsupportedFormatError(f"{path}: compressed audio not supported")
+        raise UnsupportedFormatError(f"{Path(path)}: compressed audio not supported")
     if n_channels != 1:
-        raise UnsupportedFormatError(f"{path}: expected mono, got {n_channels} channels")
+        raise UnsupportedFormatError(f"{Path(path)}: expected mono, got {n_channels} channels")
     if samp_width != 2:
-        raise UnsupportedFormatError(f"{path}: expected 16-bit samples, got {8 * samp_width}-bit")
+        raise UnsupportedFormatError(
+            f"{Path(path)}: expected 16-bit samples, got {8 * samp_width}-bit")
     if n_frames == 0:
-        raise EmptySignalError(f"{path}: empty audio file")
+        raise EmptySignalError(f"{Path(path)}: empty audio file")
     if len(raw) != n_frames * samp_width:
-        raise CorruptHeaderError(f"{path}: header gives {n_frames} frames, data chunk holds "
-                                 f"{len(raw) // samp_width} ({len(raw)} bytes)")
+        raise CorruptHeaderError(f"{Path(path)}: header gives {n_frames} frames, data chunk "
+                                 f"holds {len(raw) // samp_width} ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
-    return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=str(path))
+    return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=path)
 
 
 def write_audio(clip: AudioClip, path: str | Path) -> None:
@@ -170,25 +182,29 @@ def load_ecg(path: str | Path) -> EcgRecord:
     the decimal; the sign is applied after, so "-0.000000" is -0.0. Any
     other body is parsed line by line as float() does.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    text = _decode_utf8(path, raw)
+    path = os.fspath(path)
+    with _open_bytes(path) as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:  # raised again naming its line
+        text = _decode_utf8(Path(path), raw)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     first, _, body = text.partition("\n")
     first = first.strip()
     if not first.startswith("# rate_hz="):
-        raise CorruptHeaderError(f"{path}: unrecognized header {first!r}")
+        raise CorruptHeaderError(f"{Path(path)}: unrecognized header {first!r}")
     try:
         rate = float(first.split("=", 1)[1])
     except ValueError:
-        raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
+        raise CorruptHeaderError(f"{Path(path)}: bad rate header {first!r}") from None
     values = _parse_fixed6(body.encode())
     if values is None:
-        values = _parse_lines(path, body)
+        values = _parse_lines(Path(path), body)
     if not len(values):
-        raise EmptySignalError(f"{path}: no samples")
-    return EcgRecord(values, rate, source_id=str(path))
+        raise EmptySignalError(f"{Path(path)}: no samples")
+    return EcgRecord(values, rate, source_id=path)
 
 
 def _parse_lines(path, body: str) -> list:
@@ -425,16 +441,23 @@ def read_table(path, record, header) -> list:
     The header must equal `header`, or `header(n)` for a function of the
     file's column count n; else CorruptHeaderError. Blank lines are skipped.
 
+    The whole file is checked to be UTF-8 before any row is parsed: a
+    byte that is not raises CorruptRowError naming its `path:line`, even
+    when an earlier row holds another fault. The rows are then read from
+    the file's bytes one decoded chunk (8 KB) at a time, so the reader
+    holds the bytes and that chunk, and about twice the bytes during the
+    check.
+
     Rows are parsed in batches, a column at a time. A batch that holds a
-    fault is parsed again a row at a time, so the first fault in file
+    fault is parsed again a row at a time, so the first row fault in file
     order is the one raised, as a row-by-row reader would: a row of the
-    wrong width, a cell that does not parse, a quote left open or a byte
-    that is not UTF-8 raises CorruptRowError naming `path:line`, and a
-    parser's VoicehrError is raised again as its type, prefixed with
-    `path:line`.
+    wrong width, a cell that does not parse or a quote left open raises
+    CorruptRowError naming `path:line`, and a parser's VoicehrError is
+    raised again as its type, prefixed with `path:line`.
     """
-    text = _decode_utf8(path, Path(path).read_bytes())
-    with io.StringIO(text, newline="") as fh:
+    raw = Path(path).read_bytes()
+    _decode_utf8(path, raw)
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             found = next(reader, [])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -376,7 +377,7 @@ def _voice_targeter(voice: SubjectVoice, spec: SynthSpec) -> FdTargeter:
     return FdTargeter(voice, reference, spec)
 
 
-def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdir: Path):
+def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdir: str):
     """Solve, synthesise and write a slice of `(plan, take)`; (entry, ledger row) each.
 
     Stage by stage across the slice: every fd target, then every ECG,
@@ -407,9 +408,9 @@ def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdi
     solved = stages.map(solve, jobs)
     planted = stages.map(plant, jobs, solved)
     stages.map(write_audio, [clip for _, clip in solved],
-               [outdir / entry.audio_path for entry, _, _ in planted])
+               [os.path.join(outdir, entry.audio_path) for entry, _, _ in planted])
     stages.map(write_ecg, [ecg for _, _, ecg in planted],
-               [outdir / entry.ecg_path for entry, _, _ in planted])
+               [os.path.join(outdir, entry.ecg_path) for entry, _, _ in planted])
     return stages.result([(entry, row) for entry, row, _ in planted])
 
 
@@ -429,7 +430,10 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
     jobs = [(plan, take) for plan in plans for take in plan.takes]
     take_samples = (round(spec.utterance_s * spec.audio_rate_hz)
                     + round(spec.ecg_duration_s * spec.ecg_rate_hz))
-    rendered = map_jobs(functools.partial(_render_slice, spec=spec, outdir=outdir), jobs,
+    # a take's paths stay str: a Path per file would add its name to the
+    # interpreter's intern table, which never shrinks
+    rendered = map_jobs(functools.partial(_render_slice, spec=spec, outdir=os.fspath(outdir)),
+                        jobs,
                         takes_per_job=max(1, min(TAKES_PER_JOB, SLICE_SAMPLES // take_samples)))
     entries = [entry for entry, _ in rendered]
     ledger = [row for _, row in rendered]

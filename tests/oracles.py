@@ -1,7 +1,10 @@
 """Independent brute-force oracles shared by the test modules."""
 
 import csv
+import io
 import math
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +415,49 @@ def read_embeddings_loop(path):
     return {subject_id: VectorSet(np.array([f for f, _ in vectors]),
                                   tuple(label for _, label in vectors))
             for subject_id, vectors in rows.items()}
+
+
+def read_table_stringio(path, record, header):
+    """`read_table`'s records and errors, read as the codec first read a table.
+
+    One `csv.reader` over an `io.StringIO` copy of the whole decoded
+    text, one row at a time: no batches and no chunked decoding. The
+    file must be UTF-8. Errors name `path:line` as `read_table` does.
+    """
+    from voicehr.errors import CorruptHeaderError, CorruptRowError, VoicehrError
+    from voicehr.signal_io import EmotionLabel
+
+    parsers = {str: str, int: int, float: float, EmotionLabel: EmotionLabel.parse}
+    reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
+    try:
+        found = next(reader, [])
+    except csv.Error as exc:
+        raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
+    expected = list(header(len(found)) if callable(header) else header)
+    if found != expected:
+        raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
+    types = typing.get_type_hints(record)
+    records = []
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
+        if row is None:
+            return records
+        if not row:
+            continue
+        try:
+            if len(row) != len(expected):
+                raise ValueError(f"expected {len(expected)} fields, got {len(row)}")
+            records.append(record(*[
+                np.array(row[i:], dtype=np.float64) if types[f.name] is np.ndarray
+                else parsers[types[f.name]](row[expected.index(f.name)])
+                for i, f in enumerate(fields(record))]))
+        except ValueError as exc:
+            raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
+        except VoicehrError as exc:
+            raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
 
 
 # The classifiers as they were before the shared presort and batched

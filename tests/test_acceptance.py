@@ -193,8 +193,8 @@ class TestAcceptance:
         accuracy_ok = all(v >= 95.0 for v in accuracies.values())
         config = PipelineConfig.from_dict({"seed": 5})
         vectors = {"s01": blob_vectors}
-        matrix_a, subjects = classifier_matrix(vectors, config)
-        matrix_b, _ = classifier_matrix(vectors, config)
+        matrix_a, subjects, _ = classifier_matrix(vectors, config)
+        matrix_b, _, _ = classifier_matrix(vectors, config)
         deterministic = matrix_a == matrix_b
         report = EvaluationReport(table_separate=[], table_combined_vs_separate=[],
                                   classifier_matrix=matrix_a,

@@ -372,7 +372,7 @@ class TestClassify:
         assert main(["classify", "--features", str(features),
                      "--config", str(config_path)]) == EXIT_OK
         row = capsys.readouterr().out.splitlines()[1]
-        matrix, subjects = pipeline.classifier_matrix(
+        matrix, subjects, _ = pipeline.classifier_matrix(
             read_embeddings_csv(features.with_name("features_embeddings.csv")),
             pipeline.PipelineConfig.from_dict(json.loads(config_path.read_text())),
             algorithms=("cvr",))
@@ -450,10 +450,10 @@ def two_subjects(tmp_path_factory):
     return root / "features.csv"
 
 
-def _cut_cells(features, tmp_path, rows_left):
-    """A copy of `features`, beside a copy of its embeddings, that keeps the first
-    `rows_left[(subject, emotion)]` rows of each cell the dict names."""
-    header, *rows = features.read_text().splitlines()
+def _first_rows(table, rows_left):
+    """The lines of `table` that keep the first `rows_left[(subject, emotion)]` rows
+    of each cell the dict names."""
+    header, *rows = table.read_text().splitlines()
     seen = Counter()
     kept = []
     for row in rows:
@@ -461,9 +461,21 @@ def _cut_cells(features, tmp_path, rows_left):
         seen[cell] += 1
         if seen[cell] <= rows_left.get(cell, len(rows)):
             kept.append(row)
+    return [header] + kept
+
+
+def _cut_cells(features, tmp_path, rows_left):
+    """A copy of `features`, cut by `_first_rows`, beside a copy of its embeddings."""
     shutil.copy(features.with_name("features_embeddings.csv"),
                 tmp_path / "features_embeddings.csv")
-    return _write_lines(tmp_path / "features.csv", [header] + kept)
+    return _write_lines(tmp_path / "features.csv", _first_rows(features, rows_left))
+
+
+def _cut_embeddings(features, tmp_path, rows_left):
+    """A copy of `features` beside a copy of its embeddings, cut by `_first_rows`."""
+    _write_lines(tmp_path / "features_embeddings.csv",
+                 _first_rows(features.with_name("features_embeddings.csv"), rows_left))
+    return shutil.copy(features, tmp_path / "features.csv")
 
 
 class TestCellRule:
@@ -497,6 +509,38 @@ class TestCellRule:
         assert main(verb + ["--features", str(features), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr() == ("", f"error: {features}: {message}\n")
         assert not out.exists()
+
+
+class TestClassifierSubjectRule:
+    """A subject whose split cannot train a requested classifier is left out of the
+    sweep; no subject left is a data error."""
+
+    def test_report_skips_a_subject_with_few_examples(self, two_subjects, tmp_path):
+        features = _cut_embeddings(two_subjects, tmp_path, {("s01", "joy"): 4})
+        out = tmp_path / "r"
+        assert main(["report", "--features", str(features), "--out", str(out)]) == EXIT_OK
+        assert (out / "table3_classifiers.csv").read_text().splitlines()[0] == "classifier,s02"
+        table1 = (out / "table1_separate.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in table1] == ["s01", "s02"]
+
+    @pytest.mark.parametrize("algo, subjects", [("cvr", "s02"), ("gnb", "s01,s02"),
+                                                ("knn", "s01,s02")])
+    def test_classify_needs_only_its_algorithm(self, two_subjects, tmp_path, capsys,
+                                               algo, subjects):
+        # s01 keeps 3 joy rows to train on: enough for GNB and 1-NN, not for CVR
+        features = _cut_embeddings(two_subjects, tmp_path, {("s01", "joy"): 4})
+        assert main(["classify", "--features", str(features), "--algo", algo]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"classifier,{subjects}"
+
+    @pytest.mark.parametrize("verb", [["report", "--out", "r"], ["classify"]])
+    def test_no_subject_left_is_a_data_error(self, two_subjects, tmp_path, capsys, verb):
+        features = _cut_embeddings(two_subjects, tmp_path,
+                                   {("s01", "joy"): 4, ("s02", "joy"): 4})
+        verb = [str(tmp_path / arg) if arg == "r" else arg for arg in verb]
+        assert main(verb + ["--features", str(features)]) == EXIT_DATA
+        assert capsys.readouterr() == ("", (
+            f"error: {tmp_path / 'features_embeddings.csv'}: no subject has the examples "
+            "every classifier needs: 2 skipped (s01/cvr: class joy: 3 < 5 examples)\n"))
 
 
 # Edits that break a copied table; lines[2] is the file's line 3.

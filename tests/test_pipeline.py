@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,7 +382,7 @@ def noisy_gate_vectors(tmp_path_factory):
         noisy = {sid: VectorSet(vs.features + scale * spread * rng.normal(size=vs.features.shape),
                                 vs.labels)
                  for sid, vs in vectors_by_subject.items()}
-        matrix, _ = classifier_matrix(noisy, PipelineConfig())
+        matrix, _, _ = classifier_matrix(noisy, PipelineConfig())
         if all(acc < 100.0 for row in matrix.values() for acc in row.values()):
             return noisy
     raise AssertionError("every noise scale left a classifier at 100 %")
@@ -394,5 +395,45 @@ class TestClassifierMatrixAgainstOracle:
     @pytest.mark.parametrize("split_seed", range(6))
     def test_matches_per_vector_models(self, noisy_gate_vectors, split_seed):
         config = PipelineConfig(split=SplitSpec(seed=split_seed))
-        matrix, _ = classifier_matrix(noisy_gate_vectors, config)
+        matrix, _, _ = classifier_matrix(noisy_gate_vectors, config)
         assert matrix == classifier_matrix_loop(noisy_gate_vectors, config)
+
+
+class TestClassifierSubjectRule:
+    """A subject whose split cannot train a requested classifier is skipped and listed."""
+
+    def _vectors(self, blob_vectors):
+        """s01 with 4 joy rows, s02 whole, s03 only its joy rows."""
+        labels = blob_vectors.labels
+        joy = [i for i, label in enumerate(labels) if label == EmotionLabel.JOY]
+        few_joy = joy[:4] + [i for i, label in enumerate(labels) if label != EmotionLabel.JOY]
+
+        def subset(rows):
+            return VectorSet(blob_vectors.features[rows], tuple(labels[i] for i in rows))
+        return {"s01": subset(sorted(few_joy)), "s02": blob_vectors, "s03": subset(joy)}
+
+    def test_small_subjects_are_skipped(self, blob_vectors):
+        vectors = self._vectors(blob_vectors)
+        matrix, subjects, skipped = classifier_matrix(vectors, PipelineConfig())
+        assert subjects == ["s02"]
+        assert {algo: list(row) for algo, row in matrix.items()} == {
+            "cvr": ["s02"], "gnb": ["s02"], "knn": ["s02"]}
+        assert matrix == classifier_matrix(
+            {"s02": blob_vectors}, PipelineConfig())[0]
+        assert skipped == [("s01", "s01/cvr: class joy: 3 < 5 examples"),
+                           ("s03", "s03/cvr: training data contains a single class")]
+
+    def test_only_the_requested_algorithms_count(self, blob_vectors):
+        # 3 joy rows to train on are enough for 1-NN and GNB
+        _, subjects, skipped = classifier_matrix(self._vectors(blob_vectors), PipelineConfig(),
+                                                 algorithms=("knn", "gnb"))
+        assert subjects == ["s01", "s02"]
+        assert skipped == [("s03", "s03/knn: training data contains a single class")]
+
+    def test_no_subject_left(self, blob_vectors):
+        vectors = self._vectors(blob_vectors)
+        del vectors["s02"]
+        with pytest.raises(NothingToEvaluateError, match=re.escape(
+                "no subject has the examples every classifier needs: 2 skipped "
+                "(s01/cvr: class joy: 3 < 5 examples)")):
+            classifier_matrix(vectors, PipelineConfig())

@@ -36,7 +36,7 @@ def _render_slice_on_both_sides(jobs, spec, outdir):
 
     Each side's marker lists the subject of every take in its slice.
     """
-    markers = outdir.parent / "markers"
+    markers = Path(outdir).parent / "markers"
     mine, theirs = "caller", "child"
     if multiprocessing.parent_process() is not None:
         mine, theirs = theirs, mine

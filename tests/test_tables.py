@@ -5,7 +5,8 @@ import io
 import math
 import re
 import struct
-from dataclasses import fields
+import tracemalloc
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import (
     load_manifest_loop,
     read_embeddings_loop,
     read_features_loop,
+    read_table_stringio,
     write_embeddings_loop,
     write_features_loop,
     write_ledger_loop,
@@ -30,9 +32,9 @@ from voicehr.errors import (
     InvalidSignalError,
     UnknownEmotionError,
 )
-from voicehr.classify import read_embeddings_csv, write_embeddings_csv
+from voicehr.classify import embeddings_header, read_embeddings_csv, write_embeddings_csv
 from voicehr.extract import write_features_csv
-from voicehr.regression import Observation, read_features_csv
+from voicehr.regression import FEATURES_HEADER, Observation, read_features_csv
 from voicehr.signal_io import (
     _BATCH_ROWS,
     EMOTION_ORDER,
@@ -40,6 +42,7 @@ from voicehr.signal_io import (
     EmotionLabel,
     ManifestEntry,
     load_manifest,
+    read_table,
     write_manifest,
     write_table,
 )
@@ -455,3 +458,126 @@ class TestWriteTable:
         write_table(out, ["classifier", "s01"], [["knn", "97.50"]])
         assert not out.closed
         assert out.getvalue() == "classifier,s01\nknn,97.50\n"
+
+
+@dataclass(frozen=True)
+class _VectorRow:
+    subject_id: str
+    emotion: EmotionLabel
+    features: np.ndarray
+
+
+def _read_vectors(path):
+    return read_table(path, _VectorRow, lambda width: embeddings_header(width - 3))
+
+
+# The bytes a text reader decodes at a time (io.TextIOWrapper's chunk)
+CHUNK = 8192
+
+HEADER = ",".join(FEATURES_HEADER) + "\n"
+
+
+def _tail_at(offset, tail):
+    """A features table whose byte `offset` starts `tail`: the header, then plain rows."""
+    room = offset - len(HEADER)
+    n_rows = (room - 19) // 19  # a row "s00,joy,0,1.0,70.0\n" is 19 bytes
+    pad = room - 19 * n_rows - 16  # the last row's subject_id fills the rest
+    return (HEADER + "s00,joy,0,1.0,70.0\n" * n_rows + "s" * pad + ",joy,0,1.0,70.0\n"
+            + tail).encode()
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# A features line without its end: a valid row, a quoted subject holding a
+# line break, a blank line, or a fault
+LINES = st.one_of(
+    st.builds("s{},{},{},{!r},70.0".format, st.integers(0, 9),
+              st.sampled_from(["joy", "neutral", "anger"]), st.integers(0, 99),
+              st.floats(0.0, 50.0)),
+    LINE_ENDS.map('"s{}1",joy,2,3.0,80.0'.format),
+    st.just(""),
+    st.sampled_from(["s01,joy,1,1.0", "s01,joy,1,x,70.0", "s01,bliss,1,1.0,70.0",
+                     '"s01,joy,1,1.0,70.0']))
+
+
+class TestChunkedReader:
+    """`read_table` reads the bytes a chunk at a time, as a reader of the whole text would."""
+
+    def test_peak_memory_stays_near_the_bytes(self, tmp_path):
+        # about 2 MB: 7000 rows of 13 cepstra and the fd
+        rng = np.random.default_rng(0)
+        vectors = {f"s{j:02d}": vector_set(rng.normal(size=(1400, 14)),
+                                           [EMOTION_ORDER[i % 3] for i in range(1400)])
+                   for j in range(5)}
+        path = tmp_path / "emb.csv"
+        write_embeddings_csv(vectors, path, 13)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            rows = _read_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 7000
+        # the bytes and, during the UTF-8 check, their text; a copy of the
+        # text at 4 bytes a character would take the peak past 6x
+        assert peak < 3 * size, f"peak {peak} bytes for a {size}-byte table"
+
+    @settings(FUNCTION_TMP_PATH, max_examples=150)
+    @given(shift=st.integers(-40, 40), lines=st.lists(st.tuples(LINES, LINE_ENDS), max_size=8),
+           last_end=st.booleans())
+    @example(shift=-1, lines=[("s01,joy,1,1.0,70.0", "\r\n")], last_end=True)
+    @example(shift=-1, lines=[("s01,joy,1,1.0,70.0", "\r"), ("s02,joy,2,1.0,70.0", "\n")],
+             last_end=False)
+    @example(shift=-4, lines=[('"s\r\n1",joy,2,3.0,80.0', "\r"), ("", "\r\n"),
+                              ("s01,joy,1,x,70.0", "\n")], last_end=True)
+    def test_matches_the_whole_text_reader(self, tmp_path, shift, lines, last_end):
+        tail = "".join(line + end for line, end in lines)
+        if lines and not last_end:
+            tail = tail[:-len(lines[-1][1])]
+        path = tmp_path / "features.csv"
+        path.write_bytes(_tail_at(CHUNK + shift, tail))
+        _same_outcome(read_features_csv, lambda p: read_table_stringio(
+            p, Observation, FEATURES_HEADER), path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_end_on_the_chunk_boundary(self, tmp_path, end):
+        path = tmp_path / "features.csv"
+        # the "\r" that ends row s09 is the last byte of the first chunk
+        path.write_bytes(_tail_at(CHUNK - 21, "s09,anger,9,9.0,90.0" + end
+                                  + '"a\r\nb",joy,1,1.0,70.0' + end + "s01,joy,1,1.0"))
+        assert path.read_bytes()[CHUNK - 1:].startswith(end.encode())
+        with pytest.raises(CorruptRowError) as oracle:
+            read_table_stringio(path, Observation, FEATURES_HEADER)
+        # the header, the plain rows, row s09, the quoted row's two lines
+        assert str(oracle.value) == f"{path}:{(CHUNK - 21 - len(HEADER)) // 19 + 5}: " \
+            "expected 5 fields, got 4"
+        with pytest.raises(CorruptRowError) as raised:
+            read_features_csv(path)
+        assert str(raised.value) == str(oracle.value)
+
+    def test_vectors_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vectors = {"a": vector_set(rng.normal(size=(300, 4)), [EMOTION_ORDER[i % 3]
+                                                                for i in range(300)])}
+        path = tmp_path / "emb.csv"
+        write_embeddings_csv(vectors, path, 3)
+        lines = path.read_bytes().split(b"\n")
+        # every line end kind, and no final one
+        path.write_bytes(b"".join(line + (b"\n", b"\r\n", b"\r")[i % 3]
+                                  for i, line in enumerate(lines[:-2])) + lines[-2])
+        assert path.stat().st_size > 2 * CHUNK
+        _same_outcome(_read_vectors, lambda p: read_table_stringio(
+            p, _VectorRow, lambda width: embeddings_header(width - 3)), path)
+
+    def test_utf8_check_comes_before_any_row(self, tmp_path):
+        # a bad take_index on line 3, a byte that is not UTF-8 on line 6
+        rows = ["s01,joy,0,1.0,70.0", "s01,joy,three,1.0,70.0", "s01,joy,2,1.0,70.0",
+                "s01,joy,3,1.0,70.0", "s01,joy,4,1.0,\udcff70.0"]
+        path = tmp_path / "features.csv"
+        path.write_bytes((HEADER + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        with pytest.raises(CorruptRowError, match=f"^{re.escape(str(path))}:6: 'utf-8' "
+                           "codec can't decode byte 0xff"):
+            read_features_csv(path)
+        path.write_bytes(path.read_bytes().replace(b"\xff", b""))
+        with pytest.raises(CorruptRowError, match=f"^{re.escape(str(path))}:3: invalid literal"):
+            read_features_csv(path)
