@@ -94,8 +94,10 @@ def cmd_classify(args) -> int:
     config = _load_config(args.config)
     vectors_by_subject = _read_embeddings(args.features)
     with named(embeddings_csv_path(args.features)):
-        matrix, subjects, _ = pipeline.classifier_matrix(vectors_by_subject, config,
-                                                         algorithms=(args.algo,))
+        matrix, subjects, skipped = pipeline.classifier_matrix(vectors_by_subject, config,
+                                                               algorithms=(args.algo,))
+    for _, reason in skipped:
+        print(f"skipped {reason}", file=sys.stderr)
     write_table(sys.stdout if args.out is None else args.out, ["classifier"] + subjects,
                 [[args.algo] + [pipeline.round2(matrix[args.algo][s]) for s in subjects]])
     return EXIT_OK

@@ -26,6 +26,7 @@ from .signal_io import (
     ManifestEntry,
     load_audio,
     load_ecg,
+    write_matrix,
     write_table,
 )
 from .speech_features import feature_distance, mfcc, subject_reference, utterance_embedding
@@ -48,7 +49,7 @@ def _extract_slice(entries: list[ManifestEntry], feature_config: FeatureConfig =
             cepstra = mfcc(clip, feature_config)
         if cepstra_dir is not None:
             name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
-            np.savetxt(Path(cepstra_dir) / name, cepstra.frames, delimiter=",")
+            write_matrix(Path(cepstra_dir) / name, cepstra.frames)
         return utterance_embedding(cepstra)
 
     def heart_rate(entry):

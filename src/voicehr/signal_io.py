@@ -5,7 +5,8 @@ of a `# rate_hz=<R>` header followed by one mV value per line. A
 manifest CSV binds files to subjects and emotion labels.
 Every CSV table of the pipeline goes through `write_table` and `read_table`,
 and every JSON file (spec, config, model, summary) through `write_json` and
-`read_json`.
+`read_json`. Every file the pipeline writes goes through `_write_file`,
+which writes over an existing file's bytes rather than truncating it first.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import json
 import math
 import os
 import re
+import stat
 import typing
 import wave
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -147,11 +149,39 @@ def load_audio(path: str | Path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=path)
 
 
+def _open_in_place(path, flags: int) -> int:
+    """`open`'s opener for a write that keeps the old bytes until written over."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _write_file(path, mode: str = "wb", **kwargs):
+    """Open `path` to write as `open(path, mode, **kwargs)` does, without truncating it.
+
+    The new bytes are written over the old ones, and on a clean exit the
+    old bytes past the new end, if any, are cut, so the file ends up as a
+    fresh write would leave it; a new file, a rewrite of the same length,
+    /dev/null or a FIFO is never truncated. `open` still picks the flags
+    (`O_BINARY` where the platform has it), less `O_TRUNC`. The gain is
+    ext4's: a file truncated to zero and written again has its new data
+    sent to disk at close (the `auto_da_alloc` guard for files replaced
+    by truncation), which costs several times a rewrite in place. So a
+    run stopped in the middle of a write can leave the new bytes followed
+    by old ones, where a truncating write left a short file.
+    """
+    with open(path, mode, opener=_open_in_place, **kwargs) as fh:
+        yield fh
+        # a pipe or a device has no old bytes, nor a position to cut at
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+            fh.truncate()
+
+
 def write_audio(clip: AudioClip, path: str | Path) -> None:
     """Write a clip as mono 16-bit PCM WAV, clipping to full scale."""
     quantized = np.clip(np.rint(clip.samples * PCM_FULL_SCALE), -32768, 32767)
     data = quantized.astype("<i2").tobytes()
-    with wave.open(str(path), "wb") as wav:
+    with _write_file(path) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(int(round(clip.sample_rate_hz)))
@@ -321,7 +351,7 @@ def write_ecg(record: EcgRecord, path: str | Path) -> None:
     if body is None:
         samples = record.samples.tolist()
         body = (("%.6f\n" * len(samples)) % tuple(samples)).encode()
-    with open(path, "wb") as fh:
+    with _write_file(path) as fh:
         fh.write(f"# rate_hz={record.sample_rate_hz:g}\n".encode() + body)
 
 
@@ -391,7 +421,7 @@ def write_table(path, header, rows) -> None:
     an open text stream, which is left open.
     """
     with (nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", encoding="utf-8", newline="")) as fh:
+          else _write_file(path, "w", encoding="utf-8", newline="")) as fh:
         # csv quotes only the characters of its line terminator, so rows
         # are made with "\r\n" and written with "\n": a lone "\r" is quoted
         writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
@@ -400,6 +430,12 @@ def write_table(path, header, rows) -> None:
         writer.writerows([repr(float(cell)) if isinstance(cell, float)
                           else cell.value if isinstance(cell, EmotionLabel) else cell
                           for cell in row] for row in rows)
+
+
+def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a 2-D float array as CSV, one row per line, as `np.savetxt` formats it."""
+    with _write_file(path) as fh:
+        np.savetxt(fh, matrix, delimiter=",")
 
 
 class _LabelCells(dict):
@@ -524,7 +560,8 @@ def write_json(path, value) -> None:
     """
     text = json.dumps(value, indent=2, sort_keys=True, default=lambda record: {
         key: getattr(record, f.name) for key, (f, _) in _json_fields(type(record)).items()})
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="")
+    with _write_file(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
 
 
 def read_json(path, record):

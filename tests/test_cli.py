@@ -527,10 +527,13 @@ class TestClassifierSubjectRule:
                                                 ("knn", "s01,s02")])
     def test_classify_needs_only_its_algorithm(self, two_subjects, tmp_path, capsys,
                                                algo, subjects):
-        # s01 keeps 3 joy rows to train on: enough for GNB and 1-NN, not for CVR
+        # s01 keeps 3 joy rows to train on: enough for GNB and 1-NN, not for CVR;
+        # a subject left out is named on stderr
         features = _cut_embeddings(two_subjects, tmp_path, {("s01", "joy"): 4})
         assert main(["classify", "--features", str(features), "--algo", algo]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[0] == f"classifier,{subjects}"
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == f"classifier,{subjects}"
+        assert err == ("skipped s01/cvr: class joy: 3 < 5 examples\n" if algo == "cvr" else "")
 
     @pytest.mark.parametrize("verb", [["report", "--out", "r"], ["classify"]])
     def test_no_subject_left_is_a_data_error(self, two_subjects, tmp_path, capsys, verb):

@@ -2,9 +2,10 @@
 
 Every file format the pipeline reads or writes goes through the codecs
 in `signal_io`, so it alone imports the standard library's format
-modules. Only the signal front end, `speech_features` and `ecg_hr`,
-imports scipy, so the config, the models and the report load without
-it. Every strided window is cut by one framing helper. Two rules stand
+modules, and it alone writes files: its one opener writes over an
+existing file's bytes instead of truncating it first. Only the signal
+front end, `speech_features` and `ecg_hr`, imports scipy, so the
+config, the models and the report load without it. Every strided window is cut by one framing helper. Two rules stand
 in for a linter: a module uses every name it imports, and every name a
 module defines at its top level is referenced in the source, the tests
 or the benchmark. A third asks that every error class is raised in the
@@ -50,6 +51,44 @@ def imported_modules(path: Path) -> set[str]:
 def test_only_signal_io_imports_format_modules(path):
     allowed = FORMAT_MODULES if path.name == "signal_io.py" else set()
     assert imported_modules(path) & FORMAT_MODULES <= allowed
+
+
+# Calls counted as file writes whatever their arguments: these two functions
+# (in any mode), and these methods of any object (`Path.write_text`, `np.savetxt`)
+WRITER_FUNCTIONS = {"wave.open", "os.open"}
+WRITER_METHODS = {"write_text", "write_bytes", "savetxt"}
+
+
+def file_writes(path: Path) -> list[str]:
+    """The calls in `path` that can write a file, as `line: call`.
+
+    A builtin `open` counts unless its mode is a constant without "w",
+    "a", "x" or "+".
+    """
+    found = []
+    for node in ast.walk(parse(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"):
+                continue
+        elif not (isinstance(func, ast.Attribute) and (
+                func.attr in WRITER_METHODS or ast.unparse(func) in WRITER_FUNCTIONS)):
+            continue
+        found.append(f"{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_signal_io_writes_files(path):
+    if path.name == "signal_io.py":
+        # the rule sees the writes that are there
+        assert file_writes(path)
+    else:
+        assert file_writes(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from voicehr.errors import (
     UnknownEmotionError,
     UnsupportedFormatError,
 )
+from voicehr.cli import EXIT_DATA, EXIT_OK, main
 from voicehr.signal_io import (
     AudioClip,
     EcgRecord,
@@ -29,7 +31,10 @@ from voicehr.signal_io import (
     load_manifest,
     write_audio,
     write_ecg,
+    write_json,
     write_manifest,
+    write_matrix,
+    write_table,
 )
 
 
@@ -410,3 +415,100 @@ class TestManifest:
         manifest = load_manifest(path)
         assert len(manifest) == 1
         assert manifest.entries[0].emotion is EmotionLabel.JOY
+
+
+# Each file writer, as a function of the path: every one goes through the
+# opener that writes over an existing file's bytes
+WRITERS = {
+    "audio": lambda path: write_audio(AudioClip(np.sin(np.arange(400) / 7.0), 8000.0), path),
+    "ecg": lambda path: write_ecg(EcgRecord(np.linspace(-1.5, 2.0, 300), 250.0), path),
+    "table": lambda path: write_table(path, ["subject_id", "bpm"],
+                                      [["s01", 71.5], ["s,02", EmotionLabel.JOY]]),
+    "json": lambda path: write_json(path, {"beta": [0.5, 1e-3], "subject": "s01"}),
+    "matrix": lambda path: write_matrix(path, np.arange(12.0).reshape(4, 3) / 7.0),
+}
+
+
+class TestWriteOverAnExistingFile:
+    """A file written over an older one holds exactly the bytes of a fresh write."""
+
+    @pytest.mark.parametrize("old_size", [-37, 0, 4096], ids=["shorter", "same", "longer"])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_same_bytes_as_a_fresh_file(self, tmp_path, writer, old_size):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        WRITERS[writer](fresh)
+        expected = fresh.read_bytes()
+        reused.write_bytes(b"\xff" * (len(expected) + old_size))
+        WRITERS[writer](reused)
+        assert reused.read_bytes() == expected
+
+    def test_no_writer_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        flags = []
+        os_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, f, *mode: flags.append(f)
+                            or os_open(path, f, *mode))
+        for name, writer in WRITERS.items():
+            writer(tmp_path / name)
+        assert len(flags) == len(WRITERS)
+        assert not any(f & os.O_TRUNC for f in flags)
+
+    def test_table_and_ecg_to_dev_null(self):
+        write_table("/dev/null", ["a"], [[1.0]])
+        write_ecg(EcgRecord(np.zeros(10), 250.0), "/dev/null")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("writer", ["ecg", "table", "json", "matrix"])
+    def test_to_a_fifo_as_to_a_file(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "fresh")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        WRITERS[writer](fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "fresh").read_bytes()]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_errors_read_as_the_builtin_open_gives(self, tmp_path, writer, where):
+        path = tmp_path / "d" if where == "directory" else tmp_path / "missing" / "f"
+        if where == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as expected:
+            open(path, "wb")
+        with pytest.raises(OSError) as raised:
+            WRITERS[writer](path)
+        assert (type(raised.value), str(raised.value)) == (type(expected.value),
+                                                           str(expected.value))
+
+
+@pytest.fixture(scope="module")
+def tiny_spec(tmp_path_factory):
+    """A 3-take SynthSpec file."""
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    write_json(path, {"n_subjects": 1, "takes_per_emotion": 1, "ecg_duration_s": 4.0})
+    return path
+
+
+class TestWriteErrorsThroughTheCli:
+    """A file that cannot be written is a data error naming it."""
+
+    def test_directory_in_place_of_a_take(self, tiny_spec, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        wav = out / "audio" / "s01_joy_000.wav"
+        wav.mkdir(parents=True)
+        assert main(["synth", "--spec", str(tiny_spec), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{wav}'\n"
+
+    def test_missing_parent_of_the_features(self, tiny_spec, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--spec", str(tiny_spec), "--out", str(out)]) == EXIT_OK
+        features = tmp_path / "missing" / "features.csv"
+        assert main(["extract", "--manifest", str(out / "manifest.csv"),
+                     "--out", str(features)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{features}'\n")
+

@@ -1,8 +1,10 @@
 import filecmp
+import hashlib
 import multiprocessing
 import os
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +288,24 @@ class TestGenerateCorpus:
         for rel in files:
             assert filecmp.cmp(tmp_path / "a" / rel, tmp_path / "b" / rel,
                                shallow=False), rel
+
+    @pytest.mark.parametrize("first_seed", [33, 34], ids=["same_spec", "other_seed"])
+    def test_rewrite_matches_a_fresh_corpus(self, tmp_path, first_seed):
+        # a second synth into one directory writes over the first one's files
+        spec = SynthSpec(seed=33, **dict(TINY, n_subjects=2))
+        generate_synthetic_corpus(replace(spec, seed=first_seed), tmp_path / "reused")
+        generate_synthetic_corpus(spec, tmp_path / "reused")
+        generate_synthetic_corpus(spec, tmp_path / "fresh")
+
+        def digest(corpus, name):
+            root = corpus / name
+            h = hashlib.sha256()
+            for path in sorted(root.rglob("*")) if root.is_dir() else [root]:
+                h.update(f"{path.relative_to(corpus)}\0".encode() + path.read_bytes())
+            return h.hexdigest()
+
+        for name in ("audio", "ecg", "manifest.csv", "ledger.csv"):
+            assert digest(tmp_path / "reused", name) == digest(tmp_path / "fresh", name), name
 
     def test_different_seeds_differ(self, tmp_path):
         _, ledger_a = generate_synthetic_corpus(SynthSpec(seed=1, **TINY),
