@@ -2,7 +2,7 @@
 
 One record type per JSON section, each checking its own values, so a
 config file is validated where it is decoded. Nothing here does signal
-work: the report side loads its config without the scipy front end.
+work: the report side loads its config without the signal front end.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import dct, rfft
 
 from .config import FeatureConfig
 from .errors import (
@@ -78,6 +77,23 @@ def _hamming_window(n: int) -> np.ndarray:
     return window
 
 
+@functools.lru_cache(maxsize=8)
+def dct_matrix(n_inputs: int, n_outputs: int) -> np.ndarray:
+    """(n_inputs, n_outputs) orthonormal type-II DCT: `rows @ dct_matrix` transforms each row.
+
+    Column k is sqrt(2 / N) cos(pi k (2n + 1) / 2N) over n, with N =
+    `n_inputs`; column 0 is 1 / sqrt(N). The first `n_outputs` columns
+    of scipy's `dct(type=2, norm="ortho")`. It is built once per size
+    and shared, so it is read-only.
+    """
+    n = np.arange(n_inputs)[:, None]
+    k = np.arange(n_outputs)[None, :]
+    matrix = np.sqrt(2.0 / n_inputs) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_inputs))
+    matrix[:, 0] = 1.0 / np.sqrt(n_inputs)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def frame_count(n_samples: int, frame: int, hop: int) -> int:
     if n_samples < frame:
         return 0
@@ -118,7 +134,7 @@ def filterbank_energies(frames: np.ndarray, fb: np.ndarray, fft_size: int) -> np
     width = min(frame, fft_size)
     block = np.zeros((n_frames, fft_size))
     np.multiply(frames[:, :width], _hamming_window(frame)[:width], out=block[:, :width])
-    power = np.abs(rfft(block, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(block, axis=1)) ** 2
     return power @ fb.T
 
 
@@ -139,8 +155,7 @@ def mfcc(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> CepstraMat
     fb = mel_filterbank(config.n_mel_filters, fft_size, rate)
     energies = filterbank_energies(frame_signal(emphasized, frame, hop), fb, fft_size)
     log_energies = np.log(np.maximum(energies, config.log_floor))
-    cepstra = dct(log_energies, type=2, norm="ortho", axis=1)[:, : config.n_cepstra]
-    return CepstraMatrix(cepstra)
+    return CepstraMatrix(log_energies @ dct_matrix(config.n_mel_filters, config.n_cepstra))
 
 
 def utterance_embedding(cepstra: CepstraMatrix) -> np.ndarray:

@@ -37,10 +37,13 @@ def frame_signal_sliding_window(samples, width, hop):
 
 
 def mfcc_fancy_framing(clip, config):
-    """Cepstra of `mfcc`'s steps with fancy-index frames and a fresh np.hamming."""
-    from scipy.fft import dct, rfft
+    """Cepstra of `mfcc`'s steps with fancy-index frames, a fresh np.hamming and scipy's rfft.
 
-    from voicehr.speech_features import mel_filterbank, pre_emphasize
+    The DCT is `mfcc`'s own matrix, so the bits compare framings only.
+    """
+    from scipy.fft import rfft
+
+    from voicehr.speech_features import dct_matrix, mel_filterbank, pre_emphasize
 
     rate = clip.sample_rate_hz
     fft_size = config.resolve_fft_size(rate)
@@ -50,7 +53,7 @@ def mfcc_fancy_framing(clip, config):
     energies = (np.abs(rfft(windowed, n=fft_size, axis=1)) ** 2) @ mel_filterbank(
         config.n_mel_filters, fft_size, rate).T
     log_energies = np.log(np.maximum(energies, config.log_floor))
-    return dct(log_energies, type=2, norm="ortho", axis=1)[:, : config.n_cepstra]
+    return log_energies @ dct_matrix(config.n_mel_filters, config.n_cepstra)
 
 
 def ols_closed_form(x, y):
@@ -163,6 +166,25 @@ def band_pass_filtfilt_fresh(samples, rate, band_low_hz=5.0, band_high_hz=15.0):
     low = min(band_low_hz, 0.5 * high)
     b, a = signal.butter(2, [low / nyq, high / nyq], btype="band")
     return signal.filtfilt(b, a, samples)
+
+
+def detect_r_peaks_scipy(record, config):
+    """`detect_r_peaks` with scipy's filtfilt as its band-pass and scipy's uniform filter as its integrator."""
+    from unittest import mock
+
+    from scipy import ndimage
+
+    from voicehr import ecg_hr
+
+    def band_pass(samples, rate, config):
+        return band_pass_filtfilt_fresh(samples, rate, config.band_low_hz, config.band_high_hz)
+
+    def integrate(x, width):
+        return ndimage.uniform_filter1d(x, size=width, mode="nearest")
+
+    with mock.patch.object(ecg_hr, "band_pass_filtfilt", band_pass), \
+            mock.patch.object(ecg_hr, "moving_mean", integrate):
+        return ecg_hr.detect_r_peaks(record, config)
 
 
 def refine_peaks_loop(power, peaks, half):

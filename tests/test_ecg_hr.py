@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import signal
+from scipy import ndimage, signal
 
 from oracles import (
     band_pass_filtfilt_fresh,
+    detect_r_peaks_scipy,
     mean_rate_per_interval,
     refine_peaks_loop,
     refractory_select_numpy,
@@ -18,9 +19,11 @@ from voicehr.ecg_hr import (
     _envelope,
     _threshold_candidates,
     band_pass_filtfilt,
+    butter_band,
     detect_r_peaks,
     extract_heart_rate,
     heart_rate_1500,
+    moving_mean,
     refine_peaks,
     refractory_select,
 )
@@ -30,8 +33,8 @@ from voicehr.errors import (
     NoPeaksFoundError,
     SignalTooShortError,
 )
-from voicehr.signal_io import EcgRecord
-from voicehr.synth import synth_ecg
+from voicehr.signal_io import EcgRecord, load_ecg, load_manifest
+from voicehr.synth import SynthSpec, generate_synthetic_corpus, synth_ecg
 
 
 def impulse_train(n, start, period, rate=500.0):
@@ -40,32 +43,50 @@ def impulse_train(n, start, period, rate=500.0):
     return EcgRecord(x, rate)
 
 
-class TestBandPass:
-    @pytest.mark.parametrize("rate", [250.0, 500.0, 25.0])
-    def test_memoised_coefficients_match_a_fresh_design(self, rate):
-        b, a, _ = _band_pass(rate, 5.0, 15.0)
-        with pytest.raises(ValueError):
-            b[0] = 0.0
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-        nyq = rate / 2.0
-        high = min(15.0, 0.99 * nyq)
-        fresh_b, fresh_a = signal.butter(2, [min(5.0, 0.5 * high) / nyq, high / nyq],
-                                         btype="band")
-        assert b.tobytes() == fresh_b.tobytes() and a.tobytes() == fresh_a.tobytes()
+# the band-pass's distance from scipy's filtfilt, in units of max|x|: the
+# largest over 20000 draws of `test_filtfilt_matches_scipy`'s strategy was
+# 3.4e-12 (500 Hz, 0.5-40 Hz). Most of it is scipy's: against a filtfilt
+# in extended precision scipy's error is of that size, the block
+# products' under 1e-15
+FILTFILT_BOUND = 2e-11
 
+RATES = [25.0, 100.0, 250.0, 500.0]
+BANDS = [(5.0, 15.0), (0.5, 40.0), (8.0, 12.0)]
+
+
+class TestBandPass:
+    @pytest.mark.parametrize("rate", RATES)
+    def test_memoised_coefficients_match_a_fresh_design(self, rate):
+        for band in BANDS:
+            b, a, _ = _band_pass(rate, *band)
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            nyq = rate / 2.0
+            high = min(band[1], 0.99 * nyq)
+            fresh_b, fresh_a = signal.butter(2, [min(band[0], 0.5 * high) / nyq, high / nyq],
+                                             btype="band")
+            assert b.tobytes() == fresh_b.tobytes() and a.tobytes() == fresh_a.tobytes()
+
+    @pytest.mark.parametrize("low, high", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.5), (0.5, 1.0)])
+    def test_design_needs_ordered_edges_inside_nyquist(self, low, high):
+        with pytest.raises(ValueError, match="^band-pass edges must satisfy"):
+            butter_band(low, high)
 
     def test_memoised_initial_state_is_read_only(self):
-        b, a, zi = _band_pass(250.0, 5.0, 15.0)
-        with pytest.raises(ValueError):
-            zi[0] = 0.0
-        assert zi.tobytes() == signal.lfilter_zi(b, a).tobytes()
+        for rate in RATES:
+            for band in BANDS:
+                b, a, zi = _band_pass(rate, *band)
+                with pytest.raises(ValueError):
+                    zi[0] = 0.0
+                assert zi.tobytes() == signal.lfilter_zi(b, a).tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(rate=st.sampled_from([25.0, 100.0, 250.0, 500.0]),
+    @given(rate=st.sampled_from(RATES),
            n=st.integers(2, 600),
            seed=st.integers(0, 2**32 - 1),
-           band=st.sampled_from([(5.0, 15.0), (0.5, 40.0), (8.0, 12.0)]))
+           band=st.sampled_from(BANDS))
     def test_filtfilt_matches_scipy(self, rate, n, seed, band):
         samples = np.random.default_rng(seed).normal(0.0, 1.0, n).cumsum()
         config = PeakConfig(band_low_hz=band[0], band_high_hz=band[1])
@@ -77,7 +98,17 @@ class TestBandPass:
                 band_pass_filtfilt(samples, rate, config)
             assert str(raised.value) == str(exc)
             return
-        assert band_pass_filtfilt(samples, rate, config).tobytes() == expected.tobytes()
+        found = band_pass_filtfilt(samples, rate, config)
+        assert np.max(np.abs(found - expected)) <= FILTFILT_BOUND * np.max(np.abs(samples))
+
+    @pytest.mark.parametrize("n", [16, 2047, 2048, 2049, 6000])
+    def test_long_records_carry_the_state_across_products(self, n):
+        # `_CHUNK` rows of `_BLOCK` samples a product: 2048 samples, 2018
+        # once the extension is added, so these records take one to three
+        samples = np.random.default_rng(n).normal(0.0, 1.0, n).cumsum()
+        expected = band_pass_filtfilt_fresh(samples, 360.0)
+        found = band_pass_filtfilt(samples, 360.0, PeakConfig())
+        assert np.max(np.abs(found - expected)) <= FILTFILT_BOUND * np.max(np.abs(samples))
 
     @pytest.mark.parametrize("n", [1, 2, 15])
     def test_record_within_the_extension_raises_as_scipy(self, n):
@@ -87,6 +118,54 @@ class TestBandPass:
         with pytest.raises(ValueError) as raised:
             band_pass_filtfilt(samples, 250.0, PeakConfig())
         assert str(raised.value) == str(expected.value)
+
+
+class TestMovingMean:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 400), width=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    def test_matches_uniform_filter_bits(self, n, width, seed):
+        # widths run past the record, odd and even
+        x = np.random.default_rng(seed).normal(0.0, 1.0, n) ** 2
+        assert moving_mean(x, width).tobytes() == ndimage.uniform_filter1d(
+            x, size=width, mode="nearest").tobytes()
+
+
+@pytest.fixture(scope="module")
+def reference_ecgs(tmp_path_factory):
+    """The 270 ECG records of `SynthSpec(seed=2024, n_subjects=1)`, as extract reads them."""
+    outdir = tmp_path_factory.mktemp("reference")
+    manifest_path, _ = generate_synthetic_corpus(SynthSpec(seed=2024, n_subjects=1), outdir)
+    return [load_ecg(entry.ecg_path) for entry in load_manifest(manifest_path).entries]
+
+
+class TestAgainstTheScipyDetector:
+    def test_reference_takes(self, reference_ecgs):
+        assert len(reference_ecgs) == 270
+        for record in reference_ecgs:
+            assert np.array_equal(detect_r_peaks(record).peak_indices,
+                                  detect_r_peaks_scipy(record, PeakConfig()).peak_indices)
+
+    @pytest.mark.parametrize("low", [1e-6, 1e-9, 1e-20])
+    def test_band_edge_far_below_the_rate(self, low):
+        # from 1e-9 Hz a pole rounds onto the unit circle, where the
+        # input-normal basis does not exist and the direct form's is kept
+        record, _ = synth_ecg(70.0, 250.0, 8.0)
+        config = PeakConfig(band_low_hz=low)
+        assert np.array_equal(detect_r_peaks(record, config).peak_indices,
+                              detect_r_peaks_scipy(record, config).peak_indices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bpm=st.floats(35.0, 215.0), phase=st.floats(0.0, 1.0, exclude_max=True),
+           rate=st.sampled_from([125.0, 250.0, 360.0, 500.0]), seconds=st.floats(2.0, 20.0))
+    def test_synth_ecg_draws(self, bpm, phase, rate, seconds):
+        record, _ = synth_ecg(bpm, rate, seconds, phase_s=phase * 60.0 / bpm)
+        try:
+            expected = detect_r_peaks_scipy(record, PeakConfig()).peak_indices
+        except NoPeaksFoundError:
+            with pytest.raises(NoPeaksFoundError):
+                detect_r_peaks(record)
+            return
+        assert np.array_equal(detect_r_peaks(record).peak_indices, expected)
 
 
 class TestPeakConfig:
@@ -270,6 +349,16 @@ class TestHeartRate1500:
 
 
 class TestExtractHeartRate:
+    @pytest.mark.xfail(strict=True, reason="at low rates the running-median threshold keeps "
+                       "bumps around the first beat of a clean record")
+    def test_clean_low_rate_record(self):
+        # planted beats at 0.037, 1.653 and 3.268 s; peaks are found at
+        # 0.084, 0.288, 1.652 and 3.268 s, which reads 125.08 bpm
+        record, beats = synth_ecg(37.13936120525331, 250.0, 4.838446577263792,
+                                  phase_s=0.03741783222142384)
+        planted = float(np.mean(60.0 / np.diff(beats)))
+        assert extract_heart_rate(record).bpm == pytest.approx(planted, abs=2.0)
+
     def test_perfect_75_bpm_train(self):
         record = impulse_train(5000, 200, 400)  # RR = 0.8 s
         hr = extract_heart_rate(record)

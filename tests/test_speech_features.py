@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 
 from oracles import frame_signal_fancy, frame_signal_sliding_window, mfcc_fancy_framing
 from voicehr.errors import (
@@ -16,6 +17,7 @@ from voicehr.speech_features import (
     CepstraMatrix,
     FeatureConfig,
     _hamming_window,
+    dct_matrix,
     feature_distance,
     filterbank_energies,
     frame_block,
@@ -172,6 +174,29 @@ class TestFraming:
         with pytest.raises(ValueError):
             window[0] = 1.0
         assert window.tobytes() == np.hamming(400).tobytes()
+
+
+class TestDctMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(n_inputs=st.integers(1, 64), n_rows=st.integers(1, 40), data=st.data(),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+    def test_product_within_bound_of_scipy_dct(self, n_inputs, n_rows, data, scale, seed):
+        # a dot product of N terms is within N eps sum|x_k c_k| <= N eps
+        # sqrt(N) max|x| of exact, each column having unit norm; scipy's
+        # FFT-based DCT errs by less, so twice that bounds the distance
+        n_outputs = data.draw(st.integers(1, n_inputs))
+        rows = np.random.default_rng(seed).normal(0.0, scale, (n_rows, n_inputs))
+        found = rows @ dct_matrix(n_inputs, n_outputs)
+        expected = dct(rows, type=2, norm="ortho", axis=1)[:, :n_outputs]
+        bound = 2 * n_inputs ** 1.5 * np.finfo(float).eps * np.max(np.abs(rows))
+        assert found.shape == expected.shape
+        assert np.max(np.abs(found - expected)) <= bound
+
+    def test_memoised_matrix_rejects_writes(self):
+        matrix = dct_matrix(26, 13)
+        assert dct_matrix(26, 13) is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
 
 
 class TestEmbeddingAndDistance:
