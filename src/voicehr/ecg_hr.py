@@ -155,21 +155,21 @@ def _blocks(rate: float, band_low_hz: float, band_high_hz: float) -> _Blocks:
     """The band-pass's `_Blocks`, once per rate and band, worked out to 80 digits."""
     b, a, zi = _band_pass(rate, band_low_hz, band_high_hz)
     order = a.size - 1
-    with decimal.localcontext(prec=80):
+    # `localcontext(prec=80)` would need Python 3.11
+    with decimal.localcontext(decimal.Context(prec=80)):
         exact = np.vectorize(decimal.Decimal, otypes=[object])
         b, a, zi = exact(b), exact(a), exact(zi)
         one = exact(np.eye(order))
         trans = exact(np.eye(order, k=1))
         trans[:, 0] = -a[1:]
         gain = b[1:] - a[1:] * b[0]
-        out = one[0]
         basis = _input_normal_basis(trans, gain)
         if basis is None:
             # keep the transposed direct form's basis, as scipy runs such a filter
             basis = one
         trans = _lower_solve(basis, trans @ basis)
         gain = _lower_solve(basis, gain)
-        out = out @ basis
+        out = one[0] @ basis
         shares, outputs = [gain], [out]
         for _ in range(_BLOCK - 1):
             shares.append(trans @ shares[-1])
