@@ -10,10 +10,11 @@ for 1-NN.
 Training sorts each feature once, stably, for all trees; a pure node is a
 leaf, any other node scans every feature in one `best_split_scan` call and
 its children keep their rows in that order. Each model's `predict` labels
-every row of a 2-D array. The trainers, `split` and
-`classification_accuracy` take a `VectorSet`, one subject's vectors
-stacked once as an (n, d) array with a label per row; the embeddings
-CSV holds one row per vector.
+every row of a 2-D array; 1-NN screens the training rows with one matrix
+product per block of test rows and measures only near ties exactly. The
+trainers, `split` and `classification_accuracy` take a `VectorSet`, one
+subject's vectors stacked once as an (n, d) array with a label per row;
+the embeddings CSV holds one row per vector.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ def train_gnb(data: VectorSet) -> GnbModel:
 
 # --- nearest neighbour ---
 
+# The screen holds at most this many (test row, training row) pairs at a
+# time, 512 KiB per float64 temporary: a default subject's test rows fit
+# in one block.
+SCREEN_PAIRS = 2 ** 16
+
+
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     classes: tuple
@@ -245,15 +252,54 @@ class KnnModel:
     train_labels: tuple
 
     def predict(self, X: np.ndarray) -> list:
-        # Euclidean distances with np.linalg.norm's bits, a test row at a
-        # time: a (n_test, n_train, d) broadcast has the same bits but
-        # measured slower
-        dist = np.empty((X.shape[0], self.train_x.shape[0]))
-        for x, out in zip(X, dist):
-            d = self.train_x - x
-            np.sqrt(np.add.reduce(d * d, axis=1), out=out)
-        # the first of equally near training rows wins
-        return [self.train_labels[i] for i in np.argmin(dist, axis=1)]
+        """The label of each row's nearest training row; the first of equally near ones wins.
+
+        "Nearest" is by the distance `np.linalg.norm(train_x - x, axis=1)`
+        gives, bit for bit: `sqrt` of `np.add.reduce` over the squared
+        differences. A screen finds the training rows that can be nearest,
+        and only a test row left with two or more is measured that way.
+
+        The screen takes a block of test rows' squared distances from one
+        product, s = N − 2 x·t with N = |x|² + |t|². With d columns and unit
+        roundoff u, s and the exact squared distance E (before `sqrt`) each
+        lie within 2 (d + 2) u N of the true one, whatever order the sums
+        take. Below the normal range each product may also lose up to
+        2⁻¹⁰⁷⁵ outright, which the `tiny` added to N covers. The slack,
+        16 (d + 4) eps N with eps = 2u, is eight times the two errors
+        together. A training row is dropped only when its s − slack
+        exceeds the s + slack of another row, which is itself kept. Then
+        its E exceeds that row's E by more than 4u times that E, the
+        relative gap below which `sqrt` could round the two alike. So an
+        excluded row's rounded distance is strictly larger than a kept
+        row's, the first nearest row is always kept, and a test row left
+        with one kept row needs no exact check.
+        """
+        train = self.train_x
+        n_train, d = train.shape
+        train_sq = np.einsum("ij,ij->i", train, train)
+        finfo = np.finfo(np.float64)
+        relative = 16 * (d + 4) * finfo.eps
+        step = max(1, SCREEN_PAIRS // n_train)
+        nearest = np.empty(X.shape[0], dtype=np.intp)
+        for start in range(0, X.shape[0], step):
+            block = X[start:start + step]
+            both = np.einsum("ij,ij->i", block, block)[:, None] + train_sq
+            screen = both - 2.0 * (block @ train.T)
+            slack = relative * (both + finfo.tiny)
+            # a NaN compares false, so its row stays a candidate
+            dropped = screen - slack > np.min(screen + slack, axis=1, keepdims=True)
+            out = nearest[start:start + step]
+            out[:] = np.argmin(dropped, axis=1)
+            for i in np.flatnonzero(np.count_nonzero(dropped, axis=1) < n_train - 1).tolist():
+                out[i] = _first_nearest(train, np.flatnonzero(~dropped[i]), block[i])
+        return [self.train_labels[i] for i in nearest.tolist()]
+
+
+def _first_nearest(train: np.ndarray, rows: np.ndarray, x: np.ndarray) -> int:
+    """The first of the ascending `rows` of `train` nearest to `x`, by
+    `np.linalg.norm`'s distance."""
+    diff = train[rows] - x
+    return rows[np.argmin(np.sqrt(np.add.reduce(diff * diff, axis=1)))]
 
 
 def train_knn(data: VectorSet) -> KnnModel:

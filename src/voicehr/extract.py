@@ -26,6 +26,7 @@ from .signal_io import (
     ManifestEntry,
     load_audio,
     load_ecg,
+    take_stem,
     write_matrix,
     write_table,
 )
@@ -48,8 +49,8 @@ def _extract_slice(entries: list[ManifestEntry], feature_config: FeatureConfig =
         with named(entry.audio_path):
             cepstra = mfcc(clip, feature_config)
         if cepstra_dir is not None:
-            name = f"{entry.subject_id}_{entry.emotion.value}_{entry.take_index:03d}.csv"
-            write_matrix(Path(cepstra_dir) / name, cepstra.frames)
+            stem = take_stem(entry.subject_id, entry.emotion, entry.take_index)
+            write_matrix(Path(cepstra_dir) / f"{stem}.csv", cepstra.frames)
         return utterance_embedding(cepstra)
 
     def heart_rate(entry):

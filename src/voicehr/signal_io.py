@@ -78,16 +78,18 @@ class _Signal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        kind = type(self).__name__
-        if self.source_id:
-            kind = f"{kind} {Path(self.source_id)}"
         if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidSignalError(f"{kind}: sample_rate_hz must be a finite number > 0, "
-                                     f"got {self.sample_rate_hz}")
+            raise InvalidSignalError(f"{self._kind()}: sample_rate_hz must be a finite number "
+                                     f"> 0, got {self.sample_rate_hz}")
         if self.samples.size == 0:
-            raise EmptySignalError(f"{kind}: no samples")
+            raise EmptySignalError(f"{self._kind()}: no samples")
         if not np.all(np.isfinite(self.samples)):
-            raise InvalidSignalError(f"{kind}: non-finite sample values")
+            raise InvalidSignalError(f"{self._kind()}: non-finite sample values")
+
+    def _kind(self) -> str:
+        """The class name and the file read, the prefix of an error; built only to raise one."""
+        kind = type(self).__name__
+        return f"{kind} {Path(self.source_id)}" if self.source_id else kind
 
     @property
     def duration_s(self) -> float:
@@ -365,6 +367,12 @@ class ManifestEntry:
 
 
 MANIFEST_HEADER = ["subject_id", "emotion", "take_index", "audio_path", "ecg_path"]
+
+
+def take_stem(subject_id: str, emotion: EmotionLabel, take_index: int) -> str:
+    """`<subject>_<emotion>_<take>`, the take three digits wide: the stem of a
+    take's WAV, ECG and cepstra files, and its name in errors."""
+    return f"{subject_id}_{emotion.value}_{take_index:03d}"
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .signal_io import (
     EmotionLabel,
     ManifestEntry,
     read_table,
+    take_stem,
     write_audio,
     write_ecg,
     write_manifest,
@@ -285,15 +286,14 @@ def synth_ecg(bpm, rate_hz: float, duration_s: float,
     # Beat k covers samples [lo[k], hi[k]) clipped to the record (a beat
     # that ends before it adds nothing). Every beat is evaluated at once
     # over the widest span, at the sample times np.arange(n) / rate_hz
-    # gives, and the rows are added in beat order.
+    # gives. bincount adds each sample's contributions in beat order,
+    # starting from 0.0, as a loop adding beat after beat would.
     lo = ((beats - 0.35) * rate_hz).astype(np.int64)
     hi = ((beats + 0.45) * rate_hz).astype(np.int64) + 1
     at = lo[:, None] + np.arange(np.max(hi - lo, initial=0))
     template = qrs_template_value(at / rate_hz - beats[:, None])
-    signal = np.zeros(n)
-    for row, first, a, b in zip(template, lo.tolist(), np.maximum(lo, 0).tolist(),
-                                np.clip(hi, 0, n).tolist()):
-        signal[a:b] += row[a - first:b - first]
+    keep = (at >= 0) & (at < n) & (at < hi[:, None])
+    signal = np.bincount(at[keep], weights=template[keep], minlength=n)
     if noise_std_mv > 0:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -389,7 +389,7 @@ def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdi
             return _voice_targeter(plan.voice, spec).solve(target_fd, sign)
         except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(
-                f"take {plan.subject_id}_{emotion.value}_{take:03d}: {exc}") from exc
+                f"take {take_stem(plan.subject_id, emotion, take)}: {exc}") from exc
 
     def plant(job, solved):
         plan, (emotion, take, _, _, noise, u) = job
@@ -399,7 +399,7 @@ def _render_slice(jobs: list[tuple[_SubjectPlan, tuple]], spec: SynthSpec, outdi
         hr = float(np.clip(hr, *PLANTED_BPM_RANGE))
         phase = 0.0 + (60.0 / hr) * u
         ecg, _ = synth_ecg(hr, spec.ecg_rate_hz, spec.ecg_duration_s, phase_s=phase)
-        stem = f"{plan.subject_id}_{emotion.value}_{take:03d}"
+        stem = take_stem(plan.subject_id, emotion, take)
         entry = ManifestEntry(plan.subject_id, emotion, take, f"audio/{stem}.wav",
                               f"ecg/{stem}.csv")
         return entry, PlantedTake(plan.subject_id, emotion, take, beta0, beta1, fd, hr), ecg
@@ -421,11 +421,18 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
     Fully deterministic for a fixed spec. All draws are made first; the
     takes are then rendered independently, in slices of consecutive takes
     and in a second process too when the corpus is large (see
-    `_parallel.map_jobs`).
+    `_parallel.map_jobs`). The manifest and ledger of an earlier corpus
+    in `outdir` are deleted before the first take renders, and the new
+    ones are written after the last, so a run that fails leaves neither.
     """
     outdir = Path(outdir)
     (outdir / "audio").mkdir(parents=True, exist_ok=True)
     (outdir / "ecg").mkdir(parents=True, exist_ok=True)
+    manifest_path, ledger_path = outdir / "manifest.csv", outdir / "ledger.csv"
+    # an earlier index beside the files a failed run wrote over would
+    # describe a corpus that is no longer there
+    for path in (manifest_path, ledger_path):
+        path.unlink(missing_ok=True)
     plans = _plan_corpus(np.random.default_rng(spec.seed), spec)
     jobs = [(plan, take) for plan in plans for take in plan.takes]
     take_samples = (round(spec.utterance_s * spec.audio_rate_hz)
@@ -437,9 +444,8 @@ def generate_synthetic_corpus(spec: SynthSpec, outdir) -> tuple[Path, list[Plant
                         takes_per_job=max(1, min(TAKES_PER_JOB, SLICE_SAMPLES // take_samples)))
     entries = [entry for entry, _ in rendered]
     ledger = [row for _, row in rendered]
-    manifest_path = outdir / "manifest.csv"
     write_manifest(entries, manifest_path)
-    write_ledger(ledger, outdir / "ledger.csv")
+    write_ledger(ledger, ledger_path)
     return manifest_path, ledger
 
 

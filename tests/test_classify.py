@@ -30,7 +30,7 @@ from voicehr.errors import (
     SingleClassError,
     TooFewExamplesError,
 )
-from voicehr.signal_io import EMOTION_ORDER, EmotionLabel
+from voicehr.signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel
 
 
 def shuffled(data, rng):
@@ -283,7 +283,7 @@ CLASS_SETS = [EMOTION_ORDER[:2], EMOTION_ORDER[1:], EMOTION_ORDER[::2], EMOTION_
 
 
 @st.composite
-def labeled_sets(draw):
+def labeled_sets(draw, max_columns=16):
     """(training vectors, probe rows) with heavily tied, constant and
     continuous feature columns; the probes include every training row."""
     labels = []
@@ -291,7 +291,7 @@ def labeled_sets(draw):
         labels += [c] * draw(st.integers(5, 25))
     # up to 16 columns: numpy sums 8 or more terms pairwise, fewer in a row
     kinds = draw(st.lists(st.sampled_from(["ties", "constant", "normal"]),
-                          min_size=1, max_size=16))
+                          min_size=1, max_size=max_columns))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rng.shuffle(labels)
     rows = len(labels) + 20
@@ -305,6 +305,30 @@ def labeled_sets(draw):
             columns.append(rng.normal(size=rows))
     X = np.column_stack(columns)
     return vector_set(X[:len(labels)], labels), X
+
+
+# Column scales for the 1-NN screen: squares that underflow to zero, squares
+# in the subnormal range, and values up to just below VALUE_LIMIT
+SCREEN_EXPONENTS = [-170, -162, -160, -155, -3, 0, 4, 9]
+BELOW_LIMIT = np.nextafter(VALUE_LIMIT, 0.0)
+
+
+@st.composite
+def screened_sets(draw):
+    """(training vectors, probe rows) for the 1-NN screen: `labeled_sets`
+    with up to 40 columns, each scaled by a power of ten from
+    SCREEN_EXPONENTS and held below VALUE_LIMIT. The probes add copies of
+    training rows moved one ulp, up or down, in some of their columns."""
+    train, X = draw(labeled_sets(max_columns=40))
+    exponents = draw(st.lists(st.sampled_from(SCREEN_EXPONENTS),
+                              min_size=X.shape[1], max_size=X.shape[1]))
+    X = np.clip(X * 10.0 ** np.array(exponents, dtype=float), -BELOW_LIMIT, BELOW_LIMIT)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = X[rng.integers(0, len(train), 20)]
+    step = np.where(rng.random(near.shape) < 0.5, -np.inf, np.inf)
+    near = np.where(rng.random(near.shape) < 0.5, np.nextafter(near, step), near)
+    train = vector_set(X[:len(train)], train.labels)
+    return train, np.vstack([X, np.clip(near, -BELOW_LIMIT, BELOW_LIMIT)])
 
 
 class TestAgainstPerVectorOracle:
@@ -329,10 +353,12 @@ class TestAgainstPerVectorOracle:
         assert model.predict(probes) == [gnb_predict_one(model, x) for x in probes]
 
     @settings(max_examples=300, deadline=None)
-    @given(labeled_sets(), st.data())
+    @given(screened_sets(), st.data())
     def test_knn_labels(self, case, data):
         """Copies of training rows, under any label, give equal distances
-        that the stable order must break as the oracle does."""
+        that the stable order must break as the oracle does; they and the
+        probes one ulp from a training row leave the screen more than one
+        candidate, which the exact check decides."""
         train, probes = case
         copies = data.draw(st.lists(st.tuples(st.integers(0, len(train) - 1),
                                               st.sampled_from(EMOTION_ORDER)), max_size=12))
@@ -340,6 +366,48 @@ class TestAgainstPerVectorOracle:
                            [*train.labels, *(label for _, label in copies)])
         model = train_knn(train)
         assert model.predict(probes) == [knn_predict_one(model, x) for x in probes]
+
+
+class TestKnnScreen:
+    def test_duplicated_rows_take_the_exact_check(self, monkeypatch):
+        # the screen cannot tell copies apart, so a probe at a duplicated
+        # row keeps every copy and the exact distance decides; a probe
+        # with one candidate left skips the check
+        calls = []
+
+        def counted(train, rows, x):
+            calls.append(rows.tolist())
+            return first_nearest(train, rows, x)
+
+        first_nearest = classify._first_nearest
+        monkeypatch.setattr(classify, "_first_nearest", counted)
+        joy, neutral, anger = EMOTION_ORDER
+        model = train_knn(vector_set([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [9.0, 9.0]],
+                                     [joy, neutral, anger, joy, anger]))
+        probes = np.array([[1.0, 2.0], [3.0, 4.0], [9.0, 9.0]])
+        assert model.predict(probes) == [joy, neutral, anger]
+        assert calls == [[0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("rows, probe, nearest", [
+        # 1 + eps is one ulp farther from 0 than 1: too close for the
+        # screen to drop, so only the exact check puts row 1 first
+        ([[1.0 + np.finfo(float).eps], [1.0]], [0.0], 1),
+        # one unit 2⁻⁵³⁹ either side of the probe, the exact distances tie;
+        # below the normal range the screen's own rounding would drop row 0
+        # but for the `tiny` in its slack
+        ([[5 * 2.0 ** -539], [3 * 2.0 ** -539]], [4 * 2.0 ** -539], 0),
+    ])
+    def test_exact_check_decides(self, rows, probe, nearest):
+        model = train_knn(vector_set(rows, EMOTION_ORDER[:2]))
+        assert model.predict(np.array([probe])) == [EMOTION_ORDER[nearest]]
+
+    def test_blocks_of_test_rows(self, blob_vectors, monkeypatch):
+        # the same labels however many test rows share a block
+        model = train_knn(blob_vectors)
+        probes = blob_vectors.features[::3] + 0.01
+        whole = model.predict(probes)
+        monkeypatch.setattr(classify, "SCREEN_PAIRS", 7 * len(blob_vectors))
+        assert model.predict(probes) == whole == [knn_predict_one(model, x) for x in probes]
 
 
 class TestTreeConfig:

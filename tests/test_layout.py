@@ -3,8 +3,9 @@
 Every file format the pipeline reads or writes goes through the codecs
 in `signal_io`, so it alone imports the standard library's format
 modules, and it alone writes files: its one opener writes over an
-existing file's bytes instead of truncating it first. No module imports
-scipy, so every verb starts without loading it. Every strided window is
+existing file's bytes instead of truncating it first. It alone spells a
+take's file stem. No module imports scipy, so every verb starts without
+loading it. Every strided window is
 cut by one framing helper. Two rules stand in for a linter: a module
 uses every name it imports, and every name a module defines at its top
 level is referenced in the source, the tests or the benchmark. A third asks that every error class is raised in the
@@ -94,6 +95,18 @@ def test_frames_come_from_frame_signal(path):
     # `speech_features.frame_signal` cuts every strided window: numpy's
     # `sliding_window_view` costs more than twice as much a call
     assert "sliding_window_view" not in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_signal_io_formats_a_take_stem(path):
+    # `signal_io.take_stem` spells `<subject>_<emotion>_<take>` for the
+    # writers, the readers and the errors: a three-digit field anywhere
+    # else would be a second spelling
+    if path.name == "signal_io.py":
+        # the rule sees the one that is there
+        assert "03d}" in path.read_text(encoding="utf-8")
+    else:
+        assert "03d" not in path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -342,11 +342,23 @@ class TestGenerateCorpus:
 
 
 class TestConvergence:
+    UNREACHABLE = SynthSpec(n_subjects=1, takes_per_emotion=1, fd_tolerance=1e-6,
+                            max_fd_iterations=1, ecg_duration_s=4.0, seed=3)
+
     def test_unreachable_tolerance_raises(self, tmp_path):
-        spec = SynthSpec(n_subjects=1, takes_per_emotion=1, fd_tolerance=1e-6,
-                         max_fd_iterations=1, ecg_duration_s=4.0, seed=3)
         with pytest.raises(ConvergenceFailureError) as raised:
-            generate_synthetic_corpus(spec, tmp_path / "c")
+            generate_synthetic_corpus(self.UNREACHABLE, tmp_path / "c")
         assert re.fullmatch(
             r"take s01_joy_000: feature-distance target (\d+\.\d{3}) not bracketed within "
             r"1 iterations; closest measured fd (\d+\.\d{3})", str(raised.value))
+
+    def test_failed_run_leaves_no_index(self, tmp_path):
+        # rerun over a finished corpus, the failing spec writes over some of
+        # its files, so the earlier manifest and ledger would index a mix
+        outdir = tmp_path / "c"
+        generate_synthetic_corpus(SynthSpec(seed=3, **TINY), outdir)
+        assert (outdir / "manifest.csv").is_file() and (outdir / "ledger.csv").is_file()
+        with pytest.raises(ConvergenceFailureError):
+            generate_synthetic_corpus(self.UNREACHABLE, outdir)
+        assert not (outdir / "manifest.csv").exists()
+        assert not (outdir / "ledger.csv").exists()
