@@ -35,23 +35,6 @@ _BLOCK = 64
 _CHUNK = 32
 
 
-@dataclass(frozen=True, eq=False)
-class RPeakSeries:
-    """Strictly increasing R-peak sample indices at a fixed rate."""
-
-    peak_indices: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.peak_indices, dtype=np.int64)
-        object.__setattr__(self, "peak_indices", idx)
-        if idx.size > 1 and np.any(np.diff(idx) <= 0):
-            raise ValueError("peak indices must be strictly increasing")
-
-    def rr_intervals_s(self) -> np.ndarray:
-        return np.diff(self.peak_indices) / self.sample_rate_hz
-
-
 @dataclass(frozen=True)
 class HeartRate:
     bpm: float
@@ -347,8 +330,9 @@ def refine_peaks(power: np.ndarray, peaks: np.ndarray, half: int) -> np.ndarray:
     return peaks - half + np.argmax(windows[peaks], axis=1)
 
 
-def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPeakSeries:
-    """Locate R-peaks with an adaptive threshold and refractory floor."""
+def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> np.ndarray:
+    """R-peak sample indices, strictly increasing int64: the envelope maxima above an
+    adaptive threshold, one per refractory gap, refined onto the band-passed signal."""
     rate = record.sample_rate_hz
     if record.duration_s < config.min_signal_s:
         raise SignalTooShortError(
@@ -376,10 +360,11 @@ def detect_r_peaks(record: EcgRecord, config: PeakConfig = PeakConfig()) -> RPea
     # filtfilt is zero-phase so this lands on the R wave.
     half = max(1, int(round(config.integration_window_s * rate)) // 2 + 1)
     power = band * band
-    refined = refine_peaks(power, peaks_env, half)
-    refined = np.unique(refined)
+    refined = np.sort(refine_peaks(power, peaks_env, half))
+    # np.unique's result, without the numpy.ma import np.unique makes
+    refined = refined[np.concatenate(([True], refined[1:] != refined[:-1]))]
     kept2 = refractory_select(refined, power[refined], min_gap)
-    return RPeakSeries(peak_indices=refined[kept2], sample_rate_hz=rate)
+    return refined[kept2]
 
 
 def heart_rate_1500(rr_interval_s):
@@ -398,7 +383,7 @@ def heart_rate_1500(rr_interval_s):
 def extract_heart_rate(record: EcgRecord, config: PeakConfig = PeakConfig()) -> HeartRate:
     """Mean 1500-rule rate over all consecutive RR intervals of a record."""
     peaks = detect_r_peaks(record, config)
-    if peaks.peak_indices.size < 2:
+    if peaks.size < 2:
         raise InsufficientPeaksError("need >= 2 peaks for a rate estimate")
-    rr = peaks.rr_intervals_s()
+    rr = np.diff(peaks) / record.sample_rate_hz
     return HeartRate(bpm=float(np.mean(heart_rate_1500(rr))), n_intervals=rr.size)

@@ -9,8 +9,8 @@ the classification feature vectors.
 from __future__ import annotations
 
 import functools
+import os
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def _extract_slice(entries: list[ManifestEntry], feature_config: FeatureConfig =
             cepstra = mfcc(clip, feature_config)
         if cepstra_dir is not None:
             stem = take_stem(entry.subject_id, entry.emotion, entry.take_index)
-            write_matrix(Path(cepstra_dir) / f"{stem}.csv", cepstra.frames)
+            write_matrix(os.path.join(cepstra_dir, f"{stem}.csv"), cepstra.frames)
         return utterance_embedding(cepstra)
 
     def heart_rate(entry):
@@ -81,7 +81,7 @@ def extract_observations(manifest: DatasetManifest,
     matrix is written there too.
     """
     if cepstra_dir is not None:
-        Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
+        os.makedirs(cepstra_dir, exist_ok=True)
     entries = manifest.entries
     per_take = map_jobs(functools.partial(_extract_slice, feature_config=feature_config,
                                           peak_config=peak_config, cepstra_dir=cepstra_dir),

@@ -74,7 +74,7 @@ class _Signal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    source_id: str = ""  # the file read, named in errors as `Path` formats it
+    source_id: str = ""  # the file read, named in errors as the caller gave it
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -89,7 +89,7 @@ class _Signal:
     def _kind(self) -> str:
         """The class name and the file read, the prefix of an error; built only to raise one."""
         kind = type(self).__name__
-        return f"{kind} {Path(self.source_id)}" if self.source_id else kind
+        return f"{kind} {self.source_id}" if self.source_id else kind
 
     @property
     def duration_s(self) -> float:
@@ -106,22 +106,13 @@ class EcgRecord(_Signal):
     """Single-lead ECG voltages in millivolts."""
 
 
-# A take's file is opened by its str path: a `Path` per file would add each of its
-# parts to the interpreter's intern table, which never shrinks. Errors still name
-# the file as `Path` formats it.
-def _open_bytes(path: str):
-    """`open(path, "rb")`; an OSError names the file as `Path(path)` formats it."""
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(Path(path))) from None
-
-
+# The loaders keep a take's path a str: a `Path` per file would add each of its
+# parts to the interpreter's intern table, which never shrinks.
 def load_audio(path: str | Path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file and rescale samples to [-1, 1]."""
     path = os.fspath(path)
     try:
-        with _open_bytes(path) as fh, wave.open(fh, "rb") as wav:
+        with open(path, "rb") as fh, wave.open(fh, "rb") as wav:
             n_channels = wav.getnchannels()
             samp_width = wav.getsampwidth()
             comp_type = wav.getcomptype()
@@ -131,21 +122,21 @@ def load_audio(path: str | Path) -> AudioClip:
     except (wave.Error, EOFError) as exc:
         # EOFError carries no message
         reason = str(exc) or "file ends inside the WAV header"
-        raise CorruptHeaderError(f"{Path(path)}: {reason}") from exc
+        raise CorruptHeaderError(f"{path}: {reason}") from exc
     except RuntimeError:  # wave's seek past the end of the chunk it reads in
         raise CorruptHeaderError(
-            f"{Path(path)}: a chunk size runs past the end of the RIFF chunk") from None
+            f"{path}: a chunk size runs past the end of the RIFF chunk") from None
     if comp_type != "NONE":
-        raise UnsupportedFormatError(f"{Path(path)}: compressed audio not supported")
+        raise UnsupportedFormatError(f"{path}: compressed audio not supported")
     if n_channels != 1:
-        raise UnsupportedFormatError(f"{Path(path)}: expected mono, got {n_channels} channels")
+        raise UnsupportedFormatError(f"{path}: expected mono, got {n_channels} channels")
     if samp_width != 2:
         raise UnsupportedFormatError(
-            f"{Path(path)}: expected 16-bit samples, got {8 * samp_width}-bit")
+            f"{path}: expected 16-bit samples, got {8 * samp_width}-bit")
     if n_frames == 0:
-        raise EmptySignalError(f"{Path(path)}: empty audio file")
+        raise EmptySignalError(f"{path}: empty audio file")
     if len(raw) != n_frames * samp_width:
-        raise CorruptHeaderError(f"{Path(path)}: header gives {n_frames} frames, data chunk "
+        raise CorruptHeaderError(f"{path}: header gives {n_frames} frames, data chunk "
                                  f"holds {len(raw) // samp_width} ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
     return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=path)
@@ -179,14 +170,24 @@ def _write_file(path, mode: str = "wb", **kwargs):
             fh.truncate()
 
 
+# A WAV header holds the rate and the byte rate, twice the rate for 16-bit
+# mono, each in an unsigned 32-bit field.
+MAX_WAV_RATE_HZ = 2 ** 31 - 1
+
+
 def write_audio(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as mono 16-bit PCM WAV, clipping to full scale."""
+    """Write a clip as mono 16-bit PCM WAV, clipping to full scale; a rate that is
+    not a whole number of Hz up to `MAX_WAV_RATE_HZ` raises InvalidSignalError."""
+    rate = clip.sample_rate_hz
+    if not (float(rate).is_integer() and rate <= MAX_WAV_RATE_HZ):
+        raise InvalidSignalError(f"{path}: a WAV holds a whole number of Hz up to "
+                                 f"{MAX_WAV_RATE_HZ}, got {rate}")
     quantized = np.clip(np.rint(clip.samples * PCM_FULL_SCALE), -32768, 32767)
     data = quantized.astype("<i2").tobytes()
     with _write_file(path) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(int(round(clip.sample_rate_hz)))
+        wav.setframerate(int(rate))
         wav.writeframes(data)
 
 
@@ -215,27 +216,27 @@ def load_ecg(path: str | Path) -> EcgRecord:
     other body is parsed line by line as float() does.
     """
     path = os.fspath(path)
-    with _open_bytes(path) as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:  # raised again naming its line
-        text = _decode_utf8(Path(path), raw)
+        text = _decode_utf8(path, raw)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     first, _, body = text.partition("\n")
     first = first.strip()
     if not first.startswith("# rate_hz="):
-        raise CorruptHeaderError(f"{Path(path)}: unrecognized header {first!r}")
+        raise CorruptHeaderError(f"{path}: unrecognized header {first!r}")
     try:
         rate = float(first.split("=", 1)[1])
     except ValueError:
-        raise CorruptHeaderError(f"{Path(path)}: bad rate header {first!r}") from None
+        raise CorruptHeaderError(f"{path}: bad rate header {first!r}") from None
     values = _parse_fixed6(body.encode())
     if values is None:
-        values = _parse_lines(Path(path), body)
+        values = _parse_lines(path, body)
     if not len(values):
-        raise EmptySignalError(f"{Path(path)}: no samples")
+        raise EmptySignalError(f"{path}: no samples")
     return EcgRecord(values, rate, source_id=path)
 
 
@@ -347,14 +348,16 @@ def write_ecg(record: EcgRecord, path: str | Path) -> None:
     correctly rounded "%.6f" gives: below 1000, |x| * 1e6 < 2**30, so the
     product is off the exact decimal by under 1.2e-7 and rounds to the
     same integer. Ties such as 0.0078125, and any other record, go
-    through CPython's formatter.
+    through CPython's formatter. The rate is written exactly, as `repr`
+    gives it less a final ".0": `250`, `1000.123`.
     """
     body = _format_fixed6(record.samples)
     if body is None:
         samples = record.samples.tolist()
         body = (("%.6f\n" * len(samples)) % tuple(samples)).encode()
+    rate = repr(float(record.sample_rate_hz)).removesuffix(".0")
     with _write_file(path) as fh:
-        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n".encode() + body)
+        fh.write(f"# rate_hz={rate}\n".encode() + body)
 
 
 @dataclass(frozen=True)
@@ -396,8 +399,7 @@ class DatasetManifest:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and validate a manifest CSV; paths are joined to its resolved directory."""
-    path = Path(path)
-    base = str(path.parent.resolve())
+    base = str(Path(path).parent.resolve())
     entries, seen = [], set()
     for row in read_table(path, ManifestEntry, MANIFEST_HEADER):
         if row.take_index < 0:

@@ -27,6 +27,7 @@ from .config import FeatureConfig
 from .errors import ConvergenceFailureError, SpecInvalidError
 from .signal_io import (
     EMOTION_ORDER,
+    MAX_WAV_RATE_HZ,
     AudioClip,
     EcgRecord,
     EmotionLabel,
@@ -114,6 +115,11 @@ class SynthSpec:
             if seconds * hz > MAX_TAKE_SAMPLES:
                 raise SpecInvalidError(f"{name} must hold at most {MAX_TAKE_SAMPLES} samples "
                                        f"at {rate}, got {seconds} s at {hz} Hz")
+        # the rate the WAV header holds, so the one extract reads back
+        if not (float(self.audio_rate_hz).is_integer()
+                and self.audio_rate_hz <= MAX_WAV_RATE_HZ):
+            raise SpecInvalidError(f"audio_rate_hz must be a whole number of Hz up to "
+                                   f"{MAX_WAV_RATE_HZ}, got {self.audio_rate_hz}")
         if self.ecg_duration_s > MAX_ECG_BEATS * 60 / PLANTED_BPM_RANGE[1]:
             raise SpecInvalidError(f"ecg_duration_s must hold at most {MAX_ECG_BEATS} beats "
                                    f"at {PLANTED_BPM_RANGE[1]:g} bpm, got {self.ecg_duration_s} s")

@@ -107,9 +107,11 @@ def split_scan_loop(values, targets, min_leaf):
 
 
 def write_ecg_loop(record, path):
-    """`# rate_hz=` ECG text, written one formatted sample at a time."""
+    """`# rate_hz=` ECG text, the rate as `repr` gives it less a final ".0", then
+    one formatted sample at a time."""
+    rate = repr(float(record.sample_rate_hz))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={record.sample_rate_hz:g}\n")
+        fh.write(f"# rate_hz={rate[:-2] if rate.endswith('.0') else rate}\n")
         for v in record.samples:
             fh.write(f"{v:.6f}\n")
 

@@ -23,7 +23,7 @@ from voicehr.config import (
 from voicehr.errors import CorruptJsonError, CorruptModelError
 from voicehr.pipeline import CellScore, ComparisonRow, EvaluationReport, load_report, render_report
 from voicehr.regression import LinearModel, load_model, save_model
-from voicehr.signal_io import decode_json, read_json, write_json
+from voicehr.signal_io import MAX_WAV_RATE_HZ, decode_json, read_json, write_json
 from voicehr.speech_features import MAX_FRAME_BLOCK, frame_count
 from voicehr.synth import MAX_ECG_BEATS, MAX_TAKE_SAMPLES, PLANTED_BPM_RANGE, SynthSpec
 
@@ -60,14 +60,22 @@ FINITE_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 SEEDS = st.integers(min_value=0)
-FEATURE_CONFIGS = st.builds(
-    lambda hop_frame, filters_cepstra, **kw: FeatureConfig(
-        hop_length_s=min(hop_frame), frame_length_s=max(hop_frame),
-        n_cepstra=min(filters_cepstra), n_mel_filters=max(filters_cepstra), **kw),
-    hop_frame=st.tuples(FINITE_POSITIVE, FINITE_POSITIVE),
-    filters_cepstra=st.tuples(st.integers(min_value=1), st.integers(min_value=1)),
-    pre_emphasis=st.floats(0.0, 1.0), fft_size=st.none() | st.integers(1, MAX_FFT_SIZE),
-    log_floor=st.floats(0.0, 1.0, exclude_min=True))
+
+
+def feature_configs(longest_s=sys.float_info.max):
+    """FeatureConfigs whose frame lasts at most `longest_s`."""
+    lengths = st.floats(min_value=0.0, max_value=longest_s, exclude_min=True)
+    return st.builds(
+        lambda hop_frame, filters_cepstra, **kw: FeatureConfig(
+            hop_length_s=min(hop_frame), frame_length_s=max(hop_frame),
+            n_cepstra=min(filters_cepstra), n_mel_filters=max(filters_cepstra), **kw),
+        hop_frame=st.tuples(lengths, lengths),
+        filters_cepstra=st.tuples(st.integers(min_value=1), st.integers(min_value=1)),
+        pre_emphasis=st.floats(0.0, 1.0), fft_size=st.none() | st.integers(1, MAX_FFT_SIZE),
+        log_floor=st.floats(0.0, 1.0, exclude_min=True))
+
+
+FEATURE_CONFIGS = feature_configs()
 
 
 # the shortest duration that a finite rate can fill with one sample, with room to round
@@ -83,12 +91,19 @@ def rates_for(seconds):
 
 @st.composite
 def synth_specs(draw):
-    """Specs whose utterance holds one feature frame and at most
-    MAX_FRAME_BLOCK frames x FFT size, whose takes hold from one to
-    MAX_TAKE_SAMPLES samples and whose ECG holds at most MAX_ECG_BEATS beats."""
-    feature = draw(FEATURE_CONFIGS)
-    utterance_s = draw(st.floats(max(feature.frame_length_s, SHORTEST_S), allow_infinity=False))
-    audio_rate_hz = draw(rates_for(utterance_s))
+    """Specs whose audio rate is a whole number of Hz that a WAV holds, whose
+    utterance holds one feature frame and at most MAX_FRAME_BLOCK frames x
+    FFT size, whose takes hold from one to MAX_TAKE_SAMPLES samples and
+    whose ECG holds at most MAX_ECG_BEATS beats."""
+    # at 1 Hz or more, an utterance of MAX_TAKE_SAMPLES samples lasts at
+    # most as many seconds, and so does its frame
+    feature = draw(feature_configs(MAX_TAKE_SAMPLES))
+    most = min(MAX_WAV_RATE_HZ, MAX_TAKE_SAMPLES / feature.frame_length_s)
+    audio_rate_hz = float(draw(st.integers(1, max(1, int(most)))))
+    shortest = max(feature.frame_length_s, 1 / audio_rate_hz)
+    assume(shortest <= MAX_TAKE_SAMPLES / audio_rate_hz)
+    utterance_s = draw(st.floats(shortest, MAX_TAKE_SAMPLES / audio_rate_hz).filter(
+        lambda seconds: 1 <= seconds * audio_rate_hz <= MAX_TAKE_SAMPLES))
     frames = frame_count(int(round(utterance_s * audio_rate_hz)),
                          feature.frame_samples(audio_rate_hz), feature.hop_samples(audio_rate_hz))
     assume(frames * feature.resolve_fft_size(audio_rate_hz) <= MAX_FRAME_BLOCK)
@@ -287,6 +302,11 @@ class TestDecode:
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"audio_rate_hz": 1e-300},
          "utterance_s must hold one sample at audio_rate_hz, got 0.4 s at 1e-300 Hz"),
+        ({"audio_rate_hz": 16000.4},
+         "audio_rate_hz must be a whole number of Hz up to 2147483647, got 16000.4"),
+        ({"audio_rate_hz": 5e9, "utterance_s": 1e-4,
+          "feature": {"frame_length_s": 1e-7, "hop_length_s": 1e-7}},
+         "audio_rate_hz must be a whole number of Hz up to 2147483647, got 5000000000.0"),
         ({"ecg_duration_s": 0.001},
          "ecg_duration_s must hold one sample at ecg_rate_hz, got 0.001 s at 250.0 Hz"),
         ({"utterance_s": 1e6},
@@ -321,7 +341,8 @@ class TestDecode:
          "feature: log_floor must be a number in (0, 1], got 1e+300"),
     ], ids=["zero_audio_rate", "nan_audio_rate", "zero_utterance", "negative_ecg_rate",
             "infinite_ecg_duration", "nan_noise", "negative_noise", "zero_iterations",
-            "negative_seed", "no_audio_sample", "no_ecg_sample", "audio_too_long",
+            "negative_seed", "no_audio_sample", "fractional_audio_rate", "audio_rate_past_wav",
+            "no_ecg_sample", "audio_too_long",
             "ecg_too_long", "ecg_too_many_beats", "utterance_shorter_than_frame",
             "frame_block_too_large", "infinite_frame_length", "zero_cepstra", "negative_cepstra",
             "negative_fft_size", "zero_fft_size", "huge_fft_size", "nan_pre_emphasis",

@@ -235,6 +235,19 @@ def test_cli_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_detector_loads_no_masked_arrays():
+    # np.unique loads numpy.ma on its first call: 10-17 ms and 1.3 MB in
+    # every process that extracts a take
+    code = ("import sys, numpy as np; from voicehr.ecg_hr import detect_r_peaks;"
+            " from voicehr.signal_io import EcgRecord;"
+            " before = 'numpy.ma' in sys.modules; x = np.zeros(5000); x[200::400] = 1.0;"
+            " peaks = detect_r_peaks(EcgRecord(x, 500.0));"
+            " print(before, 'numpy.ma' in sys.modules, peaks.size)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent).stdout
+    assert out == "False False 12\n"
+
+
 def raised_names() -> set[str]:
     """The names that a `raise` statement in the package raises, called or bare."""
     names = set()

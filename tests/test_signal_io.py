@@ -24,6 +24,7 @@ from voicehr.signal_io import (
     AudioClip,
     EcgRecord,
     MANIFEST_HEADER,
+    MAX_WAV_RATE_HZ,
     EmotionLabel,
     ManifestEntry,
     load_audio,
@@ -76,6 +77,19 @@ class TestLoadAudio:
         write_audio(original, path)
         reloaded = load_audio(path)
         assert np.max(np.abs(reloaded.samples - original.samples)) <= 2.0 ** -15
+
+    @pytest.mark.parametrize("rate", [0.5, 16000.4, MAX_WAV_RATE_HZ + 1.0, 5e9])
+    def test_write_refuses_a_rate_no_wav_holds(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        with pytest.raises(InvalidSignalError, match="a WAV holds a whole number of Hz"):
+            write_audio(AudioClip(np.zeros(4), rate), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rate", [1.0, 44100.0, float(MAX_WAV_RATE_HZ)])
+    def test_write_keeps_a_whole_rate(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        write_audio(AudioClip(np.zeros(4), rate), path)
+        assert load_audio(path).sample_rate_hz == rate
 
     def test_stereo_rejected(self, tmp_path):
         import wave
@@ -139,6 +153,15 @@ class TestLoadEcg:
         reloaded = load_ecg(path)
         assert reloaded.sample_rate_hz == 500.0
         assert np.array_equal(reloaded.samples, record.samples)
+
+    @pytest.mark.parametrize("rate, text", [
+        (250.0, "250"), (1000.123, "1000.123"), (256.0001, "256.0001"),
+        (123456789.0, "123456789"), (5e-324, "5e-324"), (1e300, "1e+300")])
+    def test_rate_header_keeps_the_exact_rate(self, tmp_path, rate, text):
+        path = tmp_path / "rate.csv"
+        write_ecg(EcgRecord(np.zeros(3), rate), path)
+        assert path.read_text().partition("\n")[0] == f"# rate_hz={text}"
+        assert load_ecg(path).sample_rate_hz == rate
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -236,7 +259,8 @@ FUNCTION_TMP_PATH = settings(suppress_health_check=[HealthCheck.function_scoped_
 
 class TestEcgTextMatchesLoops:
     @FUNCTION_TMP_PATH
-    @given(samples=ECG_SAMPLES, rate=st.sampled_from([250.0, 500.0, 360.0, 128.5, 1e-3]))
+    @given(samples=ECG_SAMPLES,
+           rate=st.sampled_from([250.0, 500.0, 360.0, 128.5, 1e-3, 1000.123, 123456789.0]))
     @example(samples=[-0.0, -4e-7, 1e3, -2.5e6, 123456.7890125], rate=250.0)
     @example(samples=[0.0078125], rate=250.0)
     @example(samples=[np.nextafter(0.0078125, 0.0), np.nextafter(0.0078125, 1.0)], rate=250.0)
