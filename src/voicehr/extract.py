@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import os
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def extract_observations(manifest: DatasetManifest,
     matrix is written there too.
     """
     if cepstra_dir is not None:
-        os.makedirs(cepstra_dir, exist_ok=True)
+        Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
     entries = manifest.entries
     per_take = map_jobs(functools.partial(_extract_slice, feature_config=feature_config,
                                           peak_config=peak_config, cepstra_dir=cepstra_dir),

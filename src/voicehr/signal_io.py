@@ -170,24 +170,25 @@ def _write_file(path, mode: str = "wb", **kwargs):
             fh.truncate()
 
 
-# A WAV header holds the rate and the byte rate, twice the rate for 16-bit
-# mono, each in an unsigned 32-bit field.
-MAX_WAV_RATE_HZ = 2 ** 31 - 1
+MAX_WAV_RATE_HZ = 2 ** 31 - 1  # its byte rate, twice this for 16-bit mono, fills 32 bits
+
+
+def wav_holds_rate(rate: float) -> bool:
+    """A 16-bit mono WAV header holds a whole number of Hz up to `MAX_WAV_RATE_HZ`."""
+    return float(rate).is_integer() and rate <= MAX_WAV_RATE_HZ
 
 
 def write_audio(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as mono 16-bit PCM WAV, clipping to full scale; a rate that is
-    not a whole number of Hz up to `MAX_WAV_RATE_HZ` raises InvalidSignalError."""
-    rate = clip.sample_rate_hz
-    if not (float(rate).is_integer() and rate <= MAX_WAV_RATE_HZ):
+    """Write a clip as mono 16-bit PCM WAV, clipping to full scale."""
+    if not wav_holds_rate(clip.sample_rate_hz):
         raise InvalidSignalError(f"{path}: a WAV holds a whole number of Hz up to "
-                                 f"{MAX_WAV_RATE_HZ}, got {rate}")
+                                 f"{MAX_WAV_RATE_HZ}, got {clip.sample_rate_hz}")
     quantized = np.clip(np.rint(clip.samples * PCM_FULL_SCALE), -32768, 32767)
     data = quantized.astype("<i2").tobytes()
     with _write_file(path) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(int(rate))
+        wav.setframerate(int(clip.sample_rate_hz))
         wav.writeframes(data)
 
 

@@ -34,6 +34,7 @@ from .signal_io import (
     ManifestEntry,
     read_table,
     take_stem,
+    wav_holds_rate,
     write_audio,
     write_ecg,
     write_manifest,
@@ -116,8 +117,7 @@ class SynthSpec:
                 raise SpecInvalidError(f"{name} must hold at most {MAX_TAKE_SAMPLES} samples "
                                        f"at {rate}, got {seconds} s at {hz} Hz")
         # the rate the WAV header holds, so the one extract reads back
-        if not (float(self.audio_rate_hz).is_integer()
-                and self.audio_rate_hz <= MAX_WAV_RATE_HZ):
+        if not wav_holds_rate(self.audio_rate_hz):
             raise SpecInvalidError(f"audio_rate_hz must be a whole number of Hz up to "
                                    f"{MAX_WAV_RATE_HZ}, got {self.audio_rate_hz}")
         if self.ecg_duration_s > MAX_ECG_BEATS * 60 / PLANTED_BPM_RANGE[1]:

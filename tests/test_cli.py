@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import pickle
+import re
 import shutil
 import warnings
 from collections import Counter
@@ -843,7 +844,8 @@ class TestExitClass:
             "huge_fft_size", "nan_noise", "zero_cepstra", "negative_cepstra", "nan_pre_emphasis",
             "huge_pre_emphasis", "huge_log_floor",
             "infinite_ecg_duration", "infinite_frame_length", "zero_fd_iterations",
-            "no_audio_sample", "fractional_audio_rate", "audio_too_long", "ecg_too_many_beats", "frame_block_too_large",
+            "no_audio_sample", "fractional_audio_rate", "audio_too_long", "ecg_too_many_beats",
+            "frame_block_too_large",
             "wav_past_frame_block", "header_quote_left_open", "path_with_line_break", "infinite_embedding"])
     def test_fault_exits_in_its_class(self, workspace, tmp_path, capsys, build, code, text):
         argv, named = build(workspace, tmp_path)
@@ -977,9 +979,12 @@ class TestDamagedInputs:
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DATA, EXIT_CONVERGENCE)
         if code == EXIT_OK:
-            # on success only `classify` writes to stderr: a `skipped` line for
-            # each subject it leaves out, as a damaged subject id can make one
-            assert err == "" or (verb == "classify" and err.startswith("skipped "))
+            # on success only `classify` writes to stderr: one documented
+            # `skipped <subject>/<algo>: <reason>` line for each subject it
+            # leaves out, as a damaged subject id can make one
+            algo = "|".join(map(re.escape, pipeline.ALGORITHMS))
+            skipped = rf"(skipped .+/({algo}): .+\n)*"
+            assert err == "" or (verb == "classify" and re.fullmatch(skipped, err)), err
             return
         assert err.count("\n") == 1 and err.startswith("error: ")
         if code == EXIT_VALIDATION:
