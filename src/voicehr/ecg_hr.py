@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,21 +66,12 @@ def butter_band(low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
     return b, np.poly((4.0 + poles) / (4.0 - poles))
 
 
-@functools.lru_cache(maxsize=8)
-def _band_pass(rate: float, band_low_hz: float, band_high_hz: float):
-    """Read-only Butterworth (b, a) and its steady state `lfilter_zi`, once per rate and band."""
-    nyq = rate / 2.0
-    high = min(band_high_hz, 0.99 * nyq)
-    low = min(band_low_hz, 0.5 * high)
-    b, a = butter_band(low / nyq, high / nyq)
-    # the transposed direct form's state that a constant input keeps still,
-    # solved as scipy's `lfilter_zi` solves it
+def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The transposed direct form's state that a constant input keeps still,
+    solved as scipy's `lfilter_zi` solves it."""
     companion = np.eye(a.size - 1, k=-1)
     companion[0] = -a[1:]
-    zi = np.linalg.solve(np.eye(a.size - 1) - companion.T, b[1:] - a[1:] * b[0])
-    for array in (b, a, zi):
-        array.setflags(write=False)
-    return b, a, zi
+    return np.linalg.solve(np.eye(a.size - 1) - companion.T, b[1:] - a[1:] * b[0])
 
 
 class _Blocks(NamedTuple):
@@ -135,8 +127,17 @@ def _lower_solve(r, m):
 
 @functools.lru_cache(maxsize=8)
 def _blocks(rate: float, band_low_hz: float, band_high_hz: float) -> _Blocks:
-    """The band-pass's `_Blocks`, once per rate and band, worked out to 80 digits."""
-    b, a, zi = _band_pass(rate, band_low_hz, band_high_hz)
+    """The band-pass's `_Blocks`, once per rate and band, worked out to 80 digits.
+
+    The high edge is clamped to 0.99 of Nyquist and the low one to half
+    the high; a low edge whose fraction of Nyquist underflows to 0 is kept
+    at the least positive double.
+    """
+    nyq = rate / 2.0
+    high = min(band_high_hz, 0.99 * nyq)
+    low = max(min(band_low_hz, 0.5 * high) / nyq, math.ulp(0.0))
+    b, a = butter_band(low, high / nyq)
+    zi = _steady_state(b, a)
     order = a.size - 1
     # `localcontext(prec=80)` would need Python 3.11
     with decimal.localcontext(decimal.Context(prec=80)):

@@ -22,7 +22,6 @@ from .ecg_hr import extract_heart_rate
 from .errors import named
 from .regression import FEATURES_HEADER, Observation
 from .signal_io import (
-    DatasetManifest,
     EmotionLabel,
     ManifestEntry,
     load_audio,
@@ -65,11 +64,11 @@ def _extract_slice(entries: list[ManifestEntry], feature_config: FeatureConfig =
     return stages.result(list(zip(embeddings, heart_rates)))
 
 
-def extract_observations(manifest: DatasetManifest,
+def extract_observations(entries: tuple[ManifestEntry, ...],
                          feature_config: FeatureConfig = FeatureConfig(),
                          peak_config: PeakConfig = PeakConfig(),
                          cepstra_dir=None):
-    """Compute (observations, vectors_by_subject) for a whole manifest.
+    """Compute (observations, vectors_by_subject) for a manifest's entries.
 
     The takes go through `_extract_slice` in slices of consecutive takes,
     in a second process too when the manifest is large (see
@@ -83,7 +82,6 @@ def extract_observations(manifest: DatasetManifest,
     """
     if cepstra_dir is not None:
         Path(cepstra_dir).mkdir(parents=True, exist_ok=True)
-    entries = manifest.entries
     per_take = map_jobs(functools.partial(_extract_slice, feature_config=feature_config,
                                           peak_config=peak_config, cepstra_dir=cepstra_dir),
                         entries)
@@ -94,8 +92,8 @@ def extract_observations(manifest: DatasetManifest,
         every.setdefault(entry.subject_id, []).append(emb)
         if entry.emotion == EmotionLabel.NEUTRAL:
             neutral.setdefault(entry.subject_id, []).append(emb)
-    references = {subject_id: subject_reference(neutral.get(subject_id) or every[subject_id])
-                  for subject_id in manifest.subjects()}
+    references = {subject_id: subject_reference(neutral.get(subject_id) or takes)
+                  for subject_id, takes in every.items()}
 
     observations, rows, labels = [], {}, {}
     for entry, (emb, hr) in zip(entries, per_take):

@@ -75,9 +75,8 @@ def load_model(path: str | Path) -> LinearModel:
 @dataclass(frozen=True)
 class SummaryStats:
     mean: float
-    variance: float | None = None
-    std_dev: float | None = None
-    is_population: bool = False
+    variance: float
+    std_dev: float
 
 
 def fit_ols(points, subject_id: str = "", emotion: str = "") -> LinearModel:
@@ -136,8 +135,7 @@ def summary_stats(values, population: bool = False) -> SummaryStats:
         raise TooFewPointsError("need >= 2 values for a sample variance")
     dev = vals - mean
     variance = float(np.dot(dev, dev) / (vals.size - ddof))
-    return SummaryStats(mean=mean, variance=variance,
-                        std_dev=math.sqrt(variance), is_population=population)
+    return SummaryStats(mean=mean, variance=variance, std_dev=math.sqrt(variance))
 
 
 def relative_error(hr_estimated: float, hr_measured: float) -> float:

@@ -22,7 +22,7 @@ import stat
 import typing
 import wave
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -41,6 +41,7 @@ from .errors import (
     UnknownEmotionError,
     UnsupportedFormatError,
     VoicehrError,
+    named,
 )
 
 # 16-bit full scale; -32768 maps to -1.0 exactly.
@@ -74,22 +75,17 @@ class _Signal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    source_id: str = ""  # the file read, named in errors as the caller gave it
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        kind = type(self).__name__
         if not 0 < self.sample_rate_hz < math.inf:
-            raise InvalidSignalError(f"{self._kind()}: sample_rate_hz must be a finite number "
+            raise InvalidSignalError(f"{kind}: sample_rate_hz must be a finite number "
                                      f"> 0, got {self.sample_rate_hz}")
         if self.samples.size == 0:
-            raise EmptySignalError(f"{self._kind()}: no samples")
+            raise EmptySignalError(f"{kind}: no samples")
         if not np.all(np.isfinite(self.samples)):
-            raise InvalidSignalError(f"{self._kind()}: non-finite sample values")
-
-    def _kind(self) -> str:
-        """The class name and the file read, the prefix of an error; built only to raise one."""
-        kind = type(self).__name__
-        return f"{kind} {self.source_id}" if self.source_id else kind
+            raise InvalidSignalError(f"{kind}: non-finite sample values")
 
     @property
     def duration_s(self) -> float:
@@ -139,7 +135,8 @@ def load_audio(path: str | Path) -> AudioClip:
         raise CorruptHeaderError(f"{path}: header gives {n_frames} frames, data chunk "
                                  f"holds {len(raw) // samp_width} ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
-    return AudioClip(samples=samples, sample_rate_hz=float(rate), source_id=path)
+    with named(path):
+        return AudioClip(samples=samples, sample_rate_hz=float(rate))
 
 
 def _open_in_place(path, flags: int) -> int:
@@ -238,7 +235,8 @@ def load_ecg(path: str | Path) -> EcgRecord:
         values = _parse_lines(path, body)
     if not len(values):
         raise EmptySignalError(f"{path}: no samples")
-    return EcgRecord(values, rate, source_id=path)
+    with named(path):
+        return EcgRecord(values, rate)
 
 
 def _parse_lines(path, body: str) -> list:
@@ -379,27 +377,13 @@ def take_stem(subject_id: str, emotion: EmotionLabel, take_index: int) -> str:
     return f"{subject_id}_{emotion.value}_{take_index:03d}"
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Binding of audio/ECG files to (subject, emotion, take) triples.
+def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
+    """The validated entries of a manifest CSV, in file order.
 
     Paths are absolute: each is the manifest's resolved directory joined
     with the path as the file gives it, so a `..` or a symlink inside it
-    is kept, not resolved. Entry order follows the file.
+    is kept, not resolved.
     """
-
-    entries: tuple = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def subjects(self) -> list[str]:
-        seen = dict.fromkeys(e.subject_id for e in self.entries)
-        return sorted(seen)
-
-
-def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load and validate a manifest CSV; paths are joined to its resolved directory."""
     base = str(Path(path).parent.resolve())
     entries, seen = [], set()
     for row in read_table(path, ManifestEntry, MANIFEST_HEADER):
@@ -415,7 +399,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             if not os.path.isfile(p):
                 raise MissingFileError(f"{path}: referenced file missing: {p}")
         entries.append(replace(row, audio_path=audio, ecg_path=ecg))
-    return DatasetManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 def write_manifest(entries, path: str | Path) -> None:

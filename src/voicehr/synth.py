@@ -231,17 +231,25 @@ class FdTargeter:
         return self._grids[sign]
 
     def solve(self, target_fd: float, sign: float) -> tuple[float, AudioClip]:
-        """Return (measured_fd, clip) with measured within tolerance of target."""
+        """Return (measured_fd, clip) with measured within tolerance of target.
+
+        A target past the voice's ceiling, above every fd measured for it,
+        gets the clip of the highest fd measured, measured again. A target
+        that some fd reaches but no step hits within tolerance raises
+        ConvergenceFailureError.
+        """
         mags, fds = self._grid(sign)
         tol = self.spec.fd_tolerance * target_fd
         # Bracket from the calibration grid; the distance vanishes at g=0.
         below = np.flatnonzero(fds < target_fd)
         above = np.flatnonzero(fds >= target_fd)
         m_lo, f_lo = (mags[below[-1]], fds[below[-1]]) if below.size else (0.0, 0.0)
+        highest = max(zip(fds, mags))
         if above.size:
             m_hi, f_hi = mags[above[0]], fds[above[0]]
         else:
             m_hi, f_hi = 2.0 * mags[-1], self._measure(sign * 2.0 * mags[-1])[0]
+            highest = max(highest, (f_hi, m_hi))
         closest = min(f_lo, f_hi, key=lambda x: abs(x - target_fd))
         for _ in range(self.spec.max_fd_iterations):
             if f_hi > f_lo:
@@ -253,10 +261,13 @@ class FdTargeter:
             if abs(f - target_fd) <= tol:
                 return f, clip
             closest = min(closest, f, key=lambda x: abs(x - target_fd))
+            highest = max(highest, (f, m))
             if f < target_fd:
                 m_lo, f_lo = m, f
             else:
                 m_hi, f_hi = m, f
+        if f_hi < target_fd:
+            return self._measure(sign * highest[1])
         raise ConvergenceFailureError(
             f"feature-distance target {target_fd:.3f} not bracketed within "
             f"{self.spec.max_fd_iterations} iterations; closest measured fd {closest:.3f}")

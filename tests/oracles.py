@@ -321,14 +321,14 @@ def write_manifest_loop(entries, path):
 
 
 def load_manifest_loop(path):
-    """DatasetManifest of a manifest CSV, one DictReader row at a time."""
+    """The entries of a manifest CSV, one DictReader row at a time."""
     from voicehr.errors import (
         CorruptHeaderError,
         CorruptRowError,
         DuplicateEntryError,
         MissingFileError,
     )
-    from voicehr.signal_io import DatasetManifest, EmotionLabel, ManifestEntry
+    from voicehr.signal_io import EmotionLabel, ManifestEntry
 
     path = Path(path)
     base = path.parent
@@ -356,7 +356,7 @@ def load_manifest_loop(path):
                 if not p.is_file():
                     raise MissingFileError(f"{path}: referenced file missing: {p}")
             entries.append(ManifestEntry(row["subject_id"], emotion, take, str(audio), str(ecg)))
-    return DatasetManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 def write_ledger_loop(ledger, path):

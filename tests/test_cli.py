@@ -193,7 +193,7 @@ class TestExtract:
         ecg.write_text("\n".join(lines) + "\n")
         assert main(["extract", "--manifest", str(broken / "manifest.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
-        assert f"EcgRecord {ecg}: non-finite sample values" in capsys.readouterr().err
+        assert f"{ecg}: EcgRecord: non-finite sample values" in capsys.readouterr().err
 
     def test_non_utf8_ecg_byte_is_data_error(self, workspace, tmp_path, capsys):
         _, corpus, _ = workspace
@@ -218,7 +218,7 @@ class TestExtract:
         (broken / "audio" / "s01_joy_005.wav").write_bytes(b"RIFF")
         assert main(["extract", "--manifest", str(broken / "manifest.csv"),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
-        assert f"EcgRecord {ecg}: non-finite" in capsys.readouterr().err
+        assert f"{ecg}: EcgRecord: non-finite" in capsys.readouterr().err
 
     def test_flat_ecg_names_its_file(self, workspace, tmp_path, capsys):
         _, corpus, _ = workspace
@@ -242,8 +242,9 @@ class TestExtract:
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {wav}: ")
 
-    @pytest.mark.parametrize("damage", ["short clip", "corrupt WAV", "flat ECG",
-                                        "non-finite ECG", "bad ECG header"])
+    @pytest.mark.parametrize("damage", ["short clip", "corrupt WAV", "zero WAV rate",
+                                        "flat ECG", "non-finite ECG", "zero ECG rate",
+                                        "bad ECG header"])
     def test_every_stage_names_a_file_as_the_manifest_joins_it(self, workspace, tmp_path,
                                                               capsys, damage):
         # the loaders, the record checks, `mfcc` and the detector all name
@@ -258,22 +259,42 @@ class TestExtract:
         manifest.write_text(text.replace(",audio/", ",./audio//").replace(",ecg/", ",./ecg//"))
         wav = os.path.join(broken.resolve(), "./audio//s01_joy_002.wav")
         ecg = os.path.join(broken.resolve(), "./ecg//s01_joy_002.csv")
-        named = {"short clip": wav, "corrupt WAV": wav, "flat ECG": ecg,
-                 "non-finite ECG": f"EcgRecord {ecg}", "bad ECG header": ecg}[damage]
+        # the record checks name the record's class after the file
+        named = {"short clip": wav, "corrupt WAV": wav, "zero WAV rate": f"{wav}: AudioClip",
+                 "flat ECG": ecg, "non-finite ECG": f"{ecg}: EcgRecord",
+                 "zero ECG rate": f"{ecg}: EcgRecord", "bad ECG header": ecg}[damage]
         if damage == "short clip":
             write_audio(AudioClip(np.zeros(10), 16000.0), wav)
         elif damage == "corrupt WAV":
             with open(wav, "r+b") as fh:
                 fh.truncate(20)
+        elif damage == "zero WAV rate":
+            with open(wav, "r+b") as fh:  # the fmt chunk's sample rate field
+                fh.seek(24)
+                fh.write((0).to_bytes(4, "little"))
         elif damage == "flat ECG":
             _blank_ecg(Path(ecg))
         elif damage == "non-finite ECG":
             Path(ecg).write_text("# rate_hz=250\n" + "nan\n" * 2500)
+        elif damage == "zero ECG rate":
+            Path(ecg).write_text("# rate_hz=0\n" + "0.0\n" * 2500)
         else:
             Path(ecg).write_text("rate=250\n" + "0.0\n" * 2500)
         assert main(["extract", "--manifest", str(manifest),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+    def test_band_edge_below_float_resolution(self, workspace, tmp_path):
+        # 5e-324 Hz is 0.0 of the Nyquist rate at 250 Hz, and detects as 1e-300 Hz does
+        _, corpus, _ = workspace
+        features = {}
+        for low in ("5e-324", "1e-300"):
+            config = tmp_path / f"config_{low}.json"
+            config.write_text(f'{{"peak": {{"band_low_hz": {low}}}}}')
+            features[low] = tmp_path / f"features_{low}.csv"
+            assert main(["extract", "--manifest", str(corpus / "manifest.csv"),
+                         "--config", str(config), "--out", str(features[low])]) == EXIT_OK
+        assert features["5e-324"].read_bytes() == features["1e-300"].read_bytes()
 
     def test_first_failing_take_names_its_file_when_shared(self, workspace, tmp_path, capsys,
                                                            monkeypatch):
@@ -306,7 +327,7 @@ class TestExtract:
         from voicehr.signal_io import load_manifest
 
         _, corpus, _ = workspace
-        entry = load_manifest(corpus / "manifest.csv").entries[0]
+        entry = load_manifest(corpus / "manifest.csv")[0]
         ecg = tmp_path / "flat.csv"
         _blank_ecg(ecg)
         with pytest.raises(NoPeaksFoundError) as raised:

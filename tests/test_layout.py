@@ -110,9 +110,8 @@ def test_only_signal_io_formats_a_take_stem(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_only_the_front_end_imports_scipy(path):
-    # the front end, `speech_features` and `ecg_hr`, included: the package
-    # needs numpy alone
+def test_no_module_imports_scipy(path):
+    # the package needs numpy alone; the tests use scipy as an oracle
     assert "scipy" not in imported_modules(path)
 
 

@@ -330,9 +330,9 @@ class TestManifest:
             lines.append(f"s01,{emotion},0,{wav},{csv_}")
         path = tmp_path / "manifest.csv"
         path.write_text("\n".join(lines) + "\n")
-        manifest = load_manifest(path)
-        assert len(manifest) == 3
-        assert manifest.subjects() == ["s01"]
+        entries = load_manifest(path)
+        assert len(entries) == 3
+        assert {e.subject_id for e in entries} == {"s01"}
 
     def test_duplicate_triple_rejected(self, tmp_path):
         wav, csv_ = _touch_pair(tmp_path, "a")
@@ -374,7 +374,7 @@ class TestManifest:
         (tmp_path / "lists").mkdir()
         path = tmp_path / "lists" / "manifest.csv"
         path.write_text(f"{HEADER}\ns01,joy,0,../{wav},../{csv_}\n")
-        entry, = load_manifest(path).entries
+        entry, = load_manifest(path)
         assert os.path.isabs(entry.audio_path)
         assert Path(entry.audio_path).resolve() == (tmp_path / wav).resolve()
         assert Path(entry.ecg_path).resolve() == (tmp_path / csv_).resolve()
@@ -385,7 +385,7 @@ class TestManifest:
         wav, csv_ = _touch_pair(corpus, "a")
         (corpus / "manifest.csv").write_text(f"{HEADER}\ns01,joy,0,{wav},{csv_}\n")
         (tmp_path / "link").symlink_to(corpus, target_is_directory=True)
-        entry, = load_manifest(tmp_path / "link" / "manifest.csv").entries
+        entry, = load_manifest(tmp_path / "link" / "manifest.csv")
         # the manifest's directory is resolved, the paths within it are joined
         assert entry.audio_path == str(corpus.resolve() / wav)
         assert entry.ecg_path == str(corpus.resolve() / csv_)
@@ -398,7 +398,7 @@ class TestManifest:
         p2 = tmp_path / "m2.csv"
         p1.write_text("\n".join([header] + rows) + "\n")
         p2.write_text("\n".join([header] + rows[::-1]) + "\n")
-        assert set(load_manifest(p1).entries) == set(load_manifest(p2).entries)
+        assert set(load_manifest(p1)) == set(load_manifest(p2))
 
     def test_fuzzed_rows_establish_invariants(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -421,12 +421,10 @@ class TestManifest:
             path = tmp_path / f"fuzz{trial}.csv"
             path.write_text("\n".join([header] + rows) + "\n")
             if valid:
-                manifest = load_manifest(path)
-                triples = [(e.subject_id, e.emotion, e.take_index)
-                           for e in manifest.entries]
+                entries = load_manifest(path)
+                triples = [(e.subject_id, e.emotion, e.take_index) for e in entries]
                 assert len(set(triples)) == len(triples)
-                assert all(isinstance(e.emotion, EmotionLabel)
-                           for e in manifest.entries)
+                assert all(isinstance(e.emotion, EmotionLabel) for e in entries)
             else:
                 with pytest.raises((DuplicateEntryError, UnknownEmotionError)):
                     load_manifest(path)
@@ -436,9 +434,9 @@ class TestManifest:
         entries = [ManifestEntry("s01", EmotionLabel.JOY, 0, wav, csv_)]
         path = tmp_path / "manifest.csv"
         write_manifest(entries, path)
-        manifest = load_manifest(path)
-        assert len(manifest) == 1
-        assert manifest.entries[0].emotion is EmotionLabel.JOY
+        entries = load_manifest(path)
+        assert len(entries) == 1
+        assert entries[0].emotion is EmotionLabel.JOY
 
 
 # Each file writer, as a function of the path: every one goes through the

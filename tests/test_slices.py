@@ -51,7 +51,7 @@ def test_extract_reports_the_first_failing_take_across_stages(corpus, tmp_path, 
     for flat, short in ((k, k + 1), (k + 1, k)):
         broken = tmp_path / f"flat_{flat}"
         shutil.copytree(corpus.parent, broken)
-        entries = load_manifest(broken / "manifest.csv").entries
+        entries = load_manifest(broken / "manifest.csv")
         _blank_ecg(Path(entries[flat].ecg_path))
         write_audio(AudioClip(np.zeros(10), 16000.0), entries[short].audio_path)
         manifest = load_manifest(broken / "manifest.csv")
@@ -66,12 +66,14 @@ def test_extract_reports_the_first_failing_take_across_stages(corpus, tmp_path, 
 
 
 def test_synth_failure_in_the_middle_of_a_slice(tmp_path, in_process):
-    # job 274 sits in the slice of takes [256, 288)
+    # one refining step: job 138, the first take it leaves off target,
+    # sits in the slice of takes [128, 160)
+    spec = SynthSpec(seed=9, n_subjects=2, takes_per_emotion=30, max_fd_iterations=1)
     with pytest.raises(ConvergenceFailureError) as raised:
-        generate_synthetic_corpus(SynthSpec(seed=9), tmp_path / "c")
+        generate_synthetic_corpus(spec, tmp_path / "c")
     assert str(raised.value) == (
-        "take s02_joy_004: feature-distance target 24.232 not bracketed within "
-        "10 iterations; closest measured fd 22.487")
+        "take s02_neutral_018: feature-distance target 5.165 not bracketed within "
+        "1 iterations; closest measured fd 5.427")
 
 
 def _counting(monkeypatch, module, names, counts):

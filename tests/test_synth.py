@@ -16,10 +16,13 @@ from oracles import generate_corpus_single_loop, synth_ecg_loop, synth_utterance
 from test_parallel import _wait_for
 from voicehr.errors import ConvergenceFailureError, SpecInvalidError
 from voicehr.signal_io import EmotionLabel, load_manifest, read_json, write_json
+from voicehr.speech_features import feature_distance, mfcc, utterance_embedding
 from voicehr import _parallel
 from voicehr.synth import (
+    EMOTION_PROFILES,
     SynthSpec,
     _harmonic_basis,
+    _plan_corpus,
     _render_slice,
     _voice_targeter,
     generate_synthetic_corpus,
@@ -246,11 +249,11 @@ class TestGenerateCorpus:
     def test_layout_and_counts(self, small_corpus, tmp_path):
         spec, manifest_path, ledger = small_corpus
         corpus = manifest_path.parent
-        manifest = load_manifest(manifest_path)
+        entries = load_manifest(manifest_path)
         expected = spec.n_subjects * 3 * spec.takes_per_emotion
-        assert len(manifest.entries) == len(ledger) == expected
+        assert len(entries) == len(ledger) == expected
         assert (corpus / "ledger.csv").is_file()
-        for entry in manifest.entries:
+        for entry in entries:
             assert Path(entry.audio_path).is_file()
             assert Path(entry.ecg_path).is_file()
 
@@ -351,6 +354,38 @@ class TestConvergence:
         assert re.fullmatch(
             r"take s01_joy_000: feature-distance target (\d+\.\d{3}) not bracketed within "
             r"1 iterations; closest measured fd (\d+\.\d{3})", str(raised.value))
+
+    @staticmethod
+    def _reached(targeter, fd, clip):
+        """`fd` is what `clip` measures against the targeter's reference."""
+        return fd == feature_distance(utterance_embedding(mfcc(clip, targeter.spec.feature)),
+                                      targeter.reference)
+
+    def test_target_past_the_voice_takes_its_ceiling(self):
+        # seed 9's take s02_joy_004: no magnitude reaches 24.232, the
+        # highest fd measured is 22.487
+        spec = SynthSpec(seed=9)
+        plan = _plan_corpus(np.random.default_rng(spec.seed), spec)[1]
+        (target_fd, sign), = [(t[2], t[3]) for t in plan.takes
+                              if t[:2] == (EmotionLabel.JOY, 4)]
+        assert round(target_fd, 3) == 24.232
+        targeter = _voice_targeter(plan.voice, spec)
+        fd, clip = targeter.solve(target_fd, sign)
+        assert round(fd, 3) == 22.487 and self._reached(targeter, fd, clip)
+        assert fd >= targeter._grid(sign)[1].max()
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), emotion=st.sampled_from(list(EMOTION_PROFILES)),
+           u=st.floats(0.0, 1.0), negative=st.booleans())
+    def test_profile_targets_never_raise(self, seed, emotion, u, negative):
+        # a voice as the generator draws it, a target from its emotion's range
+        spec = SynthSpec()
+        targeter = _voice_targeter(make_voice(np.random.default_rng(seed)), spec)
+        lo, hi = EMOTION_PROFILES[emotion]["fd"]
+        target_fd = lo + (hi - lo) * u
+        fd, clip = targeter.solve(target_fd, -1.0 if negative else 1.0)
+        assert self._reached(targeter, fd, clip)
+        assert abs(fd - target_fd) <= spec.fd_tolerance * target_fd or fd < target_fd
 
     def test_failed_run_leaves_no_index(self, tmp_path):
         # rerun over a finished corpus, the failing spec writes over some of

@@ -195,13 +195,7 @@ class TestMatchesLoops:
         write_manifest_loop(entries, tmp_path / "loop.csv")
         _same_bytes(tmp_path, [e.subject_id for e in entries])
 
-        def load(path):
-            return load_manifest(path).entries
-
-        def load_loop(path):
-            return load_manifest_loop(path).entries
-
-        _same_outcome(load, load_loop, tmp_path / "codec.csv")
+        _same_outcome(load_manifest, load_manifest_loop, tmp_path / "codec.csv")
 
 
 def _features_file(tmp_path, text):
