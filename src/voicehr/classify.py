@@ -31,7 +31,7 @@ from .errors import (
     TooFewExamplesError,
     named,
 )
-from .signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel, read_table, write_table
+from .signal_io import EMOTION_ORDER, VALUE_LIMIT, EmotionLabel, read_columns, write_table
 
 GNB_VARIANCE_FLOOR = 1e-9
 
@@ -59,8 +59,8 @@ def embeddings_header(n_cepstra: int) -> list[str]:
     return ["subject_id", "emotion"] + [f"c{i}" for i in range(n_cepstra)] + ["fd"]
 
 
-@dataclass
-class _EmbeddingRow:  # not frozen: a frozen record costs twice as much to build per row
+@dataclass(frozen=True)
+class _EmbeddingRow:  # the columns of an embeddings table, as `read_columns` reads them
     subject_id: str
     emotion: EmotionLabel
     features: np.ndarray  # the c0.. columns, then fd
@@ -80,13 +80,14 @@ def read_embeddings_csv(path) -> dict[str, VectorSet]:
     A feature value that is not finite or is `VALUE_LIMIT` or more in
     magnitude raises InvalidSignalError naming `path`.
     """
-    rows, labels = {}, {}
-    for row in read_table(path, _EmbeddingRow, lambda width: embeddings_header(width - 3)):
-        rows.setdefault(row.subject_id, []).append(row.features)
-        labels.setdefault(row.subject_id, []).append(row.emotion)
+    subject_ids, labels, block = read_columns(
+        path, _EmbeddingRow, lambda width: embeddings_header(width - 3))
+    rows = {}
+    for i, subject_id in enumerate(subject_ids):
+        rows.setdefault(subject_id, []).append(i)
     with named(path):
-        return {subject_id: VectorSet(np.array(vectors), tuple(labels[subject_id]))
-                for subject_id, vectors in rows.items()}
+        return {subject_id: VectorSet(block[at], tuple(map(labels.__getitem__, at)))
+                for subject_id, at in rows.items()}
 
 
 def _classes_present(labels):

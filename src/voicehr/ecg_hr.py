@@ -131,12 +131,13 @@ def _blocks(rate: float, band_low_hz: float, band_high_hz: float) -> _Blocks:
 
     The high edge is clamped to 0.99 of Nyquist and the low one to half
     the high; a low edge whose fraction of Nyquist underflows to 0 is kept
-    at the least positive double.
+    at the least positive double, and a high one that underflows to the
+    low one or below at twice the low.
     """
     nyq = rate / 2.0
     high = min(band_high_hz, 0.99 * nyq)
     low = max(min(band_low_hz, 0.5 * high) / nyq, math.ulp(0.0))
-    b, a = butter_band(low, high / nyq)
+    b, a = butter_band(low, max(high / nyq, 2.0 * low))
     zi = _steady_state(b, a)
     order = a.size - 1
     # `localcontext(prec=80)` would need Python 3.11

@@ -14,12 +14,14 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import re
 import stat
 import typing
+import warnings
 import wave
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -443,9 +445,16 @@ class _LabelCells(dict):
 # Cell parser per declared scalar field type
 _PARSERS = {str: str, int: int, float: float, EmotionLabel: _LabelCells(_LABELS).__getitem__}
 
-# Rows `read_table` parses at a time, a column at a time: parsing a whole
-# table at once raised a report's peak RSS by several MB, a batch costs
-# well under one
+# numpy's C text reader's cell type per declared scalar field type: a text
+# or label cell is read as its str
+_CELL_DTYPES = {str: object, EmotionLabel: object, int: np.int64, float: np.float64}
+
+# Bytes numpy's number parsers skip as space, and float() and int() do not
+_C_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# Rows the `csv` fallback of `read_columns` parses at a time, a column at a
+# time: parsing a whole table of `csv` rows at once raised a report's peak
+# RSS by several MB, a batch costs well under one
 _BATCH_ROWS = 256
 
 
@@ -462,33 +471,58 @@ def _decode_utf8(path, raw: bytes) -> str:
         raise CorruptRowError(f"{path}:{line}: {exc}") from None
 
 
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """The UTF-8 text of `raw` as `csv` reads it: line ends are left in place."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
 def read_table(path, record, header) -> list:
     """The rows of a CSV table as instances of the dataclass `record`.
 
+    The table is read as `read_columns` reads it; a field declared
+    `np.ndarray` holds its row of the read-only block.
+    """
+    return list(map(record, *read_columns(path, record, header)))
+
+
+def read_columns(path, record, header) -> list:
+    """The columns of a CSV table, one per field of the dataclass `record`.
+
     Each field is read from the column of its name and parsed by its
-    declared type (`str`, `int`, `float`, `EmotionLabel`); a last field
-    declared `np.ndarray` takes every column from its position on, as one
-    float64 row of a read-only block shared by up to `_BATCH_ROWS` rows.
-    The header must equal `header`, or `header(n)` for a function of the
-    file's column count n; else CorruptHeaderError. Blank lines are skipped.
+    declared type (`str`, `int`, `float`, `EmotionLabel`) into a list of
+    one value per row; a last field declared `np.ndarray` takes every
+    column from its position on, as one read-only float64 block of a row
+    per table row. The header must equal `header`, or `header(n)` for a
+    function of the file's column count n; else CorruptHeaderError.
+    Blank lines are skipped.
 
     The whole file is checked to be UTF-8 before any row is parsed: a
     byte that is not raises CorruptRowError naming its `path:line`, even
-    when an earlier row holds another fault. The rows are then read from
-    the file's bytes one decoded chunk (8 KB) at a time, so the reader
-    holds the bytes and that chunk, and about twice the bytes during the
-    check.
+    when an earlier row holds another fault.
 
-    Rows are parsed in batches, a column at a time. A batch that holds a
-    fault is parsed again a row at a time, so the first row fault in file
-    order is the one raised, as a row-by-row reader would: a row of the
-    wrong width, a cell that does not parse or a quote left open raises
-    CorruptRowError naming `path:line`, and a parser's VoicehrError is
-    raised again as its type, prefixed with `path:line`.
+    The rows are parsed in one call of numpy's C text reader, with the
+    cells as `csv` splits them and the numbers as `float()` and `int()`
+    read them. A table that reader could read otherwise takes the `csv`
+    path, which gives the same records and alone raises the row errors:
+    a table that is not ASCII (numpy's int64 parser takes some other code
+    points for digits), one that holds a byte of 0x1c-0x1f, one in which
+    a field could pass `csv.field_size_limit()`, and one whose rows that
+    reader rejects or warns about, such as a cell `1_000`, `١٢` or past
+    int64, an unknown label, a row of the wrong width or no rows at all.
+
+    The `csv` path reads the file's bytes one decoded chunk (8 KB) at a
+    time and parses the rows in batches, a column at a time. A batch that
+    holds a fault is parsed again a row at a time, so the first row fault
+    in file order is the one raised, as a row-by-row reader would: a row
+    of the wrong width, a cell that does not parse or a quote left open
+    raises CorruptRowError naming `path:line`, and a parser's VoicehrError
+    is raised again as its type, prefixed with `path:line`.
     """
     raw = Path(path).read_bytes()
-    _decode_utf8(path, raw)
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    ascii_only = raw.isascii()
+    if not ascii_only:
+        _decode_utf8(path, raw)
+    with _text(raw) as fh:
         reader = csv.reader(fh)
         try:
             found = next(reader, [])
@@ -497,54 +531,131 @@ def read_table(path, record, header) -> list:
         expected = list(header(len(found)) if callable(header) else header)
         if found != expected:
             raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
-        types = typing.get_type_hints(record)
-        # (column, parser) per field; None parses the float64 block from the column on
-        columns = [(i, None) if types[f.name] is np.ndarray
-                   else (expected.index(f.name), _PARSERS[types[f.name]])
-                   for i, f in enumerate(fields(record))]
-        parse = functools.partial(_parse_rows, record, len(expected), columns)
-        records = []
-        while True:
-            rows, lines, fault = [], [], None
-            try:
-                for row in reader:
-                    if row:
-                        rows.append(row)
-                        lines.append(reader.line_num)
-                        if len(rows) == _BATCH_ROWS:
-                            break
-            except csv.Error as exc:  # a quote left open to the end
-                fault = CorruptRowError(f"{path}:{reader.line_num}: {exc}")
-            try:
-                records += parse(rows)
-            except (ValueError, VoicehrError):
-                for row, line in zip(rows, lines):
-                    try:
-                        records += parse([row])
-                    except ValueError as exc:
-                        raise CorruptRowError(f"{path}:{line}: {exc}") from None
-                    except VoicehrError as exc:  # a parser's own, such as a bad label
-                        raise type(exc)(f"{path}:{line}: {exc}") from None
-            if fault is not None:
-                raise fault
-            if len(rows) < _BATCH_ROWS:
-                return records
+        # (column, type) per field; np.ndarray takes the float64 block from the column on
+        columns = [(i if kind is np.ndarray else expected.index(name), kind)
+                   for i, (name, kind) in enumerate(_field_types(record))]
+        if ascii_only and _c_reader_fits(raw):
+            values = _c_columns(fh, len(expected), columns)
+            if values is not None:
+                return values
+    with _text(raw) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return _csv_columns(path, reader, len(expected), columns)
 
 
-def _parse_rows(record, width: int, columns, rows) -> list:
-    """`record`s of the non-blank CSV `rows`, a column at a time."""
+@functools.cache
+def _field_types(record) -> tuple:
+    """(name, declared type) of each field of a dataclass, in field order."""
+    hints = typing.get_type_hints(record)
+    return tuple((f.name, hints[f.name]) for f in fields(record))
+
+
+def _c_reader_fits(raw: bytes) -> bool:
+    """Whether numpy's C text reader may read the ASCII table `raw` in place of `csv`.
+
+    Not when it holds a byte that numpy's number parsers alone skip as
+    space, nor when a field could pass `csv.field_size_limit()`: a table
+    longer than the limit must hold no quote, and a line break in every
+    aligned span of half the limit, since a longer line would hold one
+    such span whole.
+    """
+    if any(space in raw for space in _C_ONLY_SPACES):
+        return False
+    limit = csv.field_size_limit()
+    if len(raw) <= limit:
+        return True
+    span = (limit + 1) // 2
+    if b'"' in raw or span < 1024:  # a lowered limit takes the csv path
+        return False
+    return all(raw.find(b"\n", at, at + span) >= 0 or raw.find(b"\r", at, at + span) >= 0
+               for at in range(0, len(raw) - span + 1, span))
+
+
+def _c_columns(fh, width: int, columns):
+    """The columns of the table body `fh` as numpy's C text reader reads them.
+
+    None when it raises or warns, or when a field's column lies in the
+    block: the `csv` path then reads the table and raises its errors.
+    """
+    blocks = [at for at, kind in columns if kind is np.ndarray]
+    at_block = blocks[0] if blocks else width
+    if any(at >= at_block for at, kind in columns if kind is not np.ndarray):
+        return None
+    cells = [object] * at_block  # a column no field reads is read as text
+    for at, kind in columns:
+        if kind is not np.ndarray:
+            cells[at] = _CELL_DTYPES[kind]
+    if blocks:
+        cells.append((np.float64, (width - at_block,)))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=[(str(at), cell) for at, cell in enumerate(cells)],
+                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+        values = []
+        for at, kind in columns:
+            column = table[str(at)]
+            if kind is np.ndarray:
+                column.flags.writeable = False
+                values.append(column)
+            else:
+                values.append(column.tolist() if kind is not EmotionLabel
+                              else list(map(_PARSERS[kind], column.tolist())))
+        return values
+    except Exception:  # the csv path raises the error with its path:line
+        return None
+
+
+def _csv_columns(path, reader, width: int, columns) -> list:
+    """The columns of the table body `reader` yields, parsed in batches of `_BATCH_ROWS` rows."""
+    batches = []
+    while True:
+        rows, lines, fault = [], [], None
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _BATCH_ROWS:
+                        break
+        except csv.Error as exc:  # a quote left open to the end
+            fault = CorruptRowError(f"{path}:{reader.line_num}: {exc}")
+        try:
+            batches.append(_parse_rows(width, columns, rows))
+        except (ValueError, VoicehrError):
+            for row, line in zip(rows, lines):
+                try:
+                    batches.append(_parse_rows(width, columns, [row]))
+                except ValueError as exc:
+                    raise CorruptRowError(f"{path}:{line}: {exc}") from None
+                except VoicehrError as exc:  # a parser's own, such as a bad label
+                    raise type(exc)(f"{path}:{line}: {exc}") from None
+        if fault is not None:
+            raise fault
+        if len(rows) < _BATCH_ROWS:
+            break
+    values = [np.concatenate(parts) if isinstance(parts[0], np.ndarray)
+              else list(itertools.chain.from_iterable(parts)) for parts in zip(*batches)]
+    for column in values:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return values
+
+
+def _parse_rows(width: int, columns, rows) -> list:
+    """The columns of the non-blank CSV `rows`, a column at a time."""
     widths = set(map(len, rows)) - {width}
     if widths:
         raise ValueError(f"expected {width} fields, got {widths.pop()}")
     values = []
-    for at, parse in columns:
-        if parse is None:  # numpy parses each str cell as float() does
-            block = np.array([row[at:] for row in rows], dtype=np.float64)
-            block.flags.writeable = False
-            values.append(block)
+    for at, kind in columns:
+        if kind is np.ndarray:  # numpy parses each str cell as float() does
+            values.append(np.array([row[at:] for row in rows], dtype=np.float64)
+                          .reshape(len(rows), width - at))
         else:
-            values.append(map(parse, map(itemgetter(at), rows)))
-    return list(map(record, *values))
+            values.append(list(map(_PARSERS[kind], map(itemgetter(at), rows))))
+    return values
 
 
 def write_json(path, value) -> None:

@@ -269,7 +269,7 @@ class FdTargeter:
         if f_hi < target_fd:
             return self._measure(sign * highest[1])
         raise ConvergenceFailureError(
-            f"feature-distance target {target_fd:.3f} not bracketed within "
+            f"feature-distance target {target_fd:.3f} not reached within "
             f"{self.spec.max_fd_iterations} iterations; closest measured fd {closest:.3f}")
 
 

@@ -296,6 +296,16 @@ class TestExtract:
                          "--config", str(config), "--out", str(features[low])]) == EXIT_OK
         assert features["5e-324"].read_bytes() == features["1e-300"].read_bytes()
 
+    def test_high_band_edge_below_float_resolution(self, workspace, tmp_path, capsys):
+        # 1e-322 Hz is 0.0 of the Nyquist rate at 250 Hz: the band passes
+        # nothing, and the first take is a data error, not a traceback
+        _, corpus, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text('{"peak": {"band_low_hz": 5e-324, "band_high_hz": 1e-322}}')
+        assert main(["extract", "--manifest", str(corpus / "manifest.csv"),
+                     "--config", str(config), "--out", str(tmp_path / "f.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err.endswith(": flat signal: empty envelope\n")
+
     def test_first_failing_take_names_its_file_when_shared(self, workspace, tmp_path, capsys,
                                                            monkeypatch):
         # 144 takes, above MIN_SHARED_TAKES: the child takes jobs from the

@@ -157,6 +157,15 @@ class TestAgainstTheScipyDetector:
                     else detect_r_peaks_scipy(record, config))
         assert np.array_equal(detect_r_peaks(record, config), expected)
 
+    def test_high_band_edge_below_float_resolution(self):
+        # 1e-322 Hz is 0.0 of the Nyquist rate at 250 Hz, below the low
+        # edge's least positive double: the high edge is kept above it, and
+        # the band passes nothing, as one of 1e-300 to 1e-299 Hz does
+        record, _ = synth_ecg(70.0, 250.0, 8.0)
+        for low, high in ((5e-324, 1e-322), (1e-300, 1e-299)):
+            with pytest.raises(NoPeaksFoundError, match="^flat signal: empty envelope$"):
+                detect_r_peaks(record, PeakConfig(band_low_hz=low, band_high_hz=high))
+
     @settings(max_examples=150, deadline=None)
     @given(bpm=st.floats(35.0, 215.0), phase=st.floats(0.0, 1.0, exclude_max=True),
            rate=st.sampled_from([125.0, 250.0, 360.0, 500.0]), seconds=st.floats(2.0, 20.0))

@@ -3,7 +3,9 @@
 Every file format the pipeline reads or writes goes through the codecs
 in `signal_io`, so it alone imports the standard library's format
 modules, and it alone writes files: its one opener writes over an
-existing file's bytes instead of truncating it first. It alone spells a
+existing file's bytes instead of truncating it first. It alone calls
+numpy's text readers, whose cell grammar differs from `csv`, `float()` and
+`int()` in ways only its table reader checks for. It alone spells a
 take's file stem. No module imports scipy, so every verb starts without
 loading it. Every strided window is
 cut by one framing helper. Two rules stand in for a linter: a module
@@ -50,6 +52,26 @@ def imported_modules(path: Path) -> set[str]:
 def test_only_signal_io_imports_format_modules(path):
     allowed = FORMAT_MODULES if path.name == "signal_io.py" else set()
     assert imported_modules(path) & FORMAT_MODULES <= allowed
+
+
+# numpy's text readers, as `np.<name>` or a bare imported name
+TEXT_READERS = {"loadtxt", "genfromtxt"}
+
+
+def text_reader_calls(path: Path) -> list[str]:
+    """The calls of numpy's text readers in `path`, as `line: call`."""
+    return [f"{node.lineno}: {ast.unparse(node.func)}" for node in ast.walk(parse(path))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] in TEXT_READERS]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_signal_io_calls_numpys_text_readers(path):
+    if path.name == "signal_io.py":
+        # the rule sees the one that is there
+        assert text_reader_calls(path)
+    else:
+        assert text_reader_calls(path) == []
 
 
 # Calls counted as file writes whatever their arguments: these two functions

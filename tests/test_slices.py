@@ -72,7 +72,7 @@ def test_synth_failure_in_the_middle_of_a_slice(tmp_path, in_process):
     with pytest.raises(ConvergenceFailureError) as raised:
         generate_synthetic_corpus(spec, tmp_path / "c")
     assert str(raised.value) == (
-        "take s02_neutral_018: feature-distance target 5.165 not bracketed within "
+        "take s02_neutral_018: feature-distance target 5.165 not reached within "
         "1 iterations; closest measured fd 5.427")
 
 

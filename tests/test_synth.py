@@ -352,7 +352,7 @@ class TestConvergence:
         with pytest.raises(ConvergenceFailureError) as raised:
             generate_synthetic_corpus(self.UNREACHABLE, tmp_path / "c")
         assert re.fullmatch(
-            r"take s01_joy_000: feature-distance target (\d+\.\d{3}) not bracketed within "
+            r"take s01_joy_000: feature-distance target (\d+\.\d{3}) not reached within "
             r"1 iterations; closest measured fd (\d+\.\d{3})", str(raised.value))
 
     @staticmethod

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import dataclass, fields
 from itertools import permutations
 
@@ -35,9 +36,11 @@ from voicehr.errors import (
 from voicehr.classify import embeddings_header, read_embeddings_csv, write_embeddings_csv
 from voicehr.extract import write_features_csv
 from voicehr.regression import FEATURES_HEADER, Observation, read_features_csv
+from voicehr import signal_io
 from voicehr.signal_io import (
     _BATCH_ROWS,
     EMOTION_ORDER,
+    MANIFEST_HEADER,
     VALUE_LIMIT,
     EmotionLabel,
     ManifestEntry,
@@ -413,6 +416,17 @@ class TestAcrossBatches:
         write_embeddings_csv({}, path, 2)
         assert read_embeddings_csv(path) == read_embeddings_loop(path) == {}
 
+    def test_header_only_table_warns_nothing(self, tmp_path):
+        # numpy's C reader warns on a table without rows; a verb's stderr
+        # must stay empty
+        write_embeddings_csv({}, tmp_path / "emb.csv", 2)
+        write_features_csv([], tmp_path / "features.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_embeddings_csv(tmp_path / "emb.csv") == {}
+            assert read_features_csv(tmp_path / "features.csv") == []
+        assert caught == []
+
     def test_rows_of_a_subject_are_one_block(self, tmp_path):
         # rows of two subjects interleave across a batch boundary
         n = _BATCH_ROWS + 9
@@ -481,8 +495,33 @@ def _tail_at(offset, tail):
 
 
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+LIMIT = csv.field_size_limit()
+# Features lines without their ends that numpy's C text reader and `csv`
+# with float() and int() could read apart: numbers that only float() or
+# int() reads, spaces around a cell, quoted cells holding a delimiter, a
+# quote or a line break, a quote left open, lines that are blank or only
+# space, a BOM, and a field longer than csv's field size limit
+# numpy's int64 parser reads "1\u01fe" as 472
+ODD_INTS = ["1_000", "١٢", "1.0", "99999999999999999999", "9223372036854775807",
+            "-9223372036854775809", "+7", "0x10", "1\u01fe"]
+ODD_FLOATS = ["nan", "-inf", "Infinity", "-nan", "+NaN", "1_0.5", "١.٥", "1e400", "0x1p3", "1e"]
+SPACES = ["", " ", "\t", "\x0b", "\xa0", "\x0c", "\x1c", "\x1f", "\u3000", "\x00"]
+ROW = ["s01", "joy", "7", "2.5", "70.0"]
+ODD_LINES = [
+    *(f"s01,joy,{cell},1.0,70.0" for cell in ODD_INTS),
+    *(f"s01,joy,1,{cell},70.0" for cell in ODD_FLOATS),
+    '"s,1",joy,1,1.0,70.0', '"s""1",joy,1,1.0,70.0', '"s\r1",joy,1,1.0,70.0',
+    '"s\n1",joy,1,1.0,70.0', '"s\r\n1",joy,1,1.0,70.0', 's01,"joy",1,"2.5",70.0',
+    's01,joy,"1",1.0,"70.0\n"', 's01,joy,"1\r",1.0,70.0', '"s"1,joy,1,1.0,70.0',
+    's"1,joy,1,1.0,70.0', 's01,joy,1,"1.0"x,70.0', 's01,joy,1,1.0,70.0"',
+    's01,joy,1,1.0,"70.0', '"s01,joy,1,1.0,70.0',
+    "", " ", "\t", "\x0b", "\ufeffs01,joy,1,1.0,70.0", "\ufeff", '""', "s01,joy,1,1.0,70.0,",
+    "s01,joy,1," + "0" * LIMIT + "1,70.0",
+    '"' + "s\n" * (LIMIT // 2 + 1) + '",joy,1,1.0,70.0',
+]
 # A features line without its end: a valid row, a quoted subject holding a
-# line break, a blank line, or a fault
+# line break, a blank line, a fault, a cell between spaces, or an odd line
 LINES = st.one_of(
     st.builds("s{},{},{},{!r},70.0".format, st.integers(0, 9),
               st.sampled_from(["joy", "neutral", "anger"]), st.integers(0, 99),
@@ -490,7 +529,11 @@ LINES = st.one_of(
     LINE_ENDS.map('"s{}1",joy,2,3.0,80.0'.format),
     st.just(""),
     st.sampled_from(["s01,joy,1,1.0", "s01,joy,1,x,70.0", "s01,bliss,1,1.0,70.0",
-                     '"s01,joy,1,1.0,70.0']))
+                     '"s01,joy,1,1.0,70.0']),
+    st.builds(lambda at, left, right: ",".join(left + cell + right if i == at else cell
+                                               for i, cell in enumerate(ROW)),
+              st.integers(0, len(ROW) - 1), st.sampled_from(SPACES), st.sampled_from(SPACES)),
+    st.sampled_from(ODD_LINES))
 
 
 class TestChunkedReader:
@@ -532,6 +575,47 @@ class TestChunkedReader:
         path.write_bytes(_tail_at(CHUNK + shift, tail))
         _same_outcome(read_features_csv, lambda p: read_table_stringio(
             p, Observation, FEATURES_HEADER), path)
+
+    @pytest.mark.parametrize("line", ODD_LINES, ids=repr)
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_odd_line_reads_as_the_whole_text_reader_reads_it(self, tmp_path, line, at):
+        rows = [line, "s02,anger,3,4.0,80.0"]
+        path = tmp_path / "features.csv"
+        path.write_text(HEADER + "\n".join(rows if at == "first" else rows[::-1]),
+                        encoding="utf-8", newline="")
+        _same_outcome(read_features_csv, lambda p: read_table_stringio(
+            p, Observation, FEATURES_HEADER), path)
+
+    def test_written_tables_skip_the_csv_parser(self, tmp_path, monkeypatch):
+        # tables write_table wrote go through numpy's C reader alone, the
+        # embeddings one (2 MB) longer than csv's field size limit
+        rng = np.random.default_rng(1)
+        observations = [Observation(f"s{i % 5:02d}", EMOTION_ORDER[i % 3], rng.normal(),
+                                    60.0 + rng.random(), i) for i in range(600)]
+        write_features_csv(observations, tmp_path / "features.csv")
+        takes = [PlantedTake(f"s{i:02d}", EMOTION_ORDER[i % 3], i, *rng.normal(size=4))
+                 for i in range(30)]
+        write_ledger(takes, tmp_path / "ledger.csv")
+        entries = [ManifestEntry("s01", label, i, f"a,{i}.wav", f"e{i}.txt")
+                   for i, label in enumerate(EMOTION_ORDER)]
+        write_manifest(entries, tmp_path / "manifest.csv")
+        vectors = {f"s{j:02d}": vector_set(rng.normal(size=(1400, 14)),
+                                           [EMOTION_ORDER[i % 3] for i in range(1400)])
+                   for j in range(5)}
+        write_embeddings_csv(vectors, tmp_path / "emb.csv", 13)
+        assert (tmp_path / "emb.csv").stat().st_size > LIMIT
+
+        def csv_parser(*args):
+            raise AssertionError("the csv batch parser ran")
+
+        monkeypatch.setattr(signal_io, "_parse_rows", csv_parser)
+        assert read_features_csv(tmp_path / "features.csv") == observations
+        assert load_ledger(tmp_path / "ledger.csv") == takes
+        assert read_table(tmp_path / "manifest.csv", ManifestEntry, MANIFEST_HEADER) == entries
+        got = read_embeddings_csv(tmp_path / "emb.csv")
+        assert list(got) == list(vectors)
+        for subject_id, vecs in vectors.items():
+            assert _vector_bits(got[subject_id]) == _vector_bits(vecs)
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
     def test_line_end_on_the_chunk_boundary(self, tmp_path, end):
