@@ -11,10 +11,10 @@ which writes over an existing file's bytes rather than truncating it first.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -23,10 +23,11 @@ import stat
 import typing
 import warnings
 import wave
+from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -445,17 +446,8 @@ class _LabelCells(dict):
 # Cell parser per declared scalar field type
 _PARSERS = {str: str, int: int, float: float, EmotionLabel: _LabelCells(_LABELS).__getitem__}
 
-# numpy's C text reader's cell type per declared scalar field type: a text
-# or label cell is read as its str
-_CELL_DTYPES = {str: object, EmotionLabel: object, int: np.int64, float: np.float64}
-
-# Bytes numpy's number parsers skip as space, and float() and int() do not
+# Bytes numpy's float parser skips as space, and float() does not
 _C_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-# Rows the `csv` fallback of `read_columns` parses at a time, a column at a
-# time: parsing a whole table of `csv` rows at once raised a report's peak
-# RSS by several MB, a batch costs well under one
-_BATCH_ROWS = 256
 
 
 # A line ends at "\r\n", "\r" or "\n", as csv and text-mode files count lines
@@ -469,6 +461,21 @@ def _decode_utf8(path, raw: bytes) -> str:
     except UnicodeDecodeError as exc:
         line = len(_LINE_END.findall(raw[:exc.start].decode("utf-8"))) + 1
         raise CorruptRowError(f"{path}:{line}: {exc}") from None
+
+
+# Bytes the UTF-8 check of a table decodes at a time
+_CHECK_BYTES = 1 << 16
+
+
+def _check_utf8(path, raw: bytes) -> None:
+    """Raise as `_decode_utf8` does if `raw` is not UTF-8, holding no copy of its text."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for at in range(0, len(raw), _CHECK_BYTES):
+            decoder.decode(raw[at:at + _CHECK_BYTES])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        _decode_utf8(path, raw)
 
 
 def _text(raw: bytes) -> io.TextIOWrapper:
@@ -501,27 +508,26 @@ def read_columns(path, record, header) -> list:
     when an earlier row holds another fault.
 
     The rows are parsed in one call of numpy's C text reader, with the
-    cells as `csv` splits them and the numbers as `float()` and `int()`
-    read them. A table that reader could read otherwise takes the `csv`
+    cells as `csv` splits them. That reader parses the float cells, which
+    it reads as `float()` does or not at all; every other cell is read as
+    its text and parsed as the `csv` path parses it, an `int` cell by
+    `int()`. A table that reader could read otherwise takes the `csv`
     path, which gives the same records and alone raises the row errors:
-    a table that is not ASCII (numpy's int64 parser takes some other code
-    points for digits), one that holds a byte of 0x1c-0x1f, one in which
-    a field could pass `csv.field_size_limit()`, and one whose rows that
-    reader rejects or warns about, such as a cell `1_000`, `١٢` or past
-    int64, an unknown label, a row of the wrong width or no rows at all.
+    one that holds a byte of 0x1c-0x1f, one in which a field could pass
+    `csv.field_size_limit()`, and one whose rows that reader rejects or
+    warns about, such as a float cell `1_000`, `١٢` or `1e`, an unknown
+    label, a row of the wrong width or no rows at all.
 
     The `csv` path reads the file's bytes one decoded chunk (8 KB) at a
-    time and parses the rows in batches, a column at a time. A batch that
-    holds a fault is parsed again a row at a time, so the first row fault
-    in file order is the one raised, as a row-by-row reader would: a row
-    of the wrong width, a cell that does not parse or a quote left open
-    raises CorruptRowError naming `path:line`, and a parser's VoicehrError
-    is raised again as its type, prefixed with `path:line`.
+    time and parses a row at a time, so the first row fault in file order
+    is the one raised: a row of the wrong width, a cell that does not
+    parse or a quote left open raises CorruptRowError naming `path:line`,
+    and a parser's VoicehrError is raised again as its type, prefixed
+    with `path:line`.
     """
     raw = Path(path).read_bytes()
-    ascii_only = raw.isascii()
-    if not ascii_only:
-        _decode_utf8(path, raw)
+    if not raw.isascii():
+        _check_utf8(path, raw)
     with _text(raw) as fh:
         reader = csv.reader(fh)
         try:
@@ -532,9 +538,9 @@ def read_columns(path, record, header) -> list:
         if found != expected:
             raise CorruptHeaderError(f"{path}: expected header {','.join(expected)}")
         # (column, type) per field; np.ndarray takes the float64 block from the column on
-        columns = [(i if kind is np.ndarray else expected.index(name), kind)
-                   for i, (name, kind) in enumerate(_field_types(record))]
-        if ascii_only and _c_reader_fits(raw):
+        columns = [(i if kind is np.ndarray else expected.index(f.name), kind)
+                   for i, (f, kind) in enumerate(_json_fields(record).values())]
+        if _c_reader_fits(raw):
             values = _c_columns(fh, len(expected), columns)
             if values is not None:
                 return values
@@ -544,17 +550,10 @@ def read_columns(path, record, header) -> list:
         return _csv_columns(path, reader, len(expected), columns)
 
 
-@functools.cache
-def _field_types(record) -> tuple:
-    """(name, declared type) of each field of a dataclass, in field order."""
-    hints = typing.get_type_hints(record)
-    return tuple((f.name, hints[f.name]) for f in fields(record))
-
-
 def _c_reader_fits(raw: bytes) -> bool:
-    """Whether numpy's C text reader may read the ASCII table `raw` in place of `csv`.
+    """Whether numpy's C text reader may read the table `raw` in place of `csv`.
 
-    Not when it holds a byte that numpy's number parsers alone skip as
+    Not when it holds a byte that numpy's float parser alone skips as
     space, nor when a field could pass `csv.field_size_limit()`: a table
     longer than the limit must hold no quote, and a line break in every
     aligned span of half the limit, since a longer line would hold one
@@ -575,18 +574,15 @@ def _c_reader_fits(raw: bytes) -> bool:
 def _c_columns(fh, width: int, columns):
     """The columns of the table body `fh` as numpy's C text reader reads them.
 
-    None when it raises or warns, or when a field's column lies in the
-    block: the `csv` path then reads the table and raises its errors.
+    None when it raises or warns, or a cell does not parse: the `csv`
+    path then reads the table and raises its errors.
     """
-    blocks = [at for at, kind in columns if kind is np.ndarray]
-    at_block = blocks[0] if blocks else width
-    if any(at >= at_block for at, kind in columns if kind is not np.ndarray):
-        return None
+    at_block = columns[-1][0] if columns[-1][1] is np.ndarray else width
     cells = [object] * at_block  # a column no field reads is read as text
     for at, kind in columns:
-        if kind is not np.ndarray:
-            cells[at] = _CELL_DTYPES[kind]
-    if blocks:
+        if kind is float:
+            cells[at] = np.float64
+    if at_block < width:
         cells.append((np.float64, (width - at_block,)))
     try:
         with warnings.catch_warnings():
@@ -600,7 +596,7 @@ def _c_columns(fh, width: int, columns):
                 column.flags.writeable = False
                 values.append(column)
             else:
-                values.append(column.tolist() if kind is not EmotionLabel
+                values.append(column.tolist() if kind in (str, float)
                               else list(map(_PARSERS[kind], column.tolist())))
         return values
     except Exception:  # the csv path raises the error with its path:line
@@ -608,53 +604,29 @@ def _c_columns(fh, width: int, columns):
 
 
 def _csv_columns(path, reader, width: int, columns) -> list:
-    """The columns of the table body `reader` yields, parsed in batches of `_BATCH_ROWS` rows."""
-    batches = []
-    while True:
-        rows, lines, fault = [], [], None
-        try:
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == _BATCH_ROWS:
-                        break
-        except csv.Error as exc:  # a quote left open to the end
-            fault = CorruptRowError(f"{path}:{reader.line_num}: {exc}")
-        try:
-            batches.append(_parse_rows(width, columns, rows))
-        except (ValueError, VoicehrError):
-            for row, line in zip(rows, lines):
-                try:
-                    batches.append(_parse_rows(width, columns, [row]))
-                except ValueError as exc:
-                    raise CorruptRowError(f"{path}:{line}: {exc}") from None
-                except VoicehrError as exc:  # a parser's own, such as a bad label
-                    raise type(exc)(f"{path}:{line}: {exc}") from None
-        if fault is not None:
-            raise fault
-        if len(rows) < _BATCH_ROWS:
-            break
-    values = [np.concatenate(parts) if isinstance(parts[0], np.ndarray)
-              else list(itertools.chain.from_iterable(parts)) for parts in zip(*batches)]
-    for column in values:
-        if isinstance(column, np.ndarray):
-            column.flags.writeable = False
-    return values
-
-
-def _parse_rows(width: int, columns, rows) -> list:
-    """The columns of the non-blank CSV `rows`, a column at a time."""
-    widths = set(map(len, rows)) - {width}
-    if widths:
-        raise ValueError(f"expected {width} fields, got {widths.pop()}")
-    values = []
-    for at, kind in columns:
-        if kind is np.ndarray:  # numpy parses each str cell as float() does
-            values.append(np.array([row[at:] for row in rows], dtype=np.float64)
-                          .reshape(len(rows), width - at))
-        else:
-            values.append(list(map(_PARSERS[kind], map(itemgetter(at), rows))))
+    """The columns of the table body `reader` yields, parsed a row at a time."""
+    values = [array("d") if kind is np.ndarray else [] for _, kind in columns]
+    n_rows = 0
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            for column, (at, kind) in zip(values, columns):
+                if kind is np.ndarray:
+                    column.extend(map(float, row[at:]))
+                else:
+                    column.append(_PARSERS[kind](row[at]))
+            n_rows += 1
+    except (csv.Error, ValueError) as exc:  # csv.Error: a quote left open to the end
+        raise CorruptRowError(f"{path}:{reader.line_num}: {exc}") from None
+    except VoicehrError as exc:  # a parser's own, such as a bad label
+        raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+    at, kind = columns[-1]
+    if kind is np.ndarray:
+        values[-1] = np.frombuffer(values[-1], dtype=np.float64).reshape(n_rows, width - at)
+        values[-1].flags.writeable = False
     return values
 
 
@@ -748,7 +720,7 @@ def _decode_record(value: dict, record, key: str):
 
 @functools.lru_cache(maxsize=None)
 def _json_fields(record) -> dict:
-    """JSON key -> (field, declared type) of each field of a dataclass."""
+    """JSON key -> (field, declared type) of each field of a dataclass, in field order."""
     hints = typing.get_type_hints(record)
     return {f.metadata.get("json_key", f.name): (f, hints[f.name]) for f in fields(record)}
 

@@ -5,7 +5,9 @@ import io
 import math
 import re
 import struct
+import sys
 import tracemalloc
+import unicodedata
 import warnings
 from dataclasses import dataclass, fields
 from itertools import permutations
@@ -38,7 +40,6 @@ from voicehr.extract import write_features_csv
 from voicehr.regression import FEATURES_HEADER, Observation, read_features_csv
 from voicehr import signal_io
 from voicehr.signal_io import (
-    _BATCH_ROWS,
     EMOTION_ORDER,
     MANIFEST_HEADER,
     VALUE_LIMIT,
@@ -302,7 +303,9 @@ def _feature_rows(n):
             f"{60.0 + 40.0 * rng.random()!r}" for i in range(n)]
 
 
-# Table lengths around the reader's batch size, up to more than two batches
+# Rows of a batch: a reader that parses rows in batches meets its boundaries
+# in tables of these lengths, up to more than two batches
+_BATCH_ROWS = 256
 LENGTHS = [_BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 2 * _BATCH_ROWS, 2 * _BATCH_ROWS + 37]
 
 # A fault in a features row: (edit of the row, the error read_features_csv raises,
@@ -327,20 +330,37 @@ def _read_error_line(path):
         return reader.line_num, str(raised.value)
 
 
+# What a subject id holds to send its table to each of `read_columns`'
+# readers: the csv path reads a table that holds a byte of 0x1c-0x1f
+PATHS = {"c_reader": "", "csv_rows": "\x1c"}
+
+
+def _on_path(tmp_path, rows, reader):
+    """A features table of `rows` that `reader` reads, its first subject id marked."""
+    rows = ["s" + PATHS[reader] + rows[0][1:], *rows[1:]]
+    path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+    assert signal_io._c_reader_fits(path.read_bytes()) == (reader == "c_reader")
+    return path
+
+
 class TestAcrossBatches:
     """Tables longer than one batch read as the row-by-row loops read them."""
 
+    @pytest.mark.parametrize("reader", PATHS)
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_long_tables_match_loops(self, tmp_path, n):
-        path = _features_file(tmp_path, "".join(row + "\n" for row in _feature_rows(n)))
+    def test_long_tables_match_loops(self, tmp_path, n, reader):
+        path = _on_path(tmp_path, _feature_rows(n), reader)
         _same_outcome(read_features_csv, read_features_loop, path)
         assert len(read_features_csv(path)) == n
 
         rng = np.random.default_rng(n)
-        vectors = {f"s{j}": vector_set([rng.normal(size=4) for i in range(n // 3 + j)],
-                                       [EMOTION_ORDER[i % 3] for i in range(n // 3 + j)])
+        marks = ["", PATHS[reader], ""]  # in the second subject's id
+        vectors = {f"s{marks[j]}{j}": vector_set([rng.normal(size=4) for i in range(n // 3 + j)],
+                                                 [EMOTION_ORDER[i % 3] for i in range(n // 3 + j)])
                    for j in range(3)}
         write_embeddings_csv(vectors, tmp_path / "emb.csv", 3)
+        assert signal_io._c_reader_fits((tmp_path / "emb.csv").read_bytes()) \
+            == (reader == "c_reader")
         got, expected = (read(tmp_path / "emb.csv")
                          for read in (read_embeddings_csv, read_embeddings_loop))
         assert list(got) == list(expected)
@@ -378,11 +398,12 @@ class TestAcrossBatches:
                                        (_BATCH_ROWS - 2, _BATCH_ROWS + 2)],
                              ids=["one_batch", "two_batches"])
     @pytest.mark.parametrize("first, second", list(permutations(FAULTS, 2)))
-    def test_first_of_two_faults_wins(self, tmp_path, first, second, where):
+    @pytest.mark.parametrize("reader", PATHS)
+    def test_first_of_two_faults_wins(self, tmp_path, first, second, where, reader):
         rows = _feature_rows(2 * _BATCH_ROWS + 37)
         for kind, at in zip((first, second), where):
             rows[at] = FAULTS[kind][0](rows[at])
-        path = _features_file(tmp_path, "".join(row + "\n" for row in rows))
+        path = _on_path(tmp_path, rows, reader)
         _, error, text = FAULTS[first]
         if text is None:  # the oracle stops at the first fault too
             with pytest.raises((ValueError, UnknownEmotionError)) as oracle:
@@ -520,8 +541,12 @@ ODD_LINES = [
     "s01,joy,1," + "0" * LIMIT + "1,70.0",
     '"' + "s\n" * (LIMIT // 2 + 1) + '",joy,1,1.0,70.0',
 ]
+# A space of SPACES or any character past ASCII, to put before or after a cell
+AROUND = st.one_of(st.sampled_from(SPACES),
+                   st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)))
 # A features line without its end: a valid row, a quoted subject holding a
-# line break, a blank line, a fault, a cell between spaces, or an odd line
+# line break, a blank line, a fault, a cell between spaces or other
+# characters, or an odd line
 LINES = st.one_of(
     st.builds("s{},{},{},{!r},70.0".format, st.integers(0, 9),
               st.sampled_from(["joy", "neutral", "anger"]), st.integers(0, 99),
@@ -532,18 +557,20 @@ LINES = st.one_of(
                      '"s01,joy,1,1.0,70.0']),
     st.builds(lambda at, left, right: ",".join(left + cell + right if i == at else cell
                                                for i, cell in enumerate(ROW)),
-              st.integers(0, len(ROW) - 1), st.sampled_from(SPACES), st.sampled_from(SPACES)),
+              st.integers(0, len(ROW) - 1), AROUND, AROUND),
     st.sampled_from(ODD_LINES))
 
 
 class TestChunkedReader:
     """`read_table` reads the bytes a chunk at a time, as a reader of the whole text would."""
 
-    def test_peak_memory_stays_near_the_bytes(self, tmp_path):
-        # about 2 MB: 7000 rows of 13 cepstra and the fd
+    @pytest.mark.parametrize("subject", ["s", "sé", "s\u01fe"])
+    def test_peak_memory_stays_near_the_bytes(self, tmp_path, subject):
+        # about 2 MB: 7000 rows of 13 cepstra and the fd; with "é" or "Ǿ"
+        # in the subject ids its decoded text takes 1 or 2 bytes a character
         rng = np.random.default_rng(0)
-        vectors = {f"s{j:02d}": vector_set(rng.normal(size=(1400, 14)),
-                                           [EMOTION_ORDER[i % 3] for i in range(1400)])
+        vectors = {f"{subject}{j:02d}": vector_set(rng.normal(size=(1400, 14)),
+                                                   [EMOTION_ORDER[i % 3] for i in range(1400)])
                    for j in range(5)}
         path = tmp_path / "emb.csv"
         write_embeddings_csv(vectors, path, 13)
@@ -555,8 +582,8 @@ class TestChunkedReader:
         finally:
             tracemalloc.stop()
         assert len(rows) == 7000
-        # the bytes and, during the UTF-8 check, their text; a copy of the
-        # text at 4 bytes a character would take the peak past 6x
+        # the bytes and the parsed table; a whole copy of the decoded text
+        # would take the peak to 3x with "é" and 4x with "Ǿ"
         assert peak < 3 * size, f"peak {peak} bytes for a {size}-byte table"
 
     @settings(FUNCTION_TMP_PATH, max_examples=150)
@@ -587,34 +614,50 @@ class TestChunkedReader:
         _same_outcome(read_features_csv, lambda p: read_table_stringio(
             p, Observation, FEATURES_HEADER), path)
 
+    def test_unicode_spaces_and_digits_read_as_the_whole_text_reader(self, tmp_path):
+        # every character str.isspace() takes and every decimal digit (Nd),
+        # before, after and inside the int cell and the float cell of ROW
+        chars = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.isspace() or unicodedata.category(c) == "Nd"]
+        path = tmp_path / "features.csv"
+        for c in chars:
+            for at, cell in ((2, "17"), (3, "2.5")):
+                for edited in (c + cell, cell + c, cell[0] + c + cell[1:]):
+                    path.write_text(HEADER + ",".join(ROW[:at] + [edited] + ROW[at + 1:]) + "\n",
+                                    encoding="utf-8", newline="")
+                    _same_outcome(read_features_csv, lambda p: read_table_stringio(
+                        p, Observation, FEATURES_HEADER), path)
+
     def test_written_tables_skip_the_csv_parser(self, tmp_path, monkeypatch):
-        # tables write_table wrote go through numpy's C reader alone, the
-        # embeddings one (2 MB) longer than csv's field size limit
+        # tables write_table wrote go through numpy's C reader alone, ASCII or
+        # not, the embeddings one (2 MB) longer than csv's field size limit
+        subjects = ["s00", "sé01", "s02", "s03", "s04"]
         rng = np.random.default_rng(1)
-        observations = [Observation(f"s{i % 5:02d}", EMOTION_ORDER[i % 3], rng.normal(),
+        observations = [Observation(subjects[i % 5], EMOTION_ORDER[i % 3], rng.normal(),
                                     60.0 + rng.random(), i) for i in range(600)]
         write_features_csv(observations, tmp_path / "features.csv")
-        takes = [PlantedTake(f"s{i:02d}", EMOTION_ORDER[i % 3], i, *rng.normal(size=4))
+        takes = [PlantedTake(subjects[i % 5], EMOTION_ORDER[i % 3], i, *rng.normal(size=4))
                  for i in range(30)]
         write_ledger(takes, tmp_path / "ledger.csv")
-        entries = [ManifestEntry("s01", label, i, f"a,{i}.wav", f"e{i}.txt")
+        entries = [ManifestEntry("sé01", label, i, f"a,{i}.wav", f"e{i}.txt")
                    for i, label in enumerate(EMOTION_ORDER)]
+        entries.append(ManifestEntry("s02", EmotionLabel.JOY, 0, "données/a.wav", "e.txt"))
         write_manifest(entries, tmp_path / "manifest.csv")
-        vectors = {f"s{j:02d}": vector_set(rng.normal(size=(1400, 14)),
-                                           [EMOTION_ORDER[i % 3] for i in range(1400)])
-                   for j in range(5)}
+        vectors = {subject: vector_set(rng.normal(size=(1400, 14)),
+                                       [EMOTION_ORDER[i % 3] for i in range(1400)])
+                   for subject in subjects}
         write_embeddings_csv(vectors, tmp_path / "emb.csv", 13)
         assert (tmp_path / "emb.csv").stat().st_size > LIMIT
 
         def csv_parser(*args):
-            raise AssertionError("the csv batch parser ran")
+            raise AssertionError("the csv row loop ran")
 
-        monkeypatch.setattr(signal_io, "_parse_rows", csv_parser)
+        monkeypatch.setattr(signal_io, "_csv_columns", csv_parser)
         assert read_features_csv(tmp_path / "features.csv") == observations
         assert load_ledger(tmp_path / "ledger.csv") == takes
         assert read_table(tmp_path / "manifest.csv", ManifestEntry, MANIFEST_HEADER) == entries
         got = read_embeddings_csv(tmp_path / "emb.csv")
-        assert list(got) == list(vectors)
+        assert list(got) == sorted(vectors)
         for subject_id, vecs in vectors.items():
             assert _vector_bits(got[subject_id]) == _vector_bits(vecs)
 
